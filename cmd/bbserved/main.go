@@ -1,6 +1,6 @@
 // Command bbserved serves a balls-into-bins allocator over HTTP: the
-// arrival-combining dispatch core of internal/serve fronting a
-// ShardedAllocator, with live stats and Prometheus metrics.
+// dispatch core of internal/serve fronting a ShardedAllocator, with
+// live stats and Prometheus metrics.
 //
 // Usage:
 //
@@ -95,8 +95,6 @@ func main() {
 		n           = flag.Int("n", 100000, "number of bins")
 		shards      = flag.Int("shards", 8, "allocator shards (parallel dispatch lanes)")
 		horizon     = flag.Int64("horizon", 0, "declared total balls (threshold family)")
-		queueDepth  = flag.Int("queue-depth", serve.DefaultQueueDepth, "per-shard arrival queue depth")
-		maxBatch    = flag.Int("max-batch", serve.DefaultMaxBatch, "max requests combined per lock acquisition")
 		keyedPolicy = flag.String("keyed-policy", "adaptive", "keyed tier key->shard policy: "+strings.Join(keyed.Policies(), ", "))
 		retries     = flag.Int("retries", 3, "keyed tier probe cap (boundedretry policy)")
 		replicas    = flag.Int("replicas", keyed.DefaultReplicas, "hot-key replica set size (1 disables splitting)")
@@ -140,14 +138,12 @@ func main() {
 	}
 
 	cfg := serve.Config{
-		Spec:       spec,
-		N:          *n,
-		Shards:     *shards,
-		Seed:       sf.Seed,
-		Engine:     eng,
-		Horizon:    *horizon,
-		QueueDepth: *queueDepth,
-		MaxBatch:   *maxBatch,
+		Spec:    spec,
+		N:       *n,
+		Shards:  *shards,
+		Seed:    sf.Seed,
+		Engine:  eng,
+		Horizon: *horizon,
 		Keyed: &keyed.Config{
 			Policy:   kp,
 			Replicas: *replicas,
@@ -280,8 +276,8 @@ func main() {
 		// accepts: from this point /healthz answers 503 and place/
 		// remove answer 503, so load balancers can observe the drain
 		// window and stop routing before the listener disappears.
-		// Everything already enqueued completes. Then stop the
-		// listener, letting in-flight HTTP requests finish.
+		// Every admitted call completes. Then stop the listener,
+		// letting in-flight HTTP requests finish.
 		d.Close()
 		if ws != nil {
 			// Wire conns see CodeDraining on new work during the drain

@@ -59,10 +59,10 @@
 //
 // The ShardedAllocator is the substrate of a network serving layer:
 // cmd/bbserved exposes it over HTTP (place, remove, stats, snapshot,
-// health, Prometheus metrics) through the arrival-combining dispatcher
-// in internal/serve, which coalesces concurrent requests per shard and
-// applies each batch under a single lock acquisition via
-// WithShardLocked — lock traffic scales with batches, not requests.
+// health, Prometheus metrics) through the dispatcher in
+// internal/serve, which runs each request in its caller's goroutine
+// under its shard's lock via WithShardLocked — no queue or hand-off,
+// so concurrent requests on different shards never contend.
 // Monitoring reads come in two consistency grades: Metrics/Snapshot
 // lock every shard for a linearizable view, while ShardMetrics and
 // ApproxMetrics lock one shard at a time (cheap, but shards are
@@ -142,8 +142,7 @@
 // connections carrying length-prefixed CRC-32-guarded frames (the
 // WAL's framing idiom), request IDs for out-of-order pipelining, and
 // batch coalescing on both ends of the socket — concurrent callers'
-// requests are packed into one write/syscall per flush, the
-// client-side twin of the dispatcher's arrival combining. Typed error
+// requests are packed into one write/syscall per flush. Typed error
 // codes map 1:1 onto the HTTP status semantics, the STATS message
 // returns the exact /v1/stats document, and bbproxy transparently
 // dials backends over wire when they advertise a listener (HTTP

@@ -719,7 +719,8 @@ func (rt *Router) WindowLatency() (hdrhist.Snapshot, float64) {
 // background loops exit, and in-flight requests run to completion
 // against their backends. With a keyed store, the drained assignment
 // table is sealed with a final compacting snapshot — a TERM/restart
-// cycle loses zero assignments. It does not close the backends
+// cycle loses zero assignments; a failed seal is recorded as a DRAIN
+// event and logged at ERROR. It does not close the backends
 // themselves (the proxy does not own the cluster's data). Idempotent.
 func (rt *Router) Close() {
 	if rt.draining.CompareAndSwap(false, true) {
@@ -727,10 +728,12 @@ func (rt *Router) Close() {
 	}
 	rt.cancel()
 	rt.loops.Wait()
-	rt.watch.Close()
 	if rt.store != nil {
-		rt.store.Close()
+		if err := rt.store.Close(); err != nil {
+			rt.watch.RecordError(watch.EventDrain, "keyed store seal failed", err)
+		}
 	}
+	rt.watch.Close()
 }
 
 // Crash stops the router WITHOUT the final snapshot or log flush —

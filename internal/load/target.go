@@ -18,7 +18,7 @@ import (
 )
 
 // InProc drives a dispatch core directly — no network, so it measures
-// the dispatcher itself (the mode used for combiner throughput
+// the dispatcher itself (the mode used for dispatch throughput
 // benchmarks).
 type InProc struct {
 	D *serve.Dispatcher

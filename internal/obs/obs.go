@@ -4,15 +4,14 @@
 //
 // The design goal is near-zero cost on the untraced path. Every
 // operation carries a Capture — a plain value with fixed-size span
-// and attr arrays, embedded in the per-request struct (serve) or kept
-// on the stack (cluster) — so recording a stage is two clock reads
-// and a couple of stores, and finishing an op is one atomic histogram
-// record per stage. Nothing allocates unless the op is actually
-// retained: head-sampled (1/SampleEvery), or slower than the tail
-// threshold. Retained ops are materialized once and published into a
-// bounded ring of atomic pointers; readers snapshot the ring without
-// locks, so a torn span is structurally impossible (an Op is
-// immutable after publication).
+// and attr arrays, kept on the caller's stack — so recording a stage
+// is two clock reads and a couple of stores, and finishing an op is
+// one atomic histogram record per stage. Nothing allocates unless the
+// op is actually retained: head-sampled (1/SampleEvery), or slower
+// than the tail threshold. Retained ops are materialized once and
+// published into a bounded ring of atomic pointers; readers snapshot
+// the ring without locks, so a torn span is structurally impossible
+// (an Op is immutable after publication).
 //
 // Trace identity is a uint64, rendered as 16 hex digits. It
 // propagates bbload → bbproxy → bbserved over HTTP in the X-BB-Trace
@@ -222,7 +221,7 @@ func (c *Capture) Stage(stage string, start time.Time) {
 	c.StageAt(stage, start, time.Now())
 }
 
-// Attr attaches an integer attribute (probes, failovers, batch size,
+// Attr attaches an integer attribute (probes, failovers, bulk size,
 // staleness_ms_at_pick, ...).
 func (c *Capture) Attr(key string, val int64) {
 	if c.rec == nil || c.nattrs >= maxAttrs {

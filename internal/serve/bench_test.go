@@ -11,7 +11,8 @@ import (
 
 // benchDispatcher builds the headline single-shard core used by the
 // obs-overhead comparison; the allocator itself is O(1) per place, so
-// the dispatcher/combiner path dominates and any tracing cost shows.
+// the dispatch path (admission, shard lock, stats row) dominates and
+// any tracing cost shows.
 func benchDispatcher(b *testing.B, o obs.Options) *Dispatcher {
 	b.Helper()
 	d := NewDispatcher(Config{
@@ -38,13 +39,30 @@ func benchPlace(b *testing.B, d *Dispatcher) {
 	})
 }
 
-// BenchmarkDispatcherPlace measures the combined dispatch path with
-// observability off, on-but-untraced (the production default: every op
-// feeds the stage histograms, ~1/1024 is materialized into the ring),
-// and fully sampled (every op materialized — the worst case, used by
-// tests and smoke jobs, not production). The ≤2% untraced-overhead
-// gate compares obs=untraced against obs=off.
+// BenchmarkDispatcherPlace measures the dispatch path, as a one-ball
+// PlaceMany, with observability off, on-but-untraced (the production
+// default: every op feeds the stage histograms, ~1/1024 is
+// materialized into the ring), and fully sampled (every op
+// materialized — the worst case, used by tests and smoke jobs, not
+// production). The ≤2% untraced-overhead gate compares obs=untraced
+// against obs=off.
 func BenchmarkDispatcherPlace(b *testing.B) {
+	// The single-ball Place path at the production default: a scalar
+	// result, so no bins or counts slices — only the stats row
+	// allocates.
+	b.Run("op=place", func(b *testing.B) {
+		d := benchDispatcher(b, obs.Options{})
+		ctx := context.Background()
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if _, _, err := d.Place(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
 	b.Run("obs=off", func(b *testing.B) {
 		benchPlace(b, benchDispatcher(b, obs.Options{Disabled: true}))
 	})

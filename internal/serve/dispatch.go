@@ -1,33 +1,32 @@
 // Package serve is the network-serving layer over the ballsbins
-// allocator core: an arrival-combining dispatcher that turns many
-// concurrent Place/Remove callers into amortized batched work against
-// a ShardedAllocator, a lock-free stats pipeline for monitoring reads,
-// and the HTTP handlers cmd/bbserved mounts.
+// allocator core: a dispatcher that applies concurrent Place/Remove
+// callers' operations to a ShardedAllocator, a lock-free stats
+// pipeline for monitoring reads, and the HTTP handlers cmd/bbserved
+// mounts.
 //
 // # Dispatch core
 //
-// Each shard of the underlying ShardedAllocator gets a bounded arrival
-// queue and one combiner goroutine. A caller's Place round-robins a
-// ticket (the allocator's own cursor, so dispatcher traffic and direct
-// allocator traffic share one arrival order), enqueues a request on
-// the ticketed shard's queue and waits; the combiner drains whatever
-// requests have accumulated — up to MaxBatch — and applies them under
-// a single shard-lock acquisition via WithShardLocked. Under
-// concurrency the mutex is therefore taken O(batches) times rather
-// than O(requests), and each acquisition does O(1) amortized work per
-// ball (the Session fast path), which is what lets lock traffic fall
-// as load rises instead of growing with it. With a single caller every
-// batch has size one and the dispatcher degenerates to a plain locked
-// call — combining costs nothing when there is nothing to combine.
+// Every operation runs in its caller's goroutine. A caller's Place
+// round-robins a ticket (the allocator's own cursor, so dispatcher
+// traffic and direct allocator traffic share one arrival order), then
+// takes the ticketed shard's lock via WithShardLocked, places its ball
+// and publishes the shard's stats row before unlocking. A removal
+// locks the shard owning its bin; a keyed placement locks its key's
+// shard. A bulk takes each shard's lock once for all the balls
+// ticketed to it, and a chunk of fanOutChunk balls or more runs on a
+// helper goroutine so a large bulk keeps every core busy. There is no
+// queue, hand-off or per-shard goroutine: with one caller an op costs
+// one uncontended lock, and concurrent callers on different shards
+// never meet.
 //
 // Admission is the commit point: ctx is consulted once, before any
 // round-robin ticket is claimed; a call past admission executes in
-// full even if the caller's context is cancelled while it waits, and
-// Close drains all admitted work before stopping. So a caller that
-// got a bin really owns a ball, a caller that got an error knows
-// nothing happened, and the per-shard evenness of the ticket cursor
-// (which the sharded max-load bound is built on) can never be skewed
-// by abandoned operations.
+// full even if the caller's context is cancelled meanwhile, and Close
+// waits for every admitted call to return before sealing anything. So
+// a caller that got a bin really owns a ball, a caller that got an
+// error knows nothing happened, and the per-shard evenness of the
+// ticket cursor (which the sharded max-load bound is built on) can
+// never be skewed by abandoned operations.
 package serve
 
 import (
@@ -49,8 +48,8 @@ import (
 )
 
 // ErrDraining is returned by Place/Remove once Close has begun: the
-// dispatcher no longer accepts new arrivals (it is draining the ones
-// already enqueued).
+// dispatcher no longer admits new calls (it is waiting out the ones
+// already admitted).
 var ErrDraining = errors.New("serve: dispatcher draining")
 
 // ErrEmptyBin is returned by Remove when the target bin holds no
@@ -62,20 +61,18 @@ var ErrEmptyBin = errors.New("serve: remove from empty bin")
 // family splits its horizon per shard as ceil(m/P) and FixedThreshold
 // carries an absolute bound, so pinning a popular key's balls to one
 // shard could push that shard past its acceptance bound and spin its
-// combiner forever. Keyed traffic needs a fully online spec (the
-// adaptive family, greedy, single, ...), whose acceptance bound
-// tracks the shard's own load.
+// placement loop forever under the shard lock. Keyed traffic needs a
+// fully online spec (the adaptive family, greedy, single, ...), whose
+// acceptance bound tracks the shard's own load.
 var ErrKeyedUnsupported = errors.New(
 	"serve: spec cannot serve keyed traffic (shard-pinned placement would break its per-shard acceptance bound); use an online spec such as adaptive")
 
-const (
-	// DefaultQueueDepth bounds each shard's arrival queue; beyond it,
-	// enqueues block (backpressure) rather than buffer without limit.
-	DefaultQueueDepth = 1024
-	// DefaultMaxBatch caps how many requests one combiner pass applies
-	// under a single lock acquisition.
-	DefaultMaxBatch = 256
-)
+// fanOutChunk is the smallest bulk chunk (balls ticketed to one shard
+// by one PlaceMany) that runs on a helper goroutine instead of the
+// caller's. Large bulks, such as prefilling a big table, then keep
+// every core busy, while the small bulks of live traffic never pay
+// for a goroutine start.
+const fanOutChunk = 1024
 
 // Config describes a dispatcher. Spec and N are required.
 type Config struct {
@@ -87,10 +84,6 @@ type Config struct {
 	// Horizon forwards ballsbins.WithHorizon for specs that need the
 	// total ball count (threshold family).
 	Horizon int64
-	// QueueDepth and MaxBatch default to DefaultQueueDepth and
-	// DefaultMaxBatch when zero.
-	QueueDepth int
-	MaxBatch   int
 	// Keyed tunes the keyed placement tier (internal/keyed) mapping
 	// keys to shards; Bins and, when zero, Policy (adaptive) and Seed
 	// (derived from Seed) are filled in by the dispatcher. nil uses
@@ -111,62 +104,33 @@ type Config struct {
 	Watch watch.Options
 }
 
-type opKind uint8
-
-const (
-	opPlace opKind = iota
-	opRemove
-)
-
-// request is one enqueued operation. The combiner fills the result
-// fields, then closes done; the enqueuer owns the request until the
-// channel send succeeds and reads results only after <-done.
-type request struct {
-	op    opKind
-	count int   // balls to place (opPlace, ≥ 1)
-	bin   int   // remove target (opRemove)
-	bins  []int // assigned bins (opPlace), len == count
-	// samples is the number of random bin choices the operation
-	// consumed; err reports per-request failure (ErrEmptyBin).
-	samples int64
-	err     error
-	t0      time.Time // enqueue time, for the dispatch-latency histogram
-	// cap accumulates the request's queue/apply spans. A value field:
-	// the request is heap-allocated anyway, so the untraced path pays
-	// no extra allocation for it.
-	cap  obs.Capture
-	done chan struct{}
-}
-
-// Dispatcher is the arrival-combining front-end. Construct with
-// NewDispatcher; all methods are safe for concurrent use.
+// Dispatcher is the serving front-end over a ShardedAllocator.
+// Construct with NewDispatcher; all methods are safe for concurrent
+// use.
 type Dispatcher struct {
 	sa      *ballsbins.ShardedAllocator
 	cfg     Config
-	queues  []chan *request
 	stats   *Stats
 	km      *keyed.KeyMap                 // key → shard affinity (keyed placements)
 	store   *keyed.Store                  // nil unless Config.KeyedStore was set
 	keyedOK bool                          // spec terminates under shard-pinned traffic
-	latency *hdrhist.Hist                 // enqueue → completion, per request
+	latency *hdrhist.Hist                 // admission → completion, per shard lock taken
 	obs     *obs.Recorder                 // stage decomposition + slow-op ring (nilable)
 	watch   *watch.Monitor                // invariant watchdog + time series (nilable)
 	diag    atomic.Pointer[diag.Recorder] // flight recorder, bound late (nilable)
-	// drainMu is held shared for the span of every enqueue and
-	// exclusively by Close between setting draining and closing the
-	// queues, so no send can race a close. (A WaitGroup would not do:
-	// its counter legally hits zero mid-drain while admitted callers
-	// keep arriving, and Add-from-zero concurrent with Wait panics.)
+	// drainMu is held shared for the whole of every admitted call and
+	// exclusively by Close once draining is set, so Close returns only
+	// after every admitted call has. (A WaitGroup would not do: its
+	// counter legally hits zero mid-drain while admitted callers keep
+	// arriving, and Add-from-zero concurrent with Wait panics.)
 	drainMu  sync.RWMutex
-	workers  sync.WaitGroup
 	draining atomic.Bool
-	closed   chan struct{} // closed when every combiner has exited
 }
 
-// NewDispatcher builds the sharded allocator and starts one combiner
-// goroutine per shard. It panics on invalid Config (same rules as
-// ballsbins.NewSharded) and on durability I/O errors — callers that
-// can handle those use OpenDispatcher.
+// NewDispatcher builds the sharded allocator and its keyed tier. It
+// panics on invalid Config (same rules as ballsbins.NewSharded) and on
+// durability I/O errors — callers that can handle those use
+// OpenDispatcher.
 func NewDispatcher(cfg Config) *Dispatcher {
 	d, _, err := OpenDispatcher(cfg)
 	if err != nil {
@@ -183,12 +147,6 @@ func NewDispatcher(cfg Config) *Dispatcher {
 func OpenDispatcher(cfg Config) (*Dispatcher, *keyed.RecoveryInfo, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = 1
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = DefaultQueueDepth
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
 	}
 	opts := []ballsbins.Option{
 		ballsbins.WithSeed(cfg.Seed),
@@ -227,13 +185,11 @@ func OpenDispatcher(cfg Config) (*Dispatcher, *keyed.RecoveryInfo, error) {
 	d := &Dispatcher{
 		sa:      ballsbins.NewSharded(cfg.Spec, cfg.N, cfg.Shards, opts...),
 		cfg:     cfg,
-		queues:  make([]chan *request, cfg.Shards),
 		stats:   newStats(cfg.Shards),
 		km:      km,
 		store:   store,
 		latency: hdrhist.New(),
 		obs:     obs.NewRecorder(obsOpts),
-		closed:  make(chan struct{}),
 	}
 	// Threshold-family and fixed-bound specs reject keyed traffic (see
 	// ErrKeyedUnsupported); "threshold-retry" (BoundedRetry) is safe —
@@ -241,15 +197,6 @@ func OpenDispatcher(cfg Config) (*Dispatcher, *keyed.RecoveryInfo, error) {
 	name := d.sa.Name()
 	d.keyedOK = !(strings.HasPrefix(name, "fixed[") ||
 		(strings.HasPrefix(name, "threshold") && !strings.HasPrefix(name, "threshold-retry")))
-	for s := range d.queues {
-		d.queues[s] = make(chan *request, cfg.QueueDepth)
-		d.workers.Add(1)
-		go d.combine(s)
-	}
-	go func() {
-		d.workers.Wait()
-		close(d.closed)
-	}()
 	d.watch = watch.New("serve", cfg.Watch, d.watchSample)
 	if rec != nil {
 		d.watch.Record(watch.EventRecovery, "keyed tier recovered from store", map[string]int64{
@@ -280,22 +227,18 @@ func (d *Dispatcher) Name() string { return d.sa.Name() }
 // Place allocates one ball and returns its global bin together with
 // the number of random bin choices consumed. ctx is checked at
 // admission only: a nil error past that point means the placement is
-// committed, and Place blocks through any queue backpressure until
-// its result is ready. (This is the allocation-free single-ball hot
-// path — one ticket, one request, no per-shard planning.)
+// committed. The single-ball hot path: one ticket, one shard lock,
+// and one allocation (the shard's fresh stats row).
 func (d *Dispatcher) Place(ctx context.Context) (bin int, samples int64, err error) {
-	if err := d.admit(); err != nil {
+	if err := d.admit(ctx); err != nil {
 		return 0, 0, err
 	}
 	defer d.drainMu.RUnlock()
-	if err := ctx.Err(); err != nil {
-		return 0, 0, err
-	}
-	req := &request{op: opPlace, count: 1, t0: time.Now(), done: make(chan struct{})}
-	req.cap = d.obs.BeginAt(obs.TraceFrom(ctx), "place", req.t0)
-	d.queues[d.sa.NextShard()] <- req
-	<-req.done
-	return req.bins[0], req.samples, nil
+	t0 := time.Now()
+	c := d.obs.BeginAt(obs.TraceFrom(ctx), "place", t0)
+	var one [1]int
+	samples = d.placeChunk(d.sa.NextShard(), one[:], &c, t0)
+	return one[0], samples, nil
 }
 
 // PlaceKeyed allocates one ball for key. Instead of claiming a
@@ -315,38 +258,23 @@ func (d *Dispatcher) PlaceKeyed(ctx context.Context, key string) (bin int, sampl
 	if !d.keyedOK {
 		return 0, 0, ErrKeyedUnsupported
 	}
-	if err := d.admit(); err != nil {
+	if err := d.admit(ctx); err != nil {
 		return 0, 0, err
 	}
 	defer d.drainMu.RUnlock()
-	if err := ctx.Err(); err != nil {
-		return 0, 0, err
-	}
 	shard, probes, hit, err := d.km.Route(key)
 	if err != nil {
 		return 0, 0, err // unreachable: serve shards never leave rotation
 	}
-	req := &request{op: opPlace, count: 1, t0: time.Now(), done: make(chan struct{})}
-	req.cap = d.obs.BeginAt(obs.TraceFrom(ctx), "place", req.t0)
-	req.cap.Attr("key_probes", int64(probes))
+	t0 := time.Now()
+	c := d.obs.BeginAt(obs.TraceFrom(ctx), "place", t0)
+	c.Attr("key_probes", int64(probes))
 	if hit {
-		req.cap.Attr("key_hit", 1)
+		c.Attr("key_hit", 1)
 	}
-	d.queues[shard] <- req
-	<-req.done
-	return req.bins[0], req.samples, nil
-}
-
-// RemoveKeyed is Remove plus keyed bookkeeping: a successful removal
-// releases one of key's balls from the bin's shard, so the keyed
-// tier's live-ball accounting (idle eviction, hot-replica balancing)
-// tracks departures.
-func (d *Dispatcher) RemoveKeyed(ctx context.Context, bin int, key string) error {
-	err := d.Remove(ctx, bin)
-	if err == nil && key != "" {
-		d.km.Release(key, d.sa.ShardOf(bin))
-	}
-	return err
+	var one [1]int
+	samples = d.placeChunk(shard, one[:], &c, t0)
+	return one[0], samples, nil
 }
 
 // KeyedStats returns the keyed tier's monitoring block.
@@ -364,14 +292,14 @@ func (d *Dispatcher) Durability() *keyed.DurabilityStats {
 
 // PlaceMany allocates count balls spread round-robin over the shards
 // (claiming count tickets at once) and returns their global bins in
-// assignment order, plus the total random choices consumed. A bulk
-// arrival is combined per shard: all balls ticketed to one shard are
-// placed under one lock acquisition, together with whatever other
-// requests the combiner has pending.
+// assignment order — shard by shard, each shard's chunk placed under
+// one lock acquisition — plus the total random choices consumed.
+// Chunks of fanOutChunk balls or more run on helper goroutines, the
+// rest in the caller's.
 //
 // ctx is checked at admission, before any ticket is claimed; past
-// that point the whole bulk is committed and PlaceMany blocks until
-// every ball is placed. (Aborting mid-bulk would leave already-
+// that point the whole bulk is committed and PlaceMany returns only
+// once every ball is placed. (Aborting mid-bulk would leave already-
 // claimed tickets without balls, skewing the per-shard evenness the
 // max-load bound is built on — so there is deliberately no early
 // exit.)
@@ -379,72 +307,119 @@ func (d *Dispatcher) PlaceMany(ctx context.Context, count int) ([]int, int64, er
 	if count < 1 {
 		return nil, 0, fmt.Errorf("serve: PlaceMany count %d < 1", count)
 	}
-	if err := d.admit(); err != nil {
+	if err := d.admit(ctx); err != nil {
 		return nil, 0, err
 	}
 	defer d.drainMu.RUnlock()
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-
-	counts := d.sa.NextShardBatch(int64(count))
+	t0 := time.Now()
 	trace := obs.TraceFrom(ctx)
-	reqs := make([]*request, 0, min(count, d.cfg.Shards))
-	for s, c := range counts {
-		if c == 0 {
+	counts := d.sa.NextShardBatch(int64(count))
+	bins := make([]int, count)
+	var samples int64
+	var helpers *fanOut // allocated only by a bulk with a large chunk
+	off := 0
+	for s, n := range counts {
+		if n == 0 {
 			continue
 		}
-		req := &request{op: opPlace, count: int(c), t0: time.Now(), done: make(chan struct{})}
-		// One capture per shard chunk, sharing the bulk's trace id —
-		// a traced bulk shows how its chunks fanned out.
-		req.cap = d.obs.BeginAt(trace, "place", req.t0)
-		req.cap.Attr("bulk", int64(count))
-		d.queues[s] <- req
-		reqs = append(reqs, req)
+		chunk := bins[off : off+int(n)]
+		off += int(n)
+		if n < fanOutChunk {
+			samples += d.placeBulkChunk(s, chunk, count, trace, t0)
+			continue
+		}
+		if helpers == nil {
+			helpers = new(fanOut)
+		}
+		helpers.place(d, s, chunk, count, trace, t0)
 	}
-	var bins []int
-	var samples int64
-	for _, r := range reqs {
-		<-r.done
-		bins = append(bins, r.bins...)
-		samples += r.samples
+	if helpers != nil {
+		samples += helpers.wait()
 	}
 	return bins, samples, nil
 }
 
+// fanOut runs one bulk's large chunks on helper goroutines.
+type fanOut struct {
+	wg      sync.WaitGroup
+	samples atomic.Int64
+}
+
+func (f *fanOut) place(d *Dispatcher, s int, chunk []int, bulk int, trace uint64, t0 time.Time) {
+	f.wg.Add(1)
+	go func() {
+		defer f.wg.Done()
+		f.samples.Add(d.placeBulkChunk(s, chunk, bulk, trace, t0))
+	}()
+}
+
+// wait returns the helpers' total samples once every chunk is placed.
+func (f *fanOut) wait() int64 {
+	f.wg.Wait()
+	return f.samples.Load()
+}
+
+// placeBulkChunk places one PlaceMany chunk on shard s. Each chunk
+// gets its own capture, sharing the bulk's trace id — a traced bulk
+// shows how its chunks fanned out.
+func (d *Dispatcher) placeBulkChunk(s int, chunk []int, bulk int, trace uint64, t0 time.Time) int64 {
+	c := d.obs.BeginAt(trace, "place", t0)
+	c.Attr("bulk", int64(bulk))
+	return d.placeChunk(s, chunk, &c, t0)
+}
+
 // Remove takes one ball out of global bin. It returns ErrEmptyBin if
-// the bin holds no ball when the combiner executes the request, and an
-// error for out-of-range bins. Like Place, ctx is checked at
-// admission only; past that the removal is committed.
+// the bin holds no ball when the shard lock is taken, and an error for
+// out-of-range bins. Like Place, ctx is checked at admission only;
+// past that the removal is committed.
 func (d *Dispatcher) Remove(ctx context.Context, bin int) error {
+	return d.RemoveKeyed(ctx, bin, "")
+}
+
+// RemoveKeyed is Remove plus keyed bookkeeping: a successful removal
+// releases one of key's balls from the bin's shard, so the keyed
+// tier's live-ball accounting (idle eviction, hot-replica balancing)
+// tracks departures. The release happens inside the admitted call, so
+// Close never seals a keyed store that a release is still writing.
+func (d *Dispatcher) RemoveKeyed(ctx context.Context, bin int, key string) error {
 	if bin < 0 || bin >= d.cfg.N {
 		return fmt.Errorf("serve: bin %d outside [0,%d)", bin, d.cfg.N)
 	}
-	if err := d.admit(); err != nil {
+	if err := d.admit(ctx); err != nil {
 		return err
 	}
 	defer d.drainMu.RUnlock()
-	if err := ctx.Err(); err != nil {
-		return err
+	t0 := time.Now()
+	c := d.obs.BeginAt(obs.TraceFrom(ctx), "remove", t0)
+	shard := d.sa.ShardOf(bin)
+	err := d.run(shard, &c, t0, func(a *ballsbins.Allocator, base int) error {
+		local := bin - base
+		if a.Load(local) == 0 {
+			return ErrEmptyBin
+		}
+		a.Remove(local)
+		return nil
+	})
+	if err == nil && key != "" {
+		d.km.Release(key, shard)
 	}
-
-	req := &request{op: opRemove, bin: bin, t0: time.Now(), done: make(chan struct{})}
-	req.cap = d.obs.BeginAt(obs.TraceFrom(ctx), "remove", req.t0)
-	d.queues[d.sa.ShardOf(bin)] <- req
-	<-req.done
-	return req.err
+	return err
 }
 
-// admit takes the shared drain lock for an enqueue (the caller
-// releases it once its requests are on their queues) unless the
-// dispatcher is draining. Close sets draining before taking the lock
+// admit takes the shared drain lock for the caller's whole call (the
+// caller releases it on return) unless the dispatcher is draining or
+// ctx is already done. Close sets draining before taking the lock
 // exclusively, so either we see the flag and back out, or Close waits
-// for our queue sends to finish before closing any queue.
-func (d *Dispatcher) admit() error {
+// for our call to return.
+func (d *Dispatcher) admit(ctx context.Context) error {
 	d.drainMu.RLock()
 	if d.draining.Load() {
 		d.drainMu.RUnlock()
 		return ErrDraining
+	}
+	if err := ctx.Err(); err != nil {
+		d.drainMu.RUnlock()
+		return err
 	}
 	return nil
 }
@@ -452,103 +427,67 @@ func (d *Dispatcher) admit() error {
 // Draining reports whether Close has begun.
 func (d *Dispatcher) Draining() bool { return d.draining.Load() }
 
-// Close drains the dispatcher: new arrivals are refused with
-// ErrDraining, every already-enqueued request is executed and its
-// caller released, then the combiners exit. With a keyed store, the
-// drained state is sealed with a final compacting snapshot — a
-// TERM/restart cycle loses zero assignments. Close blocks until the
-// drain completes and is idempotent.
+// Close drains the dispatcher: new calls are refused with
+// ErrDraining, and Close waits for every already-admitted call to
+// return. With a keyed store, the drained state is then sealed with a
+// final compacting snapshot — a TERM/restart cycle loses zero
+// assignments. A failed seal is recorded as a DRAIN event and logged
+// at ERROR. Close blocks until the drain completes and is idempotent.
 func (d *Dispatcher) Close() {
 	if d.draining.CompareAndSwap(false, true) {
 		d.watch.Record(watch.EventDrain, "dispatcher draining", nil)
-		d.drainMu.Lock() // every admitted enqueue has reached its queue
-		for _, q := range d.queues {
-			close(q)
-		}
-		d.drainMu.Unlock()
 	}
-	<-d.closed
-	d.watch.Close()
+	d.drainMu.Lock() // every admitted call has returned
+	d.drainMu.Unlock()
 	if d.store != nil {
-		d.store.Close()
+		if err := d.store.Close(); err != nil {
+			d.watch.RecordError(watch.EventDrain, "keyed store seal failed", err)
+		}
 	}
+	d.watch.Close()
 }
 
-// combine is shard s's combiner loop: block for one request, then
-// opportunistically drain whatever else has arrived (up to MaxBatch)
-// and apply the whole batch under one shard-lock acquisition.
-func (d *Dispatcher) combine(s int) {
-	defer d.workers.Done()
-	q := d.queues[s]
-	batch := make([]*request, 0, d.cfg.MaxBatch)
-	for {
-		req, ok := <-q
-		if !ok {
-			return
+// placeChunk places len(bins) balls on shard s under one lock
+// acquisition, writing their global bins, and returns the samples
+// consumed.
+func (d *Dispatcher) placeChunk(s int, bins []int, c *obs.Capture, t0 time.Time) (samples int64) {
+	d.run(s, c, t0, func(a *ballsbins.Allocator, base int) error {
+		for i := range bins {
+			local, smp := a.Place()
+			bins[i] = base + local
+			samples += smp
 		}
-		batch = append(batch[:0], req)
-	fill:
-		for len(batch) < d.cfg.MaxBatch {
-			select {
-			case r, ok := <-q:
-				if !ok {
-					// Queue closed and empty: apply what we have,
-					// then exit.
-					d.apply(s, batch)
-					return
-				}
-				batch = append(batch, r)
-			default:
-				break fill
-			}
-		}
-		d.apply(s, batch)
-	}
-}
-
-// apply executes one combined batch under a single lock acquisition
-// and publishes fresh per-shard stats while the lock is still held (so
-// the stats snapshot is exactly the post-batch shard state).
-func (d *Dispatcher) apply(s int, batch []*request) {
-	applyStart := time.Now()
-	d.sa.WithShardLocked(s, func(a *ballsbins.Allocator, base int) {
-		for _, r := range batch {
-			switch r.op {
-			case opPlace:
-				r.bins = make([]int, r.count)
-				for i := range r.bins {
-					local, smp := a.Place()
-					r.bins[i] = base + local
-					r.samples += smp
-				}
-			case opRemove:
-				local := r.bin - base
-				if a.Load(local) == 0 {
-					r.err = ErrEmptyBin
-					continue
-				}
-				a.Remove(local)
-			}
-		}
-		d.stats.publish(s, a, len(batch))
+		return nil
 	})
-	// One clock read closes the whole batch: queue is enqueue→apply
-	// start (lock wait included in apply), so the two stages sum
-	// exactly to the op total the capture ends with.
-	end := time.Now()
-	for _, r := range batch {
-		d.latency.Record(end.Sub(r.t0).Nanoseconds())
-		r.cap.StageAt("queue", r.t0, applyStart)
-		r.cap.StageAt("apply", applyStart, end)
-		r.cap.Attr("batch", int64(len(batch)))
-		r.cap.EndAt(end, r.err)
-		close(r.done)
-	}
+	return samples
+}
+
+// run applies op to shard s under the shard lock and publishes the
+// shard's stats row before unlocking, so every row is an exact post-op
+// observation. The latency and stage records are made after the
+// unlock: queue runs from admission (t0) until the lock is held, apply
+// is the time under the lock, and the two sum exactly to the op total
+// c ends with.
+func (d *Dispatcher) run(s int, c *obs.Capture, t0 time.Time, op func(a *ballsbins.Allocator, base int) error) error {
+	var locked, end time.Time
+	var err error
+	d.sa.WithShardLocked(s, func(a *ballsbins.Allocator, base int) {
+		locked = time.Now()
+		err = op(a, base)
+		d.stats.publish(s, a)
+		end = time.Now()
+	})
+	d.latency.Record(end.Sub(t0).Nanoseconds())
+	c.StageAt("queue", t0, locked)
+	c.StageAt("apply", locked, end)
+	c.EndAt(end, err)
+	return err
 }
 
 // Latency returns a snapshot of the dispatch-latency histogram: the
-// time from a request's enqueue to its completion, covering queueing
-// delay plus its share of the combined batch.
+// time from a call's admission until its shard lock is released — the
+// wait for the lock plus the work under it — one sample per lock
+// taken (a bulk records one per shard chunk).
 func (d *Dispatcher) Latency() hdrhist.Snapshot { return d.latency.Snapshot() }
 
 // Obs returns the dispatcher's observability recorder (nil when

@@ -2,12 +2,14 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	ballsbins "repro"
+	"repro/internal/watch"
 )
 
 func newTestDispatcher(t *testing.T, n, shards int) *Dispatcher {
@@ -85,12 +87,14 @@ func TestDispatcherPlaceMany(t *testing.T) {
 	}
 }
 
-// TestDispatcherCombines drives the dispatcher with enough concurrency
-// that batches form, then checks the stats pipeline observed a
-// combining factor above 1 and exact operation counts.
-func TestDispatcherCombines(t *testing.T) {
+// TestDispatcherOneLockPerRequest drives one shard from 16 goroutines
+// and checks the stats pipeline's exact operation counts: every
+// request takes its own shard lock, so requests, lock acquisitions and
+// latency samples all equal the op count and the combining factor is
+// exactly 1.
+func TestDispatcherOneLockPerRequest(t *testing.T) {
 	const n, workers, perWorker = 32, 16, 200
-	d := newTestDispatcher(t, n, 1) // one shard: every request shares a queue
+	d := newTestDispatcher(t, n, 1) // one shard: every request shares its lock
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -110,16 +114,15 @@ func TestDispatcherCombines(t *testing.T) {
 	if v.Placed != workers*perWorker || v.Balls != workers*perWorker {
 		t.Fatalf("stats placed/balls = %d/%d, want %d", v.Placed, v.Balls, workers*perWorker)
 	}
-	if v.Shards[0].Requests != workers*perWorker {
-		t.Fatalf("stats requests = %d, want %d", v.Shards[0].Requests, workers*perWorker)
+	if row := v.Shards[0]; row.Requests != workers*perWorker || row.Batches != workers*perWorker {
+		t.Fatalf("stats requests/batches = %d/%d, want %d", row.Requests, row.Batches, workers*perWorker)
 	}
-	if v.CombiningFactor < 1 {
-		t.Fatalf("combining factor %v < 1", v.CombiningFactor)
+	if v.CombiningFactor != 1 {
+		t.Fatalf("combining factor %v, want 1", v.CombiningFactor)
 	}
 	if lat := d.Latency(); lat.Count != workers*perWorker {
 		t.Fatalf("latency histogram recorded %d ops, want %d", lat.Count, workers*perWorker)
 	}
-	t.Logf("combining factor with %d workers: %.2f", workers, v.CombiningFactor)
 }
 
 // TestDispatcherHammer is the -race acceptance test for the dispatch
@@ -267,5 +270,125 @@ func TestDispatcherThresholdHorizon(t *testing.T) {
 	bins, _, err := d.PlaceMany(context.Background(), m)
 	if err != nil || len(bins) != m {
 		t.Fatalf("PlaceMany(%d) = %d bins, %v", m, len(bins), err)
+	}
+}
+
+// TestDispatcherAllocs pins the allocation cost of each call at the
+// production obs default. The one allocation a single-ball op makes
+// is its shard's fresh stats row; a bulk adds its bins and shard-count
+// slices, and one row per shard it touches. (The watchdog is off: its
+// ticks would allocate in the middle of the count.)
+func TestDispatcherAllocs(t *testing.T) {
+	const n, shards = 256, 8
+	d := NewDispatcher(Config{
+		Spec: ballsbins.Adaptive(), N: n, Shards: shards, Seed: 1,
+		Watch: watch.Options{Disabled: true},
+	})
+	t.Cleanup(d.Close)
+	ctx := context.Background()
+	const runs = 500
+	bins, _, err := d.PlaceMany(ctx, runs+1) // one ball per Remove run
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.PlaceKeyed(ctx, "hot"); err != nil { // later calls hit
+		t.Fatal(err)
+	}
+	check := func(name string, want float64, f func()) {
+		t.Helper()
+		if got := testing.AllocsPerRun(runs, f); got > want {
+			t.Errorf("%s: %v allocs per call, want at most %v", name, got, want)
+		}
+	}
+	check("Place", 1, func() { d.Place(ctx) })
+	check("PlaceKeyed (hit)", 1, func() { d.PlaceKeyed(ctx, "hot") })
+	i := 0
+	check("Remove", 1, func() {
+		if err := d.Remove(ctx, bins[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	for _, k := range []int{1, 3, shards, 100, 1000} {
+		check(fmt.Sprintf("PlaceMany(%d)", k), float64(2+min(k, shards)), func() { d.PlaceMany(ctx, k) })
+	}
+}
+
+// TestDispatcherCloseRace is the -race test for the drain contract
+// with every caller on one shard: 16 goroutines of mixed Place,
+// PlaceMany, PlaceKeyed and Remove run until Close refuses them.
+// Every refusal must be ErrDraining, the books must balance, and no
+// admitted call may still be running when Close returns — each
+// records one latency sample just before it returns, so the count
+// Close leaves behind must already be final and equal the admitted
+// calls.
+func TestDispatcherCloseRace(t *testing.T) {
+	const workers = 16
+	d := NewDispatcher(Config{Spec: ballsbins.Adaptive(), N: 64, Shards: 1, Seed: 5})
+	ctx := context.Background()
+	var admitted, balls atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var mine []int
+			for i := 0; ; i++ {
+				var bins []int
+				var err error
+				switch i % 4 {
+				case 0:
+					var bin int
+					bin, _, err = d.Place(ctx)
+					bins = []int{bin}
+				case 1:
+					bins, _, err = d.PlaceMany(ctx, 1+w%3)
+				case 2:
+					var bin int
+					bin, _, err = d.PlaceKeyed(ctx, fmt.Sprintf("w%d-k%d", w, i%5))
+					bins = []int{bin}
+				case 3:
+					err = d.Remove(ctx, mine[0])
+					if err == nil {
+						mine = mine[1:]
+						balls.Add(-1)
+					}
+				}
+				if err == ErrDraining {
+					return
+				}
+				if err != nil {
+					t.Errorf("worker %d op %d: %v", w, i, err)
+					return
+				}
+				admitted.Add(1)
+				mine = append(mine, bins...)
+				balls.Add(int64(len(bins)))
+			}
+		}(w)
+	}
+	for admitted.Load() < 2000 { // let traffic build before pulling the plug
+		runtime.Gosched()
+	}
+	d.Close()
+	atClose := d.Latency().Count
+	statsAtClose := d.Stats()
+	wg.Wait()
+
+	if got := d.Latency().Count; got != atClose || got != admitted.Load() {
+		t.Fatalf("latency samples: %d when Close returned, %d at the end, %d admitted calls",
+			atClose, got, admitted.Load())
+	}
+	if v := d.Stats(); v.Placed != statsAtClose.Placed || v.Removed != statsAtClose.Removed {
+		t.Fatalf("stats moved after Close returned: %+v then %+v", statsAtClose, v)
+	}
+	sa := d.Allocator()
+	if sa.Balls() != balls.Load() || statsAtClose.Balls != balls.Load() {
+		t.Fatalf("allocator holds %d balls, stats %d, callers %d",
+			sa.Balls(), statsAtClose.Balls, balls.Load())
+	}
+	if statsAtClose.Placed-statsAtClose.Removed != statsAtClose.Balls {
+		t.Fatalf("books: placed %d - removed %d != balls %d",
+			statsAtClose.Placed, statsAtClose.Removed, statsAtClose.Balls)
 	}
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // MaxBulkPlace caps the count accepted by one POST /v1/place, bounding
-// the response size and the work one HTTP request can enqueue.
+// the response size and the work one HTTP request can commit.
 const MaxBulkPlace = 65536
 
 // Info describes the served configuration; it is echoed in /v1/stats
@@ -216,8 +216,8 @@ func (h *handler) place(w http.ResponseWriter, r *http.Request) {
 		bins, samples, err = h.d.PlaceMany(ctx, count)
 	}
 	if err != nil {
-		// A cancelled bulk request may still have committed part of
-		// its balls (enqueue is the commit point) — the client is gone
+		// A cancelled bulk request may still have committed its balls
+		// (admission is the commit point) — the client is gone
 		// and cannot read any body, so there is no one to report them
 		// to; they remain visible in /v1/stats like every placement.
 		status := http.StatusInternalServerError
@@ -372,7 +372,7 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 	g("bb_gap", "Max minus min load.", v.Gap)
 	g("bb_psi", "Quadratic potential of the load vector.", v.Psi)
 	g("bb_samples_per_ball", "Cumulative samples per placed ball.", v.SamplesPerBall)
-	g("bb_combining_factor", "Requests applied per combiner lock acquisition.", v.CombiningFactor)
+	g("bb_combining_factor", "Requests applied per shard lock acquisition (1: every request takes its own).", v.CombiningFactor)
 
 	ks := h.d.KeyedStats()
 	g("bb_keyed_keys", "Keys in the keyed placement table.", ks.Keys)
@@ -394,7 +394,7 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "bb_shard_max_load{shard=%q} %d\n", strconv.Itoa(row.Shard), row.MaxLoad)
 	}
 
-	fmt.Fprintf(w, "# HELP bb_dispatch_latency_seconds Request enqueue-to-completion latency.\n")
+	fmt.Fprintf(w, "# HELP bb_dispatch_latency_seconds Request admission-to-completion latency (shard lock wait plus work under it).\n")
 	fmt.Fprintf(w, "# TYPE bb_dispatch_latency_seconds summary\n")
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
 		fmt.Fprintf(w, "bb_dispatch_latency_seconds{quantile=%q} %g\n",

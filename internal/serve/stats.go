@@ -7,41 +7,41 @@ import (
 	ballsbins "repro"
 )
 
-// Stats is the dispatcher's monitoring pipeline: after each batch the
-// combiner publishes its shard's state — read while it still holds
+// Stats is the dispatcher's monitoring pipeline: after each operation
+// the caller publishes its shard's state — read while it still holds
 // the shard lock — as one immutable row behind an atomic pointer, so
-// every row a monitor reads is an internally consistent post-batch
+// every row a monitor reads is an internally consistent post-op
 // observation, and reading costs zero locks and never blocks traffic.
-// Different shards' rows may still be a few batches apart in time (the
-// same shard-at-a-time tradeoff as ballsbins.ApproxMetrics, which see;
-// use Dispatcher.Allocator().Metrics() when a lock-all linearizable
-// snapshot is worth stalling the shards for).
+// Different shards' rows may still be a few operations apart in time
+// (the same shard-at-a-time tradeoff as ballsbins.ApproxMetrics, which
+// see; use Dispatcher.Allocator().Metrics() when a lock-all
+// linearizable snapshot is worth stalling the shards for).
 type Stats struct {
 	shards []shardCell
 }
 
-// shardCell holds one shard's latest published row. Written only by
-// the owning shard's combiner; read by anyone.
+// shardCell holds one shard's latest published row. Written only
+// under the shard's lock; read by anyone.
 type shardCell struct {
 	row atomic.Pointer[shardRow]
-	_   [56]byte // one cache line per combiner
+	_   [56]byte // one cache line per shard
 }
 
-// shardRow is an immutable post-batch observation of one shard.
+// shardRow is an immutable post-op observation of one shard.
 type shardRow struct {
 	balls, placed, removed, samples, sumSq int64
 	maxLoad, minLoad                       int
-	batches, reqs                          int64
+	ops                                    int64 // lock acquisitions, one request each
 }
 
 func newStats(shards int) *Stats {
 	return &Stats{shards: make([]shardCell, shards)}
 }
 
-// publish refreshes shard s's row from its allocator. Called by the
-// combiner with the shard lock held, batchReqs being the number of
-// requests the batch just applied combined.
-func (st *Stats) publish(s int, a *ballsbins.Allocator, batchReqs int) {
+// publish refreshes shard s's row from its allocator, counting one
+// more request applied under its own lock acquisition. Called with the
+// shard lock held; the fresh row is the operation's one allocation.
+func (st *Stats) publish(s int, a *ballsbins.Allocator) {
 	prev := st.shards[s].row.Load()
 	row := &shardRow{
 		balls:   a.Balls(),
@@ -51,12 +51,10 @@ func (st *Stats) publish(s int, a *ballsbins.Allocator, batchReqs int) {
 		sumSq:   a.SumSquares(),
 		maxLoad: a.MaxLoad(),
 		minLoad: a.MinLoad(),
-		batches: 1,
-		reqs:    int64(batchReqs),
+		ops:     1,
 	}
 	if prev != nil {
-		row.batches += prev.batches
-		row.reqs += prev.reqs
+		row.ops += prev.ops
 	}
 	st.shards[s].row.Store(row)
 }
@@ -70,8 +68,9 @@ type ShardStat struct {
 	Samples int64 `json:"samples"`
 	MaxLoad int   `json:"max_load"`
 	MinLoad int   `json:"min_load"`
-	// Batches and Requests count combiner passes and the requests they
-	// carried; Requests/Batches is the achieved combining factor.
+	// Batches counts shard lock acquisitions and Requests the requests
+	// they applied (a bulk's chunk is one request). Every request takes
+	// its own lock, so the two are equal.
 	Batches  int64 `json:"batches"`
 	Requests int64 `json:"requests"`
 }
@@ -91,9 +90,9 @@ type StatsView struct {
 	Psi float64 `json:"psi"`
 	// SamplesPerBall is cumulative samples over cumulative placements.
 	SamplesPerBall float64 `json:"samples_per_ball"`
-	// CombiningFactor is total requests over total combiner batches —
-	// 1.0 means no combining is happening, higher means each lock
-	// acquisition is amortized over that many requests.
+	// CombiningFactor is total requests over total lock acquisitions.
+	// Each request takes its own shard lock, so it reads 1.0 once any
+	// traffic has run.
 	CombiningFactor float64     `json:"combining_factor"`
 	Shards          []ShardStat `json:"shards"`
 }
@@ -104,7 +103,7 @@ type StatsView struct {
 func (st *Stats) ShardRow(s int) ShardStat {
 	g := st.shards[s].row.Load()
 	if g == nil {
-		g = &shardRow{} // no batch published yet: empty shard
+		g = &shardRow{} // nothing published yet: empty shard
 	}
 	return toShardStat(s, g)
 }
@@ -118,19 +117,19 @@ func toShardStat(s int, g *shardRow) ShardStat {
 		Samples:  g.samples,
 		MaxLoad:  g.maxLoad,
 		MinLoad:  g.minLoad,
-		Batches:  g.batches,
-		Requests: g.reqs,
+		Batches:  g.ops,
+		Requests: g.ops,
 	}
 }
 
 // View assembles a StatsView for n total bins.
 func (st *Stats) View(n int) StatsView {
 	v := StatsView{MinLoad: math.MaxInt}
-	var sumSq, batches, reqs int64
+	var sumSq, ops int64
 	for s := range st.shards {
 		g := st.shards[s].row.Load()
 		if g == nil {
-			g = &shardRow{} // no batch published yet: empty shard
+			g = &shardRow{} // nothing published yet: empty shard
 		}
 		v.Shards = append(v.Shards, toShardStat(s, g))
 		v.Balls += g.balls
@@ -138,8 +137,7 @@ func (st *Stats) View(n int) StatsView {
 		v.Removed += g.removed
 		v.Samples += g.samples
 		sumSq += g.sumSq
-		batches += g.batches
-		reqs += g.reqs
+		ops += g.ops
 		if g.maxLoad > v.MaxLoad {
 			v.MaxLoad = g.maxLoad
 		}
@@ -156,8 +154,8 @@ func (st *Stats) View(n int) StatsView {
 	if v.Placed > 0 {
 		v.SamplesPerBall = float64(v.Samples) / float64(v.Placed)
 	}
-	if batches > 0 {
-		v.CombiningFactor = float64(reqs) / float64(batches)
+	if ops > 0 {
+		v.CombiningFactor = 1
 	}
 	return v
 }

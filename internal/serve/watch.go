@@ -20,12 +20,12 @@ func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 func (d *Dispatcher) Watch() *watch.Monitor { return d.watch }
 
 // watchSample assembles one watchdog sample for the serve tier. Every
-// check reads from a consistency domain that cannot tear mid-batch:
+// check reads from a consistency domain that cannot tear mid-op:
 //
 //   - serve_shard_max and serve_books evaluate each shard's published
-//     stats row — an immutable post-batch observation taken under the
-//     shard lock (see Stats), so a mid-batch read is impossible by
-//     construction: rows only ever show completed batches.
+//     stats row — an immutable post-op observation taken under the
+//     shard lock (see Stats), so a mid-op read is impossible by
+//     construction: rows only ever show completed operations.
 //
 //   - serve_global_max evaluates the lock-all MetricsWithBalls path —
 //     max load and ball count from a single linearizable acquisition.
@@ -44,7 +44,7 @@ func (d *Dispatcher) watchSample() watch.Sample {
 	var s watch.Sample
 	adaptive := adaptiveFamily(d.sa.Name())
 
-	// Per-shard checks from the post-batch rows. The worst shard
+	// Per-shard checks from the post-op rows. The worst shard
 	// carries the serve_shard_max check; books aggregate exactly.
 	var worst watch.Check
 	worst.Invariant = "serve_shard_max"

@@ -448,6 +448,19 @@ func (m *Monitor) Record(t EventType, detail string, fields map[string]int64) {
 	m.appendAt(time.Now(), t, "", detail, fields)
 }
 
+// RecordError journals a lifecycle step that failed (say, a drain
+// whose final snapshot could not be written) and mirrors it to the
+// logger at ERROR: such a step runs where no caller is left to hand
+// the error to. On a nil Monitor it still logs, to slog.Default().
+func (m *Monitor) RecordError(t EventType, detail string, err error) {
+	if m == nil {
+		slog.Error("watch: "+detail, "type", string(t), "err", err)
+		return
+	}
+	m.appendAt(time.Now(), t, "", detail+": "+err.Error(), nil)
+	m.logger.Error("watch: "+detail, "hop", m.hop, "type", string(t), "err", err)
+}
+
 // appendAt publishes one event into the journal ring (the
 // obs.Recorder idiom: claim a slot with the cursor, store the
 // immutable entry behind an atomic pointer).
