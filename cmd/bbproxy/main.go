@@ -42,7 +42,9 @@
 //
 // Backends that fail -fail-after consecutive health probes (or live
 // requests) are evicted from routing and rejoin automatically after
-// -rise-after successful probes. SIGINT/SIGTERM drain gracefully.
+// -rise-after successful probes. SIGINT/SIGTERM drain gracefully, in
+// bbserved's order (internal/daemon runs both daemons): the router,
+// then the wire listener, then HTTP.
 //
 // With -wire-addr the proxy serves the binary wire protocol
 // (internal/wire) alongside HTTP, and by default (-wire-backends) it
@@ -70,29 +72,18 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
-	"net/http/pprof"
-	"os"
-	"os/signal"
 	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/diag"
+	"repro/internal/daemon"
 	"repro/internal/keyed"
-	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/wal"
-	"repro/internal/watch"
-	"repro/internal/wire"
 )
 
 // checkedBackend defers the bin-count agreement check for a backend
@@ -163,58 +154,46 @@ func (c *checkedBackend) Health(ctx context.Context) error {
 	return c.verify(ctx)
 }
 
-func main() {
-	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		wireAddr    = flag.String("wire-addr", "", "binary wire-protocol listen address (empty = HTTP only)")
-		wireDial    = flag.Bool("wire-backends", true, "dial backends over the wire protocol when they advertise one")
-		backends    = flag.String("backends", "", "comma-separated backend base URLs (required)")
-		policyName  = flag.String("policy", "greedy", "routing policy: "+strings.Join(cluster.Policies(), ", ")+", or keyed[P] with P one of "+strings.Join(keyed.Policies(), ", "))
-		d           = flag.Int("d", 2, "choices per pick (greedy)")
-		retries     = flag.Int("retries", 3, "probe cap (boundedretry)")
-		bound       = flag.Int("bound", 0, "absolute per-backend ball bound (fixed)")
-		horizon     = flag.Int64("horizon", 0, "declared total balls (threshold)")
-		seed        = flag.Uint64("seed", 1, "routing RNG seed")
-		staleness   = flag.Duration("staleness", 500*time.Millisecond, "load-view refresh window (0 = local accounting only)")
-		healthEvery = flag.Duration("health-every", 1*time.Second, "health probe period (0 = no health loop)")
-		failAfter   = flag.Int("fail-after", 2, "consecutive failures to evict a backend")
-		riseAfter   = flag.Int("rise-after", 2, "consecutive successful probes to rejoin")
-		replicas    = flag.Int("replicas", keyed.DefaultReplicas, "keyed tier: hot-key replica set size (1 disables splitting)")
-		hotShare    = flag.Float64("hot-share", keyed.DefaultHotShare, "keyed tier: request share promoting a key to replicas (>=1 disables)")
-		maxKeys     = flag.Int("max-keys", keyed.DefaultMaxKeys, "keyed tier: affinity table capacity")
-		dataDir     = flag.String("data-dir", "", "durable keyed state directory (WAL + snapshots; empty = in-memory only)")
-		snapEvery   = flag.Int("snapshot-every", keyed.DefaultSnapshotEvery, "journal records between compacting snapshots")
-		fsync       = flag.String("fsync", wal.SyncInterval, "WAL fsync policy: always, interval, never")
-		debugAddr   = flag.String("debug-addr", "", "net/http/pprof listen address (empty = off)")
-		traceSlow   = flag.Duration("trace-slow", 0, "trace ops at or above this latency (0 = default 10ms)")
-		traceSample = flag.Int("trace-sample", 0, "head-sample 1 in N ops into the trace ring (0 = default 1024)")
-		watchEvery  = flag.Duration("watch-every", watch.DefaultCadence, "invariant watchdog cadence (0 disables the watchdog)")
-		diagDir     = flag.String("diag-dir", "", "flight-recorder bundle directory (empty = postmortem capture off)")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		logFormat   = flag.String("log-format", "text", "log format: text, json")
-	)
-	flag.Parse()
+// options are bbproxy's flags: the shared daemon set plus the
+// router's own.
+type options struct {
+	*daemon.Flags
+	wireDial             bool
+	backends, policy     string
+	d, bound             int
+	seed                 uint64
+	staleness, healthDur time.Duration
+	failAfter, riseAfter int
+}
 
-	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bbproxy:", err)
-		os.Exit(2)
-	}
-	logger = logger.With("component", "bbproxy")
-	slog.SetDefault(logger)
-	fatal := func(err error, code int) {
-		logger.Error("fatal", "err", err)
-		os.Exit(code)
-	}
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{Flags: daemon.RegisterFlags(fs)}
+	fs.BoolVar(&o.wireDial, "wire-backends", true, "dial backends over the wire protocol when they advertise one")
+	fs.StringVar(&o.backends, "backends", "", "comma-separated backend base URLs (required)")
+	fs.StringVar(&o.policy, "policy", "greedy", "routing policy: "+strings.Join(cluster.Policies(), ", ")+", or keyed[P] with P one of "+strings.Join(keyed.Policies(), ", "))
+	fs.IntVar(&o.d, "d", 2, "choices per pick (greedy)")
+	fs.IntVar(&o.bound, "bound", 0, "absolute per-backend ball bound (fixed)")
+	fs.Uint64Var(&o.seed, "seed", 1, "routing RNG seed")
+	fs.DurationVar(&o.staleness, "staleness", 500*time.Millisecond, "load-view refresh window (0 = local accounting only)")
+	fs.DurationVar(&o.healthDur, "health-every", 1*time.Second, "health probe period (0 = no health loop)")
+	fs.IntVar(&o.failAfter, "fail-after", 2, "consecutive failures to evict a backend")
+	fs.IntVar(&o.riseAfter, "rise-after", 2, "consecutive successful probes to rejoin")
+	return o
+}
+
+func main() {
+	o := registerFlags(flag.CommandLine)
+	flag.Parse()
+	logger := o.Logger("bbproxy")
 
 	var urls []string
-	for _, tok := range strings.Split(*backends, ",") {
+	for _, tok := range strings.Split(o.backends, ",") {
 		if tok = strings.TrimSpace(tok); tok != "" {
 			urls = append(urls, strings.TrimSuffix(tok, "/"))
 		}
 	}
 	if len(urls) == 0 {
-		fatal(errors.New("-backends is required (comma-separated base URLs)"), 2)
+		daemon.Exit(logger, errors.New("-backends is required (comma-separated base URLs)"), 2)
 	}
 
 	// A "keyed[P]" (or "keyed-P") policy enables the keyed placement
@@ -222,24 +201,19 @@ func main() {
 	// route under the matching anonymous policy — P itself, except
 	// hash, whose anonymous analogue is single-choice.
 	var keyedCfg *keyed.Config
-	anonName := *policyName
-	anonD := *d
-	if inner, ok := keyed.SplitName(*policyName); ok {
-		kp, err := keyed.PolicyByName(inner, *d, *retries, *horizon)
+	anonName := o.policy
+	anonD := o.d
+	if inner, ok := keyed.SplitName(o.policy); ok {
+		kp, err := keyed.PolicyByName(inner, o.d, o.Retries, o.Horizon)
 		if err != nil {
-			fatal(err, 2)
+			daemon.Exit(logger, err, 2)
 		}
-		keyedCfg = &keyed.Config{
-			Policy:   kp,
-			Replicas: *replicas,
-			HotShare: *hotShare,
-			MaxKeys:  *maxKeys,
-		}
-		anonName, anonD = keyed.AnonAnalogue(inner, *d)
+		keyedCfg = o.Keyed(kp)
+		anonName, anonD = keyed.AnonAnalogue(inner, o.d)
 	}
-	policy, err := cluster.PolicyByName(anonName, anonD, *retries, *bound, *horizon)
+	policy, err := cluster.PolicyByName(anonName, anonD, o.Retries, o.bound, o.Horizon)
 	if err != nil {
-		fatal(err, 2)
+		daemon.Exit(logger, err, 2)
 	}
 
 	// Probe the backends for their configuration: every backend must
@@ -266,12 +240,12 @@ func main() {
 		if n == 0 {
 			n, protocol = info.N, info.Protocol
 		} else if info.N != n {
-			fatal(fmt.Errorf("backend %s serves n=%d, others n=%d — all backends must match", u, info.N, n), 2)
+			daemon.Exit(logger, fmt.Errorf("backend %s serves n=%d, others n=%d — all backends must match", u, info.N, n), 2)
 		}
 	}
 	cancelProbe()
 	if n == 0 {
-		fatal(errors.New("no backend answered the startup probe"), 1)
+		daemon.Exit(logger, errors.New("no backend answered the startup probe"), 1)
 	}
 	bks := make([]cluster.Backend, len(urls))
 	for i, hb := range hbs {
@@ -281,7 +255,7 @@ func main() {
 			// (No wire address is known for it either — it rejoins over
 			// HTTP; the advertised wire listener is a startup upgrade.)
 			bks[i] = &checkedBackend{HTTPBackend: hb, wantN: n}
-		case *wireDial && wireAddrs[i] != "":
+		case o.wireDial && wireAddrs[i] != "":
 			wb, err := cluster.NewWireBackend(hb, wireAddrs[i], n)
 			if err != nil {
 				logger.Warn("wire dial failed, falling back to HTTP",
@@ -300,177 +274,34 @@ func main() {
 		Backends:       bks,
 		BinsPerBackend: n,
 		Policy:         policy,
-		Seed:           *seed,
-		Staleness:      *staleness,
-		HealthEvery:    *healthEvery,
-		FailAfter:      *failAfter,
-		RiseAfter:      *riseAfter,
+		Seed:           o.seed,
+		Staleness:      o.staleness,
+		HealthEvery:    o.healthDur,
+		FailAfter:      o.failAfter,
+		RiseAfter:      o.riseAfter,
 		Keyed:          keyedCfg,
-		Obs:            obs.Options{SlowThreshold: *traceSlow, SampleEvery: *traceSample},
-		Watch:          watch.Options{Cadence: *watchEvery, Disabled: *watchEvery <= 0},
+		KeyedStore:     o.Store(),
+		Obs:            o.Obs(),
+		Watch:          o.Watch(),
 		Logger:         logger,
 	}
-	if *dataDir != "" {
-		rcfg.KeyedStore = &keyed.StoreOptions{
-			Dir:           *dataDir,
-			SnapshotEvery: *snapEvery,
-			Fsync:         *fsync,
-		}
-	}
-
-	// Bring the listener up before recovery so healthz is observable
-	// (503 "recovering") while the WAL replays; the real handler is
-	// swapped in once the router is ready to route.
-	var handler atomic.Pointer[http.Handler]
-	var warming http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "recovering", http.StatusServiceUnavailable)
-	})
-	handler.Store(&warming)
-	srv := &http.Server{Addr: *addr, Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		(*handler.Load()).ServeHTTP(w, r)
-	})}
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-
-	// Reserve the proxy's wire listener early; serving starts once the
-	// router is ready (queued dials wait in the backlog).
-	var wireLn net.Listener
-	if *wireAddr != "" {
-		wireLn, err = net.Listen("tcp", *wireAddr)
+	daemon.Main(o.Flags, logger, func() (serve.Tier, serve.Info, *keyed.RecoveryInfo, error) {
+		rt, rec, err := cluster.OpenRouter(rcfg)
 		if err != nil {
-			fatal(err, 1)
+			return nil, serve.Info{}, nil, err
 		}
-	}
-
-	rt, rec, err := cluster.OpenRouter(rcfg)
-	if err != nil {
-		fatal(err, 1)
-	}
-	if *debugAddr != "" {
-		go serveDebug(logger, *debugAddr, rt.Watch())
-	}
-	if rec != nil {
-		logger.Info("recovered keyed state",
-			"snapshot_keys", rec.SnapshotKeys, "journal_records", rec.ReplayedRecords,
-			"replay_ms", rec.ReplayMs, "dir", *dataDir)
-	}
-	served := rt.Policy()
-	if km := rt.Keyed(); km != nil {
-		served = "keyed[" + km.PolicyName() + "]+" + served
-	}
-	info := serve.Info{
-		Protocol: "cluster/" + served,
-		N:        rt.N(),
-		Shards:   len(bks),
-		Engine:   protocol, // the backends' protocol, for labeling
-		Seed:     *seed,
-		WireAddr: *wireAddr,
-	}
-	var ws *wire.Server
-	if wireLn != nil {
-		wh := cluster.NewRouterWire(rt, info)
-		ws = wire.NewServer(wh, wire.ServerOptions{Logger: logger})
-		wh.BindServer(ws)
-		go func() {
-			if err := ws.Serve(wireLn); err != nil {
-				logger.Error("wire server exited", "err", err)
-			}
-		}()
-	}
-	var real http.Handler = cluster.NewHandlerWire(rt, info, ws)
-	handler.Store(&real)
-
-	// Arm the flight recorder last: its stats closure captures the
-	// fully-assembled surface, and its trace capture fans out across
-	// the live backends so proxy bundles hold the cross-tier picture.
-	diagRec, err := diag.New(diag.Options{
-		Dir: *diagDir, Hop: "proxy", Build: obs.Build(wire.Version), Logger: logger,
-	}, diag.Sources{
-		Monitor: rt.Watch(),
-		Obs:     rt.Obs(),
-		StatsJSON: func(ctx context.Context) ([]byte, error) {
-			return json.Marshal(cluster.BuildStatsResponse(rt, info, ws))
-		},
-		TraceOps: rt.GatherAllTraces,
-		Durability: func() any {
-			if ds := rt.Durability(); ds != nil {
-				return ds
-			}
-			return nil
-		},
+		served := rt.Policy()
+		if km := rt.Keyed(); km != nil {
+			served = "keyed[" + km.PolicyName() + "]+" + served
+		}
+		logger.Info("routing", "policy", rt.Policy(), "backends", len(bks), "per_backend", n)
+		return rt, serve.Info{
+			Protocol: "cluster/" + served,
+			N:        rt.N(),
+			Shards:   len(bks),
+			Engine:   protocol, // the backends' protocol, for labeling
+			Seed:     o.seed,
+			WireAddr: o.WireAddr,
+		}, rec, nil
 	})
-	if err != nil {
-		fatal(err, 1)
-	}
-	if diagRec != nil {
-		rt.BindDiag(diagRec)
-		var torn int64
-		if ds := rt.Durability(); ds != nil {
-			torn = ds.RecoveryTornBytes
-		}
-		diagRec.CheckStartup(context.Background(), torn)
-		// SIGQUIT dumps a bundle and keeps serving — deliberately
-		// separate from the SIGINT/SIGTERM drain path.
-		quit := make(chan os.Signal, 1)
-		signal.Notify(quit, syscall.SIGQUIT)
-		go func() {
-			for range quit {
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				path, err := diagRec.Dump(ctx, diag.TriggerSignal, "operator SIGQUIT")
-				cancel()
-				if err != nil {
-					logger.Error("diag: SIGQUIT dump failed", "err", err)
-				} else {
-					logger.Info("diag: SIGQUIT bundle written", "path", path)
-				}
-			}
-		}()
-	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := <-stop
-		logger.Info("signal received, draining", "signal", sig.String())
-		// Flip to draining first (healthz goes 503 while the listener
-		// still answers, so upstream balancers can observe the drain),
-		// then stop the listener, letting in-flight proxying finish.
-		rt.Close()
-		if ws != nil {
-			ws.Close()
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			logger.Error("http shutdown", "err", err)
-		}
-	}()
-
-	logger.Info("listening",
-		"policy", rt.Policy(), "backends", len(bks), "n", rt.N(), "per_backend", n,
-		"addr", *addr, "wire_addr", *wireAddr, "debug_addr", *debugAddr)
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(err, 1)
-	}
-	<-done
-	logger.Info("drained, bye")
-}
-
-// serveDebug exposes net/http/pprof on its own mux/listener so profile
-// endpoints never ride the public API surface. The watchdog override
-// hook (a test/CI instrument) rides the operator-only listener too.
-func serveDebug(logger *slog.Logger, addr string, mon *watch.Monitor) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("POST /debug/watch/override", watch.OverrideHandler(mon))
-	logger.Info("debug server listening", "addr", addr)
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		logger.Error("debug server exited", "err", err)
-	}
 }

@@ -59,10 +59,11 @@
 //
 // The ShardedAllocator is the substrate of a network serving layer:
 // cmd/bbserved exposes it over HTTP (place, remove, stats, snapshot,
-// health, Prometheus metrics) through the dispatcher in
-// internal/serve, which runs each request in its caller's goroutine
-// under its shard's lock via WithShardLocked — no queue or hand-off,
-// so concurrent requests on different shards never contend.
+// health, Prometheus metrics) and the wire protocol through the
+// dispatcher in internal/serve, which runs each request in its
+// caller's goroutine under its shard's lock via WithShardLocked — no
+// queue or hand-off, so concurrent requests on different shards never
+// contend.
 // Monitoring reads come in two consistency grades: Metrics/Snapshot
 // lock every shard for a linearizable view, while ShardMetrics and
 // ApproxMetrics lock one shard at a time (cheap, but shards are
@@ -91,7 +92,10 @@
 // checks its backends with eviction and automatic rejoin on stable
 // slots, fails placements over on backend errors, and exposes
 // aggregated cross-backend stats (max load, gap, probe counts per
-// policy). bbload's cluster target drives the same Router over
+// policy). Both daemons are one front end (serve.Handler) and one
+// process lifecycle (internal/daemon) over two tiers: the Dispatcher
+// and the Router each implement serve.Tier. bbload's cluster target
+// drives the same Router over
 // in-process backends for single-machine policy comparisons; see the
 // README's Cluster tier section for measured gaps of random vs
 // 2-choice vs adaptive routing.

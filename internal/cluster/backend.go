@@ -44,11 +44,7 @@ func (b *InprocBackend) Remove(ctx context.Context, bin int) error {
 
 // PlaceKey implements KeyedBackend via the dispatcher's keyed tier.
 func (b *InprocBackend) PlaceKey(ctx context.Context, key string) ([]int, int64, error) {
-	bin, samples, err := b.D.PlaceKeyed(ctx, key)
-	if err != nil {
-		return nil, 0, err
-	}
-	return []int{bin}, samples, nil
+	return b.D.PlaceBalls(ctx, key, 1)
 }
 
 // RemoveKey implements KeyedBackend.
@@ -72,10 +68,8 @@ func (b *InprocBackend) Health(context.Context) error {
 // ReadTrace implements TraceBackend straight off the dispatcher's
 // retained-op ring. id "" returns the whole ring.
 func (b *InprocBackend) ReadTrace(ctx context.Context, id string) ([]*obs.Op, error) {
-	if id == "" {
-		return b.D.Obs().Ops(0), nil
-	}
-	return b.D.Obs().OpsByTrace(id), nil
+	_, ops := b.D.GatherTrace(ctx, obs.ParseTrace(id))
+	return ops, nil
 }
 
 // HTTPBackend drives a remote bbserved over its HTTP API with a
@@ -159,10 +153,15 @@ func (b *HTTPBackend) PlaceKey(ctx context.Context, key string) ([]int, int64, e
 	if err != nil {
 		return nil, 0, err
 	}
-	if status != http.StatusOK {
-		return nil, 0, fmt.Errorf("cluster: keyed place on %s: status %d", b.base, status)
+	switch status {
+	case http.StatusOK:
+		return []int{pr.Bin}, pr.Samples, nil
+	case http.StatusBadRequest:
+		// The key is well formed, so the backend refused keyed
+		// traffic itself: map it back like WireBackend does.
+		return nil, 0, serve.ErrKeyedUnsupported
 	}
-	return []int{pr.Bin}, pr.Samples, nil
+	return nil, 0, fmt.Errorf("cluster: keyed place on %s: status %d", b.base, status)
 }
 
 // RemoveKey implements KeyedBackend via POST /v1/remove?bin=&key=.

@@ -36,12 +36,14 @@
 //     internal/hdrhist histograms, both cumulative and per staleness
 //     window (SnapshotAndReset).
 //
-// The proxy HTTP layer (NewHandler, mounted by cmd/bbproxy) serves the
-// same surface as bbserved — /v1/place, /v1/remove, /v1/stats,
-// /healthz, /metrics — so clients and load generators cannot tell a
-// proxy from a single node, except that /v1/stats additionally carries
-// the aggregated cluster block (cross-backend max load and gap, probe
-// counts per policy, per-backend rows).
+// Router implements serve.Tier, so bbproxy serves it through the same
+// front end (serve.Handler, run by internal/daemon) as bbserved serves
+// its dispatcher — /v1/place, /v1/remove, /v1/stats, /healthz,
+// /metrics and the wire protocol — and clients and load generators
+// cannot tell a proxy from a single node, except that /v1/stats
+// additionally carries the aggregated cluster block (cross-backend max
+// load and gap, probe counts per policy, per-backend rows) and
+// GET /v1/trace/{id} gathers the backends' rings too.
 package cluster
 
 import (

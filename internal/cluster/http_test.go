@@ -15,7 +15,7 @@ import (
 func newProxyServer(t *testing.T, k, n int, policy Policy) (*Router, []*serve.Dispatcher, *httptest.Server) {
 	t.Helper()
 	rt, ds := newInprocCluster(t, k, n, policy, 1)
-	srv := httptest.NewServer(NewHandler(rt, serve.Info{
+	srv := httptest.NewServer(serve.NewHandler(rt, serve.Info{
 		Protocol: "cluster/" + policy.Name(), N: k * n, Shards: k, Seed: 1,
 	}))
 	t.Cleanup(srv.Close)

@@ -171,7 +171,7 @@ func TestRouterKeyedKillDisruption(t *testing.T) {
 // bulk+key 400 contract.
 func TestRouterKeyedEndToEndHTTP(t *testing.T) {
 	rt, _ := newKeyedCluster(t, 2, &keyed.Config{HotShare: 1})
-	h := NewHandler(rt, serve.Info{Protocol: "cluster/keyed[adaptive]+single", N: rt.N()})
+	h := serve.NewHandler(rt, serve.Info{Protocol: "cluster/keyed[adaptive]+single", N: rt.N()})
 
 	rec := doReq(t, h, "POST", "/v1/place?key=alpha&count=8")
 	if rec.Code != 400 {

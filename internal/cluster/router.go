@@ -572,6 +572,16 @@ func (rt *Router) PlaceKeyed(ctx context.Context, key string) ([]int, int64, err
 			finish(ctx.Err())
 			return nil, 0, ctx.Err()
 		}
+		if errors.Is(perr, serve.ErrKeyedUnsupported) {
+			// A healthy backend's answer (like ErrEmptyBin on remove):
+			// its spec cannot serve keyed traffic. Every backend runs
+			// the same spec, so failing over would only evict healthy
+			// backends and journal moves.
+			rt.ms.ReportSuccess(slot)
+			rt.km.Release(key, slot)
+			finish(perr)
+			return nil, 0, perr
+		}
 		lastErr = perr
 		failovers++
 		rt.failovers.Add(1)

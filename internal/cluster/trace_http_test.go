@@ -30,7 +30,7 @@ func postTraced(t *testing.T, url, trace string) *http.Response {
 // own ring plus the backend rings.
 func TestProxyAssembledTraceByID(t *testing.T) {
 	rt, _ := newTracedTier(t, "http")
-	ps := httptest.NewServer(NewHandler(rt, serve.Info{Protocol: "greedy"}))
+	ps := httptest.NewServer(serve.NewHandler(rt, serve.Info{Protocol: "greedy"}))
 	t.Cleanup(ps.Close)
 
 	const id = uint64(0xabcd1234)
@@ -77,7 +77,7 @@ func TestProxyAssembledTraceByID(t *testing.T) {
 // TestProxyAssembledTraceMalformed pins the proxy-side 400 path.
 func TestProxyAssembledTraceMalformed(t *testing.T) {
 	rt, _ := newTracedTier(t, "http")
-	ps := httptest.NewServer(NewHandler(rt, serve.Info{Protocol: "greedy"}))
+	ps := httptest.NewServer(serve.NewHandler(rt, serve.Info{Protocol: "greedy"}))
 	t.Cleanup(ps.Close)
 
 	decode[map[string]string](t,

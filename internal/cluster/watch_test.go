@@ -143,7 +143,7 @@ func TestWatchClusterInjection(t *testing.T) {
 		t.Fatalf("ViolationsTotal = %d, want 1", got)
 	}
 
-	h := NewHandler(rt, serve.Info{Protocol: "cluster/adaptive", N: rt.N()})
+	h := serve.NewHandler(rt, serve.Info{Protocol: "cluster/adaptive", N: rt.N()})
 	rec := doReq(t, h, "GET", "/v1/events?type=BOUND_VIOLATION")
 	if rec.Code != 200 || !contains(rec.Body.String(), `"invariant": "cluster_backend_max"`) {
 		t.Fatalf("events = %d %s", rec.Code, rec.Body.String())
@@ -164,7 +164,7 @@ func TestWatchClusterHTTPEndpoints(t *testing.T) {
 		}
 	}
 	rt.Watch().Tick(time.Now())
-	h := NewHandler(rt, serve.Info{Protocol: "cluster/single", N: rt.N()})
+	h := serve.NewHandler(rt, serve.Info{Protocol: "cluster/single", N: rt.N()})
 
 	rec := doReq(t, h, "GET", "/v1/timeseries?window=5")
 	if rec.Code != 200 || !contains(rec.Body.String(), `"hop": "proxy"`) {

@@ -5,116 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
-
-// RouterWire adapts a Router to wire.Handler so bbproxy serves the
-// binary protocol with exactly the HTTP tier's semantics (same bounds,
-// same error mapping, same stats document).
-type RouterWire struct {
-	rt   *Router
-	info serve.Info
-	ws   atomic.Pointer[wire.Server]
-}
-
-// NewRouterWire wraps rt for wire serving. Call BindServer once the
-// wire.Server exists so STATS replies include the wire block.
-func NewRouterWire(rt *Router, info serve.Info) *RouterWire {
-	return &RouterWire{rt: rt, info: info}
-}
-
-// BindServer attaches the serving wire.Server whose counters the STATS
-// reply reports.
-func (h *RouterWire) BindServer(ws *wire.Server) { h.ws.Store(ws) }
-
-// routeErr maps routing errors onto wire codes — the same mapping the
-// proxy's HTTP handler uses for status codes.
-func routeErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, ErrDraining):
-		return &wire.Error{Code: wire.CodeDraining, Msg: err.Error()}
-	case errors.Is(err, ErrNoBackends):
-		return &wire.Error{Code: wire.CodeNoBackends, Msg: err.Error()}
-	case errors.Is(err, ErrBackendDown):
-		return &wire.Error{Code: wire.CodeBackendDown, Msg: err.Error()}
-	case errors.Is(err, serve.ErrEmptyBin):
-		return &wire.Error{Code: wire.CodeEmptyBin, Msg: err.Error()}
-	case errors.Is(err, serve.ErrKeyedUnsupported):
-		return &wire.Error{Code: wire.CodeKeyedUnsupported, Msg: err.Error()}
-	}
-	return err
-}
-
-// Place implements wire.Handler.
-func (h *RouterWire) Place(ctx context.Context, count int) ([]int, int64, error) {
-	if count < 1 || count > serve.MaxBulkPlace {
-		return nil, 0, &wire.Error{
-			Code: wire.CodeBadRequest,
-			Msg:  fmt.Sprintf("count must be in [1,%d], got %d", serve.MaxBulkPlace, count),
-		}
-	}
-	bins, samples, err := h.rt.Place(ctx, count)
-	return bins, samples, routeErr(err)
-}
-
-// PlaceKeyed implements wire.Handler.
-func (h *RouterWire) PlaceKeyed(ctx context.Context, key string) ([]int, int64, error) {
-	if key == "" {
-		return nil, 0, &wire.Error{Code: wire.CodeBadRequest, Msg: "empty key"}
-	}
-	bins, samples, err := h.rt.PlaceKeyed(ctx, key)
-	return bins, samples, routeErr(err)
-}
-
-// Remove implements wire.Handler on global bin numbers (slot·n +
-// local), exactly like the proxy's /v1/remove.
-func (h *RouterWire) Remove(ctx context.Context, bin int, key string) error {
-	if bin < 0 || bin >= h.rt.N() {
-		return &wire.Error{
-			Code: wire.CodeBadRequest,
-			Msg:  fmt.Sprintf("bin %d outside [0,%d)", bin, h.rt.N()),
-		}
-	}
-	return routeErr(h.rt.RemoveKeyed(ctx, bin, key))
-}
-
-// StatsJSON implements wire.Handler with the exact proxy /v1/stats
-// document.
-func (h *RouterWire) StatsJSON(ctx context.Context) ([]byte, error) {
-	return json.Marshal(BuildStatsResponse(h.rt, h.info, h.ws.Load()))
-}
-
-// TraceJSON implements wire.Handler (protocol ≥ 3): the proxy's own
-// retained ops for one trace id. Cross-tier assembly stays on the HTTP
-// GET /v1/trace/{id} route; the wire message keeps one uniform meaning
-// on both tiers — "this daemon's ring, filtered".
-func (h *RouterWire) TraceJSON(ctx context.Context, id uint64) ([]byte, error) {
-	r := h.rt.Obs()
-	resp := obs.TraceResponse{Hop: r.Hop(), Ops: r.OpsByTrace(obs.FormatTrace(id))}
-	if resp.Ops == nil {
-		resp.Ops = []*obs.Op{}
-	}
-	return json.Marshal(resp)
-}
-
-// Hello implements wire.Handler for the n-agreement handshake.
-func (h *RouterWire) Hello() wire.Hello {
-	return wire.Hello{
-		Protocol: h.info.Protocol,
-		N:        h.info.N,
-		Shards:   h.info.Shards,
-	}
-}
-
-// Draining implements wire.Handler, mirroring the proxy's /healthz
-// drain bit (backend health stays with the router's membership).
-func (h *RouterWire) Draining() bool { return h.rt.Draining() }
 
 // WireBackend drives a bbserved over the binary protocol when the
 // backend advertises a wire listener. Routing semantics are identical

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"sort"
@@ -125,9 +126,9 @@ func NewAssembledTraceResponse(id uint64, sources []string, ops []*Op) Assembled
 }
 
 // AssembledTraceHandler serves GET /v1/trace/{id}. gather pulls the
-// ops for one id — the serve tier passes nil to read its own ring;
-// the proxy passes its cross-tier fan-out.
-func (r *Recorder) AssembledTraceHandler(gather func(req *http.Request, id uint64) ([]string, []*Op)) http.HandlerFunc {
+// ops for one id — the serve tier from its own ring, the proxy with
+// its cross-tier fan-out.
+func AssembledTraceHandler(gather func(ctx context.Context, id uint64) ([]string, []*Op)) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		id := ParseTrace(req.PathValue("id"))
 		w.Header().Set("Content-Type", "application/json")
@@ -136,13 +137,7 @@ func (r *Recorder) AssembledTraceHandler(gather func(req *http.Request, id uint6
 			_ = json.NewEncoder(w).Encode(map[string]string{"error": "trace id must be 1-16 hex digits"})
 			return
 		}
-		var sources []string
-		var ops []*Op
-		if gather != nil {
-			sources, ops = gather(req, id)
-		} else {
-			sources, ops = []string{r.Hop()}, r.OpsByTrace(FormatTrace(id))
-		}
+		sources, ops := gather(req.Context(), id)
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(NewAssembledTraceResponse(id, sources, ops))

@@ -10,6 +10,17 @@ import (
 	"repro/internal/hdrhist"
 )
 
+// WriteGauge writes one Prometheus gauge with its HELP and TYPE lines.
+func WriteGauge(w io.Writer, name, help string, value any) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, value)
+}
+
+// WriteCounter writes one Prometheus counter with its HELP and TYPE
+// lines.
+func WriteCounter(w io.Writer, name, help string, value int64) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, value)
+}
+
 // WriteStageMetrics renders the per-stage latency decomposition as
 // bb_stage_latency_seconds{stage=...} Prometheus summaries. Shared by
 // bbserved and bbproxy so the stage series cannot drift between
@@ -64,17 +75,11 @@ func WritePickStaleness(w io.Writer, s hdrhist.Snapshot) {
 func WriteRuntimeMetrics(w io.Writer) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	g := func(name, help string, value any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, value)
-	}
-	c := func(name, help string, value uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, value)
-	}
-	g("bb_go_goroutines", "Live goroutines.", runtime.NumGoroutine())
-	g("bb_go_heap_alloc_bytes", "Heap bytes allocated and in use.", ms.HeapAlloc)
-	g("bb_go_heap_objects", "Live heap objects.", ms.HeapObjects)
-	g("bb_go_sys_bytes", "Bytes obtained from the OS.", ms.Sys)
-	c("bb_go_gc_cycles_total", "Completed GC cycles.", uint64(ms.NumGC))
+	WriteGauge(w, "bb_go_goroutines", "Live goroutines.", runtime.NumGoroutine())
+	WriteGauge(w, "bb_go_heap_alloc_bytes", "Heap bytes allocated and in use.", ms.HeapAlloc)
+	WriteGauge(w, "bb_go_heap_objects", "Live heap objects.", ms.HeapObjects)
+	WriteGauge(w, "bb_go_sys_bytes", "Bytes obtained from the OS.", ms.Sys)
+	WriteCounter(w, "bb_go_gc_cycles_total", "Completed GC cycles.", int64(ms.NumGC))
 	fmt.Fprintf(w, "# HELP bb_go_gc_pause_seconds_total Cumulative stop-the-world GC pause.\n")
 	fmt.Fprintf(w, "# TYPE bb_go_gc_pause_seconds_total counter\n")
 	fmt.Fprintf(w, "bb_go_gc_pause_seconds_total %g\n", float64(ms.PauseTotalNs)/1e9)

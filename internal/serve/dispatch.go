@@ -1,8 +1,11 @@
 // Package serve is the network-serving layer over the ballsbins
 // allocator core: a dispatcher that applies concurrent Place/Remove
 // callers' operations to a ShardedAllocator, a lock-free stats
-// pipeline for monitoring reads, and the HTTP handlers cmd/bbserved
-// mounts.
+// pipeline for monitoring reads, and the front end both daemons
+// share. Handler serves any Tier — this package's Dispatcher or
+// cluster's Router — over HTTP and the wire protocol, with one error
+// mapping: the tier maps an error to its wire.Code, and the HTTP
+// status follows from the code.
 //
 // # Dispatch core
 //

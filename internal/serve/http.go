@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"sync/atomic"
 
 	ballsbins "repro"
 	"repro/internal/diag"
@@ -105,55 +107,134 @@ type SnapshotResponse struct {
 	Shards  []ballsbins.Result `json:"shards"`
 }
 
-type handler struct {
-	d     *Dispatcher
-	info  Info
-	ws    *wire.Server // nil when wire serving is off
-	build obs.BuildInfo
+// Tier is one serving tier's dispatch core as the shared front end
+// sees it: *Dispatcher (bbserved) and *cluster.Router (bbproxy)
+// implement it. Handler serves a Tier over HTTP and the wire protocol,
+// and internal/daemon runs one as a process. Everything that differs
+// between the tiers comes from these methods.
+type Tier interface {
+	// N is the tier's global bin count.
+	N() int
+	// PlaceBalls places count balls or, with a non-empty key, one
+	// ball on the key's sticky bin (count is then 1). It returns the
+	// global bins and the random choices spent.
+	PlaceBalls(ctx context.Context, key string, count int) ([]int, int64, error)
+	// RemoveKeyed removes one ball from global bin; a non-empty key
+	// releases the ball from the keyed tier's books too.
+	RemoveKeyed(ctx context.Context, bin int, key string) error
+	// Draining reports whether Close has begun.
+	Draining() bool
+	// Ready returns why a tier that is not draining still cannot
+	// serve (nil when it can); /healthz answers 503 with it.
+	Ready() error
+	// Obs, Watch, Diag and Durability are the tier's trace recorder,
+	// watchdog, flight recorder (nil until BindDiag) and WAL block
+	// (nil without a store).
+	Obs() *obs.Recorder
+	Watch() *watch.Monitor
+	Diag() *diag.Recorder
+	Durability() *keyed.DurabilityStats
+	// BindDiag attaches the flight recorder once it is built.
+	BindDiag(rec *diag.Recorder)
+	// GatherTrace returns the ops recorded for trace id in every ring
+	// the tier can read (every retained op when id is 0) and the rings
+	// it read: GET /v1/trace/{id} and the bundles' trace section.
+	GatherTrace(ctx context.Context, id uint64) (sources []string, ops []*obs.Op)
+	// StatsDoc completes base — the blocks every tier shares, filled
+	// by the front end — into the tier's /v1/stats document. q is the
+	// HTTP request's query (nil for the wire and the flight recorder);
+	// an error is a 400.
+	StatsDoc(base StatsResponse, q url.Values) (any, error)
+	// WriteMetrics writes the tier's own Prometheus series; the front
+	// end adds the durability, wire, watchdog, stage, build and
+	// runtime series.
+	WriteMetrics(w io.Writer)
+	// Routes mounts the tier-only routes next to the shared ones.
+	Routes(mux *http.ServeMux, info Info)
+	// ErrCode maps an error from PlaceBalls or RemoveKeyed onto its
+	// wire code; HTTP derives its status from the same code.
+	ErrCode(err error) wire.Code
+	// InternalStatus is the HTTP status of wire.CodeInternal: 500 for
+	// a tier's own failure, 502 for a failure it forwards.
+	InternalStatus() int
+	// Close drains the tier: new calls are refused, admitted ones
+	// finish, and a durable tier seals its store.
+	Close()
 }
 
-// NewHandler mounts the serving API over a dispatcher:
+// Handler is the front end both daemons share: it serves a Tier over
+// HTTP (ServeHTTP) and over the binary protocol (it is the tier's
+// wire.Handler), with the same bounds and the same error codes on both
+// transports.
+type Handler struct {
+	t     Tier
+	info  Info
+	ws    atomic.Pointer[wire.Server] // nil when wire serving is off
+	build obs.BuildInfo
+	mux   *http.ServeMux
+}
+
+// NewHandler builds the front end over a tier:
 //
 //	POST /v1/place[?count=k]  place 1 (default) or k balls
-//	POST /v1/remove?bin=i     remove one ball from bin i
-//	GET  /v1/stats[?shard=s]  lock-free monitoring view (one shard row)
-//	GET  /v1/snapshot         lock-all consistent snapshot
-//	GET  /healthz             200 ok, 503 once draining
+//	POST /v1/place?key=K      keyed placement (bulk + key is a 400)
+//	POST /v1/remove?bin=i[&key=K]  remove one ball from global bin i
+//	GET  /v1/stats            the tier's stats document
+//	GET  /v1/trace[/{id}]     retained ops; one trace id assembled
+//	GET  /v1/events           invariant watchdog event journal
+//	GET  /v1/timeseries       watchdog time series
+//	GET  /v1/version          build identity
+//	GET  /healthz             200 ok, 503 when draining or not ready
 //	GET  /metrics             Prometheus text format
-func NewHandler(d *Dispatcher, info Info) http.Handler {
-	return NewHandlerWire(d, info, nil)
+//
+// plus the tier's own routes (Tier.Routes). When the process also
+// serves the binary protocol, pass the Handler to wire.NewServer and
+// call BindServer with the result.
+func NewHandler(t Tier, info Info) *Handler {
+	h := &Handler{t: t, info: info, build: obs.Build(wire.Version), mux: http.NewServeMux()}
+	h.mux.HandleFunc("POST /v1/place", h.place)
+	h.mux.HandleFunc("POST /v1/remove", h.remove)
+	h.mux.HandleFunc("GET /v1/stats", h.stats)
+	h.mux.HandleFunc("GET /v1/trace", t.Obs().TraceHandler())
+	h.mux.HandleFunc("GET /v1/trace/{id}", obs.AssembledTraceHandler(t.GatherTrace))
+	h.mux.HandleFunc("GET /v1/events", t.Watch().EventsHandler())
+	h.mux.HandleFunc("GET /v1/timeseries", t.Watch().TimeseriesHandler())
+	h.mux.HandleFunc("GET /v1/version", obs.VersionHandler(h.build))
+	h.mux.HandleFunc("GET /healthz", h.healthz)
+	h.mux.HandleFunc("GET /metrics", h.metrics)
+	t.Routes(h.mux, info)
+	return h
 }
 
 // NewHandlerWire is NewHandler for a process that also serves the
 // binary protocol: the wire server's counters join /v1/stats (wire
 // block) and /metrics (bb_wire_* series). ws may be nil.
-func NewHandlerWire(d *Dispatcher, info Info, ws *wire.Server) http.Handler {
-	h := &handler{d: d, info: info, ws: ws, build: obs.Build(wire.Version)}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/place", h.place)
-	mux.HandleFunc("POST /v1/remove", h.remove)
-	mux.HandleFunc("GET /v1/stats", h.stats)
-	mux.HandleFunc("GET /v1/snapshot", h.snapshot)
-	mux.HandleFunc("GET /v1/trace", d.Obs().TraceHandler())
-	mux.HandleFunc("GET /v1/trace/{id}", d.Obs().AssembledTraceHandler(nil))
-	mux.HandleFunc("GET /v1/events", d.Watch().EventsHandler())
-	mux.HandleFunc("GET /v1/timeseries", d.Watch().TimeseriesHandler())
-	mux.HandleFunc("GET /v1/version", obs.VersionHandler(h.build))
-	mux.HandleFunc("GET /healthz", h.healthz)
-	mux.HandleFunc("GET /metrics", h.metrics)
-	return mux
+func NewHandlerWire(t Tier, info Info, ws *wire.Server) *Handler {
+	h := NewHandler(t, info)
+	h.BindServer(ws)
+	return h
 }
 
+// NewDispatcherWire is NewHandler for a dispatcher served over the
+// binary protocol.
+func NewDispatcherWire(d *Dispatcher, info Info) *Handler { return NewHandler(d, info) }
+
+// BindServer attaches the wire.Server whose counters /v1/stats, STATS
+// replies and /metrics report (the server needs the handler first,
+// hence the late bind).
+func (h *Handler) BindServer(ws *wire.Server) { h.ws.Store(ws) }
+
+// ServeHTTP implements http.Handler.
+func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
+
 // traceCtx threads an upstream X-BB-Trace header into the request
-// context so the dispatcher's capture joins the caller's trace.
+// context so the tier's capture joins the caller's trace.
 func traceCtx(r *http.Request) context.Context {
 	return obs.WithTrace(r.Context(), obs.ParseTrace(r.Header.Get(obs.Header)))
 }
 
-// WriteJSON writes v as indented JSON with the given status. Shared by
-// every HTTP surface in the system (bbserved, bbproxy) so the wire
-// shape cannot drift between tiers.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON writes v as indented JSON with the given status.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -161,20 +242,33 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// WriteError writes the canonical {"error": ...} body.
-func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
-	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) { WriteJSON(w, status, v) }
-
+// writeError writes the canonical {"error": ...} body.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	WriteError(w, status, format, args...)
+	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// ParseBulkCount validates a /v1/place count query value: empty means
+// status maps a wire code onto its HTTP status: the 1:1 table of
+// wire.Code, with the tier choosing the status of CodeInternal.
+func (h *Handler) status(c wire.Code) int {
+	switch c {
+	case wire.CodeEmptyBin:
+		return http.StatusConflict
+	case wire.CodeDraining, wire.CodeBackendDown, wire.CodeNoBackends:
+		return http.StatusServiceUnavailable
+	case wire.CodeKeyedUnsupported, wire.CodeBadRequest:
+		return http.StatusBadRequest
+	}
+	return h.t.InternalStatus()
+}
+
+// fail writes a tier error with the status of its wire code.
+func (h *Handler) fail(w http.ResponseWriter, err error) {
+	writeError(w, h.status(h.t.ErrCode(err)), "%v", err)
+}
+
+// parseBulkCount validates a /v1/place count query value: empty means
 // 1, otherwise an integer in [1, MaxBulkPlace].
-func ParseBulkCount(s string) (int, error) {
+func parseBulkCount(s string) (int, error) {
 	if s == "" {
 		return 1, nil
 	}
@@ -188,8 +282,8 @@ func ParseBulkCount(s string) (int, error) {
 	return v, nil
 }
 
-func (h *handler) place(w http.ResponseWriter, r *http.Request) {
-	count, err := ParseBulkCount(r.URL.Query().Get("count"))
+func (h *Handler) place(w http.ResponseWriter, r *http.Request) {
+	count, err := parseBulkCount(r.URL.Query().Get("count"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -205,29 +299,13 @@ func (h *handler) place(w http.ResponseWriter, r *http.Request) {
 			"bulk place (count=%d) cannot carry a key: keyed placement is one ball per request; send count=1 requests for key %q", count, key)
 		return
 	}
-	ctx := traceCtx(r)
-	var bins []int
-	var samples int64
-	if key != "" {
-		var bin int
-		bin, samples, err = h.d.PlaceKeyed(ctx, key)
-		bins = []int{bin}
-	} else {
-		bins, samples, err = h.d.PlaceMany(ctx, count)
-	}
+	bins, samples, err := h.t.PlaceBalls(traceCtx(r), key, count)
 	if err != nil {
 		// A cancelled bulk request may still have committed its balls
 		// (admission is the commit point) — the client is gone
 		// and cannot read any body, so there is no one to report them
 		// to; they remain visible in /v1/stats like every placement.
-		status := http.StatusInternalServerError
-		switch err {
-		case ErrDraining:
-			status = http.StatusServiceUnavailable
-		case ErrKeyedUnsupported:
-			status = http.StatusBadRequest
-		}
-		writeError(w, status, "%v", err)
+		h.fail(w, err)
 		return
 	}
 	resp := PlaceResponse{Bin: bins[0], Count: count, Samples: samples, Key: key}
@@ -237,7 +315,7 @@ func (h *handler) place(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (h *handler) remove(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) remove(w http.ResponseWriter, r *http.Request) {
 	s := r.URL.Query().Get("bin")
 	if s == "" {
 		writeError(w, http.StatusBadRequest, "missing bin parameter")
@@ -248,20 +326,72 @@ func (h *handler) remove(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bin must be an integer, got %q", s)
 		return
 	}
-	if bin < 0 || bin >= h.d.N() {
-		writeError(w, http.StatusBadRequest, "bin %d outside [0,%d)", bin, h.d.N())
+	if n := h.t.N(); bin < 0 || bin >= n {
+		writeError(w, http.StatusBadRequest, "bin %d outside [0,%d)", bin, n)
 		return
 	}
-	switch err := h.d.RemoveKeyed(traceCtx(r), bin, r.URL.Query().Get("key")); err {
-	case nil:
+	switch err := h.t.RemoveKeyed(traceCtx(r), bin, r.URL.Query().Get("key")); {
+	case err == nil:
 		writeJSON(w, http.StatusOK, RemoveResponse{Bin: bin, Removed: true})
-	case ErrEmptyBin:
+	case h.t.ErrCode(err) == wire.CodeEmptyBin:
 		writeError(w, http.StatusConflict, "bin %d is empty", bin)
-	case ErrDraining:
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		h.fail(w, err)
 	}
+}
+
+// statsDoc is the tier's stats document (the body of /v1/stats and of
+// wire STATS replies) over the blocks every tier shares.
+func (h *Handler) statsDoc(q url.Values) (any, error) {
+	base := StatsResponse{
+		Info:     h.info,
+		Draining: h.t.Draining(),
+		Obs:      h.t.Obs().StageSummaries(),
+		Watch:    h.t.Watch().StatsBlockDoc(),
+		Diag:     h.t.Diag().StatsDoc(),
+	}
+	if ws := h.ws.Load(); ws != nil {
+		s := ws.Stats()
+		base.Wire = &s
+	}
+	return h.t.StatsDoc(base, q)
+}
+
+func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
+	doc, err := h.statsDoc(r.URL.Query())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, doc)
+}
+
+func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
+	if h.t.Draining() {
+		http.Error(w, "draining", http.StatusServiceUnavailable)
+		return
+	}
+	if err := h.t.Ready(); err != nil {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintln(w, "ok")
+}
+
+// metrics renders the Prometheus text exposition format: the tier's
+// own series, then the series every tier shares.
+func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	h.t.WriteMetrics(w)
+	writeDurabilityMetrics(w, h.t.Durability())
+	if ws := h.ws.Load(); ws != nil {
+		wire.WriteMetrics(w, ws.Stats())
+	}
+	h.t.Watch().WriteMetrics(w)
+	h.t.Obs().WriteStageMetrics(w)
+	obs.WriteBuildMetrics(w, h.build)
+	obs.WriteRuntimeMetrics(w)
 }
 
 // LatencySummary condenses a histogram snapshot into the quantile
@@ -287,154 +417,23 @@ type ShardStatsResponse struct {
 	Shard ShardStat `json:"shard"`
 }
 
-func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
-	if s := r.URL.Query().Get("shard"); s != "" {
-		shard, err := strconv.Atoi(s)
-		if err != nil || shard < 0 || shard >= h.d.Shards() {
-			writeError(w, http.StatusBadRequest, "shard must be in [0,%d), got %q", h.d.Shards(), s)
-			return
-		}
-		writeJSON(w, http.StatusOK, ShardStatsResponse{
-			Info:  h.info,
-			Shard: h.d.ShardStats(shard),
-		})
-		return
-	}
-	writeJSON(w, http.StatusOK, BuildStatsResponse(h.d, h.info, h.ws))
-}
-
-// BuildStatsResponse assembles the /v1/stats document. It is the
-// single source for both transports: the HTTP stats handler and the
-// wire adapter's STATS reply marshal exactly this.
-func BuildStatsResponse(d *Dispatcher, info Info, ws *wire.Server) StatsResponse {
-	ks := d.KeyedStats()
-	resp := StatsResponse{
-		Info:       info,
-		StatsView:  d.Stats(),
-		Draining:   d.Draining(),
-		LatencyNs:  LatencySummary(d.Latency()),
-		Keyed:      &ks,
-		Durability: d.Durability(),
-		Obs:        d.Obs().StageSummaries(),
-		Watch:      d.Watch().StatsBlockDoc(),
-		Diag:       d.Diag().StatsDoc(),
-	}
-	if ws != nil {
-		s := ws.Stats()
-		resp.Wire = &s
-	}
-	return resp
-}
-
-func (h *handler) snapshot(w http.ResponseWriter, r *http.Request) {
-	sa := h.d.Allocator()
-	metrics, balls := sa.MetricsWithBalls() // one lock-all: Balls and Metrics agree
-	resp := SnapshotResponse{
-		Info:    h.info,
-		Balls:   balls,
-		Metrics: metrics,
-	}
-	for s := 0; s < sa.Shards(); s++ {
-		resp.Shards = append(resp.Shards, sa.ShardMetrics(s))
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
-	if h.d.Draining() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-// metrics renders the Prometheus text exposition format: counters and
-// gauges from the lock-free stats view, per-shard ball/load gauges,
-// and the dispatch latency as a summary in seconds.
-func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
-	v := h.d.Stats()
-	lat := h.d.Latency()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-
-	g := func(name, help string, value any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, value)
-	}
-	c := func(name, help string, value int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, value)
-	}
-	c("bb_place_total", "Cumulative balls placed.", v.Placed)
-	c("bb_remove_total", "Cumulative balls removed.", v.Removed)
-	c("bb_samples_total", "Cumulative random bin choices (allocation time).", v.Samples)
-	g("bb_balls", "Balls currently in the system.", v.Balls)
-	g("bb_max_load", "Current maximum bin load.", v.MaxLoad)
-	g("bb_min_load", "Current minimum bin load.", v.MinLoad)
-	g("bb_gap", "Max minus min load.", v.Gap)
-	g("bb_psi", "Quadratic potential of the load vector.", v.Psi)
-	g("bb_samples_per_ball", "Cumulative samples per placed ball.", v.SamplesPerBall)
-	g("bb_combining_factor", "Requests applied per shard lock acquisition (1: every request takes its own).", v.CombiningFactor)
-
-	ks := h.d.KeyedStats()
-	g("bb_keyed_keys", "Keys in the keyed placement table.", ks.Keys)
-	g("bb_keyed_hot_keys", "Keys split to replica sets.", ks.HotKeys)
-	g("bb_keyed_affinity_hit_rate", "Keyed requests answered from the affinity table.", ks.AffinityHitRate)
-	c("bb_keyed_moved_total", "Key replicas moved by failures or rebalancing.", ks.MovedKeys)
-	c("bb_keyed_shed_total", "Key replicas shed off overfull bins.", ks.ShedKeys)
-	WriteDurabilityMetrics(w, h.d.Durability())
-	if h.ws != nil {
-		wire.WriteMetrics(w, h.ws.Stats())
-	}
-
-	fmt.Fprintf(w, "# HELP bb_shard_balls Balls per shard.\n# TYPE bb_shard_balls gauge\n")
-	for _, row := range v.Shards {
-		fmt.Fprintf(w, "bb_shard_balls{shard=%q} %d\n", strconv.Itoa(row.Shard), row.Balls)
-	}
-	fmt.Fprintf(w, "# HELP bb_shard_max_load Maximum load per shard.\n# TYPE bb_shard_max_load gauge\n")
-	for _, row := range v.Shards {
-		fmt.Fprintf(w, "bb_shard_max_load{shard=%q} %d\n", strconv.Itoa(row.Shard), row.MaxLoad)
-	}
-
-	fmt.Fprintf(w, "# HELP bb_dispatch_latency_seconds Request admission-to-completion latency (shard lock wait plus work under it).\n")
-	fmt.Fprintf(w, "# TYPE bb_dispatch_latency_seconds summary\n")
-	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
-		fmt.Fprintf(w, "bb_dispatch_latency_seconds{quantile=%q} %g\n",
-			trimFloat(q), float64(lat.Quantile(q))/1e9)
-	}
-	fmt.Fprintf(w, "bb_dispatch_latency_seconds_sum %g\n", float64(lat.Sum)/1e9)
-	fmt.Fprintf(w, "bb_dispatch_latency_seconds_count %d\n", lat.Count)
-
-	h.d.Watch().WriteMetrics(w)
-	h.d.Obs().WriteStageMetrics(w)
-	obs.WriteBuildMetrics(w, h.build)
-	obs.WriteRuntimeMetrics(w)
-}
-
-func trimFloat(q float64) string { return strconv.FormatFloat(q, 'g', -1, 64) }
-
-// WriteDurabilityMetrics renders the keyed tier's WAL block as
-// bb_wal_* Prometheus series. Shared by bbserved and bbproxy (via
-// internal/cluster) so the durability series cannot drift between
-// tiers; a nil block (no -data-dir) writes nothing.
-func WriteDurabilityMetrics(w io.Writer, ds *keyed.DurabilityStats) {
+// writeDurabilityMetrics renders the keyed tier's WAL block as
+// bb_wal_* Prometheus series; a nil block (no -data-dir) writes
+// nothing.
+func writeDurabilityMetrics(w io.Writer, ds *keyed.DurabilityStats) {
 	if ds == nil {
 		return
 	}
-	g := func(name, help string, value any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, value)
-	}
-	c := func(name, help string, value int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, value)
-	}
-	g("bb_wal_log_bytes", "Bytes across live WAL segments.", ds.LogBytes)
-	c("bb_wal_records_total", "Journal records appended this process lifetime.", ds.Records)
-	g("bb_wal_records_since_snapshot", "Journal records since the last compacting snapshot.", ds.RecordsSinceSnapshot)
-	c("bb_wal_snapshots_total", "Compacting snapshots written this process lifetime.", ds.Snapshots)
+	obs.WriteGauge(w, "bb_wal_log_bytes", "Bytes across live WAL segments.", ds.LogBytes)
+	obs.WriteCounter(w, "bb_wal_records_total", "Journal records appended this process lifetime.", ds.Records)
+	obs.WriteGauge(w, "bb_wal_records_since_snapshot", "Journal records since the last compacting snapshot.", ds.RecordsSinceSnapshot)
+	obs.WriteCounter(w, "bb_wal_snapshots_total", "Compacting snapshots written this process lifetime.", ds.Snapshots)
 	fsyncAge := float64(-1)
 	if ds.LastFsyncAgeMs >= 0 {
 		fsyncAge = float64(ds.LastFsyncAgeMs) / 1e3
 	}
-	g("bb_wal_last_fsync_age_seconds", "Age of the last fsync (-1 before any).", fsyncAge)
-	g("bb_wal_recovery_replay_seconds", "Wall time of boot recovery (snapshot decode + journal replay).", float64(ds.RecoveryReplayMs)/1e3)
-	c("bb_wal_recovered_records_total", "Journal records replayed at boot.", ds.RecoveredRecords)
-	c("bb_wal_append_errors_total", "Journal appends that failed after their mutation applied.", ds.AppendErrors)
+	obs.WriteGauge(w, "bb_wal_last_fsync_age_seconds", "Age of the last fsync (-1 before any).", fsyncAge)
+	obs.WriteGauge(w, "bb_wal_recovery_replay_seconds", "Wall time of boot recovery (snapshot decode + journal replay).", float64(ds.RecoveryReplayMs)/1e3)
+	obs.WriteCounter(w, "bb_wal_recovered_records_total", "Journal records replayed at boot.", ds.RecoveredRecords)
+	obs.WriteCounter(w, "bb_wal_append_errors_total", "Journal appends that failed after their mutation applied.", ds.AppendErrors)
 }

@@ -4,93 +4,69 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
-// DispatcherWire adapts a Dispatcher to wire.Handler, enforcing the
-// same bounds and mapping the same sentinel errors as the HTTP layer
-// so both transports are interchangeable at equal correctness.
-type DispatcherWire struct {
-	d    *Dispatcher
-	info Info
-	ws   atomic.Pointer[wire.Server]
-}
-
-// NewDispatcherWire wraps d for wire serving. Call BindServer once the
-// wire.Server exists so STATS replies can include the wire block (the
-// server needs the handler first, hence the late bind).
-func NewDispatcherWire(d *Dispatcher, info Info) *DispatcherWire {
-	return &DispatcherWire{d: d, info: info}
-}
-
-// BindServer attaches the serving wire.Server whose counters the STATS
-// reply reports.
-func (h *DispatcherWire) BindServer(ws *wire.Server) { h.ws.Store(ws) }
-
-// dispatchErr maps the dispatcher's sentinel errors onto wire codes —
-// the same mapping place/remove use for HTTP status codes.
-func dispatchErr(err error) error {
-	switch err {
-	case nil:
+// wireErr maps a tier error onto its typed wire error — the code the
+// HTTP half turns into a status.
+func (h *Handler) wireErr(err error) error {
+	if err == nil {
 		return nil
-	case ErrDraining:
-		return &wire.Error{Code: wire.CodeDraining, Msg: err.Error()}
-	case ErrKeyedUnsupported:
-		return &wire.Error{Code: wire.CodeKeyedUnsupported, Msg: err.Error()}
-	case ErrEmptyBin:
-		return &wire.Error{Code: wire.CodeEmptyBin, Msg: err.Error()}
 	}
-	return err
+	return &wire.Error{Code: h.t.ErrCode(err), Msg: err.Error()}
 }
 
 // Place implements wire.Handler with /v1/place?count=k semantics.
-func (h *DispatcherWire) Place(ctx context.Context, count int) ([]int, int64, error) {
+func (h *Handler) Place(ctx context.Context, count int) ([]int, int64, error) {
 	if count < 1 || count > MaxBulkPlace {
 		return nil, 0, &wire.Error{
 			Code: wire.CodeBadRequest,
 			Msg:  fmt.Sprintf("count must be in [1,%d], got %d", MaxBulkPlace, count),
 		}
 	}
-	bins, samples, err := h.d.PlaceMany(ctx, count)
-	return bins, samples, dispatchErr(err)
+	bins, samples, err := h.t.PlaceBalls(ctx, "", count)
+	return bins, samples, h.wireErr(err)
 }
 
 // PlaceKeyed implements wire.Handler with /v1/place?key=k semantics.
-func (h *DispatcherWire) PlaceKeyed(ctx context.Context, key string) ([]int, int64, error) {
+func (h *Handler) PlaceKeyed(ctx context.Context, key string) ([]int, int64, error) {
 	if key == "" {
 		return nil, 0, &wire.Error{Code: wire.CodeBadRequest, Msg: "empty key"}
 	}
-	bin, samples, err := h.d.PlaceKeyed(ctx, key)
-	if err != nil {
-		return nil, 0, dispatchErr(err)
-	}
-	return []int{bin}, samples, nil
+	bins, samples, err := h.t.PlaceBalls(ctx, key, 1)
+	return bins, samples, h.wireErr(err)
 }
 
 // Remove implements wire.Handler with /v1/remove semantics.
-func (h *DispatcherWire) Remove(ctx context.Context, bin int, key string) error {
-	if bin < 0 || bin >= h.d.N() {
+func (h *Handler) Remove(ctx context.Context, bin int, key string) error {
+	if n := h.t.N(); bin < 0 || bin >= n {
 		return &wire.Error{
 			Code: wire.CodeBadRequest,
-			Msg:  fmt.Sprintf("bin %d outside [0,%d)", bin, h.d.N()),
+			Msg:  fmt.Sprintf("bin %d outside [0,%d)", bin, n),
 		}
 	}
-	return dispatchErr(h.d.RemoveKeyed(ctx, bin, key))
+	return h.wireErr(h.t.RemoveKeyed(ctx, bin, key))
 }
 
 // StatsJSON implements wire.Handler: the exact /v1/stats document, so
 // wire clients decode with the same structs as HTTP clients.
-func (h *DispatcherWire) StatsJSON(ctx context.Context) ([]byte, error) {
-	return json.Marshal(BuildStatsResponse(h.d, h.info, h.ws.Load()))
+func (h *Handler) StatsJSON(ctx context.Context) ([]byte, error) {
+	doc, err := h.statsDoc(nil)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(doc)
 }
 
-// TraceJSON implements wire.Handler (protocol ≥ 3): the dispatcher's
+// TraceJSON implements wire.Handler (protocol ≥ 3): the tier's own
 // retained ops for one trace id, as the GET /v1/trace?id= document.
-func (h *DispatcherWire) TraceJSON(ctx context.Context, id uint64) ([]byte, error) {
-	r := h.d.Obs()
+// Cross-tier assembly stays on the HTTP GET /v1/trace/{id} route; the
+// wire message keeps one meaning on both tiers — "this daemon's ring,
+// filtered".
+func (h *Handler) TraceJSON(ctx context.Context, id uint64) ([]byte, error) {
+	r := h.t.Obs()
 	resp := obs.TraceResponse{Hop: r.Hop(), Ops: r.OpsByTrace(obs.FormatTrace(id))}
 	if resp.Ops == nil {
 		resp.Ops = []*obs.Op{}
@@ -99,7 +75,7 @@ func (h *DispatcherWire) TraceJSON(ctx context.Context, id uint64) ([]byte, erro
 }
 
 // Hello implements wire.Handler for the n-agreement handshake.
-func (h *DispatcherWire) Hello() wire.Hello {
+func (h *Handler) Hello() wire.Hello {
 	return wire.Hello{
 		Protocol: h.info.Protocol,
 		N:        h.info.N,
@@ -107,5 +83,6 @@ func (h *DispatcherWire) Hello() wire.Hello {
 	}
 }
 
-// Draining implements wire.Handler, mirroring /healthz.
-func (h *DispatcherWire) Draining() bool { return h.d.Draining() }
+// Draining implements wire.Handler: PING mirrors the tier's drain bit
+// (a proxy's backend health stays with its membership).
+func (h *Handler) Draining() bool { return h.t.Draining() }

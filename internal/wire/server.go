@@ -13,9 +13,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Handler is what a wire server serves. The serve and cluster tiers
-// provide adapters (serve.DispatcherWire, cluster.RouterWire) so this
-// package stays free of upward imports.
+// Handler is what a wire server serves. Both tiers are served through
+// serve.Handler, the front end shared with HTTP, so this package stays
+// free of upward imports.
 //
 // Handlers return *Error for typed failures; any other error is
 // reported to the client as CodeInternal.

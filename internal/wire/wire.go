@@ -41,6 +41,8 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // Version is the protocol version exchanged in the HELLO handshake.
@@ -210,20 +212,14 @@ type Stats struct {
 // the bb_wire_* namespace. Both tiers (bbserved and bbproxy) call this
 // from their /metrics handlers so the series are uniform.
 func WriteMetrics(w io.Writer, s Stats) {
-	g := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	c := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	g("bb_wire_conns", "Open wire-protocol connections.", float64(s.Conns))
-	c("bb_wire_conns_opened_total", "Wire connections accepted since start.", s.ConnsTotal)
-	c("bb_wire_frames_in_total", "Request frames decoded.", s.FramesIn)
-	c("bb_wire_frames_out_total", "Reply frames sent.", s.FramesOut)
-	c("bb_wire_writes_total", "Socket writes (each may carry many coalesced reply frames).", s.Writes)
-	g("bb_wire_batched_per_write", "Mean reply frames coalesced into one socket write.", s.BatchedPerWrite)
-	c("bb_wire_decode_errors_total", "Connection-fatal frame decode failures (bad CRC, oversize, garbage header).", s.DecodeErrors)
-	c("bb_wire_error_replies_total", "Replies carrying a non-OK code.", s.ErrorReplies)
+	obs.WriteGauge(w, "bb_wire_conns", "Open wire-protocol connections.", float64(s.Conns))
+	obs.WriteCounter(w, "bb_wire_conns_opened_total", "Wire connections accepted since start.", s.ConnsTotal)
+	obs.WriteCounter(w, "bb_wire_frames_in_total", "Request frames decoded.", s.FramesIn)
+	obs.WriteCounter(w, "bb_wire_frames_out_total", "Reply frames sent.", s.FramesOut)
+	obs.WriteCounter(w, "bb_wire_writes_total", "Socket writes (each may carry many coalesced reply frames).", s.Writes)
+	obs.WriteGauge(w, "bb_wire_batched_per_write", "Mean reply frames coalesced into one socket write.", s.BatchedPerWrite)
+	obs.WriteCounter(w, "bb_wire_decode_errors_total", "Connection-fatal frame decode failures (bad CRC, oversize, garbage header).", s.DecodeErrors)
+	obs.WriteCounter(w, "bb_wire_error_replies_total", "Replies carrying a non-OK code.", s.ErrorReplies)
 }
 
 // counters is the lock-free backing store for Stats, shared by Server.
