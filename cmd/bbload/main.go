@@ -1,8 +1,9 @@
-// Command bbload generates serving workloads against a bbserved
-// instance (HTTP), an in-process dispatch core, or an in-process
-// routing cluster, and writes the measured throughput and latency
-// quantiles as a BENCH JSON record (schema bbserve/v1, or bbcluster/v1
-// for cluster runs).
+// Command bbload generates serving workloads against a running
+// bbserved or bbproxy (HTTP or wire), an in-process dispatch core, or
+// an in-process routing cluster, and writes the measured throughput
+// and latency quantiles as a BENCH JSON record (schema bbserve/v1, or
+// bbcluster/v1 for cluster runs). Every target is reached through the
+// client bbproxy uses for its backends (internal/cluster).
 //
 // Modes:
 //
@@ -69,7 +70,6 @@ import (
 	"repro/internal/load"
 	"repro/internal/serve"
 	"repro/internal/watch"
-	"repro/internal/wire"
 )
 
 // watchCadence is the watchdog tick on the generator's own in-proc
@@ -276,7 +276,7 @@ func runOne(ctx context.Context, sf *cli.SpecFlags, sc load.Scenario,
 		Seed:        int64(sf.Seed),
 	}
 
-	var tgt load.Target
+	var tgt cluster.Backend
 	label := "http"
 	protocol := ""
 	switch target {
@@ -294,7 +294,7 @@ func runOne(ctx context.Context, sf *cli.SpecFlags, sc load.Scenario,
 			Watch: watch.Options{Cadence: watchCadence},
 		})
 		defer d.Close()
-		tgt = load.InProc{D: d}
+		tgt = &cluster.InprocBackend{D: d}
 		label = "inproc"
 		protocol = d.Name()
 	case "cluster":
@@ -354,39 +354,28 @@ func runOne(ctx context.Context, sf *cli.SpecFlags, sc load.Scenario,
 		tgt = ct
 		label = "cluster"
 		protocol = spec.Name()
-		n = ct.R.N() // total bins across the cluster
+		n *= backends // total bins across the cluster
 	default:
+		// Reach the daemon the way bbproxy reaches a backend: an HTTP
+		// probe of its stats document, which doubles as wire discovery
+		// (the daemon advertises its -wire-addr in the info block).
 		base := strings.TrimSuffix(target, "/")
-		ht := load.NewHTTPTargetConns(base, conns)
-		info, err := ht.ReadInfo(ctx)
+		hb := cluster.NewHTTPBackendN(base, conns, 0)
+		doc, err := hb.StatsDoc(ctx)
 		if err != nil {
 			return load.Result{}, fmt.Errorf("probe %s: %w", target, err)
 		}
-		protocol = info.Protocol
-		n, shards = info.N, info.Shards
+		protocol = doc.Info.Protocol
+		n, shards = doc.Info.N, doc.Info.Shards
+		tgt = hb
 		if transport == "wire" {
-			// The HTTP probe above doubles as wire discovery: the server
-			// advertises its -wire-addr in the stats info block.
-			addr, werr := wire.ResolveAddr(base, info.WireAddr)
+			wb, werr := cluster.NewWireBackend(hb, doc.Info.WireAddr, n)
 			if werr != nil {
 				return load.Result{}, fmt.Errorf("%s: %w (is it running with -wire-addr?)", base, werr)
 			}
-			wconns := conns
-			if wconns <= 0 {
-				wconns = 1
-			}
-			wt, werr := load.NewWireTarget(addr, wconns)
-			if werr != nil {
-				return load.Result{}, werr
-			}
-			defer wt.Close()
-			// The probe target doubles as the trace reader: GET /v1/trace
-			// has no wire verb, so the slow-op join rides HTTP.
-			wt.Probe = ht
-			tgt = wt
+			defer wb.Close()
+			tgt = wb
 			label = "wire"
-		} else {
-			tgt = ht
 		}
 	}
 

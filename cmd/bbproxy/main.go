@@ -75,9 +75,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -85,74 +83,6 @@ import (
 	"repro/internal/keyed"
 	"repro/internal/serve"
 )
-
-// checkedBackend defers the bin-count agreement check for a backend
-// that was down at the startup probe. Every forwarded operation —
-// place, remove, and health — first verifies (once) that the backend
-// serves wantN bins, so even though the slot sits in rotation from the
-// start, a misconfigured late joiner can never serve a mis-numbered
-// placement: its operations fail, the router fails over and evicts it,
-// and the mismatch is reported once.
-type checkedBackend struct {
-	*cluster.HTTPBackend
-	wantN  int
-	ok     atomic.Bool
-	warned atomic.Bool
-}
-
-func (c *checkedBackend) verify(ctx context.Context) error {
-	if c.ok.Load() {
-		return nil
-	}
-	info, err := c.Info(ctx)
-	if err != nil {
-		return err
-	}
-	if info.N != c.wantN {
-		if c.warned.CompareAndSwap(false, true) {
-			slog.Warn("backend bin count mismatch, refusing to route to it",
-				"backend", c.Name(), "backend_n", info.N, "cluster_n", c.wantN)
-		}
-		return fmt.Errorf("bbproxy: bin count mismatch on %s: %d != %d", c.Name(), info.N, c.wantN)
-	}
-	c.ok.Store(true)
-	return nil
-}
-
-func (c *checkedBackend) Place(ctx context.Context, count int) ([]int, int64, error) {
-	if err := c.verify(ctx); err != nil {
-		return nil, 0, err
-	}
-	return c.HTTPBackend.Place(ctx, count)
-}
-
-func (c *checkedBackend) Remove(ctx context.Context, bin int) error {
-	if err := c.verify(ctx); err != nil {
-		return err
-	}
-	return c.HTTPBackend.Remove(ctx, bin)
-}
-
-func (c *checkedBackend) PlaceKey(ctx context.Context, key string) ([]int, int64, error) {
-	if err := c.verify(ctx); err != nil {
-		return nil, 0, err
-	}
-	return c.HTTPBackend.PlaceKey(ctx, key)
-}
-
-func (c *checkedBackend) RemoveKey(ctx context.Context, bin int, key string) error {
-	if err := c.verify(ctx); err != nil {
-		return err
-	}
-	return c.HTTPBackend.RemoveKey(ctx, bin, key)
-}
-
-func (c *checkedBackend) Health(ctx context.Context) error {
-	if err := c.HTTPBackend.Health(ctx); err != nil {
-		return err
-	}
-	return c.verify(ctx)
-}
 
 // options are bbproxy's flags: the shared daemon set plus the
 // router's own.
@@ -220,9 +150,8 @@ func main() {
 	// serve the same number of bins for the global bin numbering
 	// slot·n + local to be well defined. Backends that are down at
 	// startup are tolerated as long as at least one answers — their
-	// operations are gated on a deferred bin-count check
-	// (checkedBackend), so a misconfigured late joiner can never
-	// corrupt the numbering.
+	// client checks the bin count on first contact, so a misconfigured
+	// late joiner can never corrupt the numbering.
 	hbs := make([]*cluster.HTTPBackend, len(urls))
 	verified := make([]bool, len(urls))
 	wireAddrs := make([]string, len(urls))
@@ -230,17 +159,17 @@ func main() {
 	probeCtx, cancelProbe := context.WithTimeout(context.Background(), 10*time.Second)
 	for i, u := range urls {
 		hbs[i] = cluster.NewHTTPBackend(u)
-		info, err := hbs[i].Info(probeCtx)
+		doc, err := hbs[i].StatsDoc(probeCtx)
 		if err != nil {
 			logger.Warn("backend unreachable at startup", "backend", u, "err", err)
 			continue
 		}
 		verified[i] = true
-		wireAddrs[i] = info.WireAddr
+		wireAddrs[i] = doc.Info.WireAddr
 		if n == 0 {
-			n, protocol = info.N, info.Protocol
-		} else if info.N != n {
-			daemon.Exit(logger, fmt.Errorf("backend %s serves n=%d, others n=%d — all backends must match", u, info.N, n), 2)
+			n, protocol = doc.Info.N, doc.Info.Protocol
+		} else if doc.Info.N != n {
+			daemon.Exit(logger, fmt.Errorf("backend %s serves n=%d, others n=%d — all backends must match", u, doc.Info.N, n), 2)
 		}
 	}
 	cancelProbe()
@@ -251,10 +180,11 @@ func main() {
 	for i, hb := range hbs {
 		switch {
 		case !verified[i]:
-			// Down at startup: HTTP with a deferred bin-count check.
-			// (No wire address is known for it either — it rejoins over
-			// HTTP; the advertised wire listener is a startup upgrade.)
-			bks[i] = &checkedBackend{HTTPBackend: hb, wantN: n}
+			// Down at startup: HTTP, checking the bin count on first
+			// contact. (No wire address is known for it either — it
+			// rejoins over HTTP; the advertised wire listener is a
+			// startup upgrade.)
+			bks[i] = cluster.NewHTTPBackendN(hb.Name(), 0, n)
 		case o.wireDial && wireAddrs[i] != "":
 			wb, err := cluster.NewWireBackend(hb, wireAddrs[i], n)
 			if err != nil {

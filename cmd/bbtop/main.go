@@ -24,69 +24,24 @@
 // asserts on with jq. Without -once, -format json emits one document
 // per poll (NDJSON).
 //
-// bbtop is stdlib-only: plain net/http polling and ANSI escapes, no
-// terminal library.
+// bbtop polls through the same client bbproxy uses for its backends
+// (cluster.HTTPBackend) and reads the one typed stats document both
+// tiers serve; it draws with plain ANSI escapes, no terminal library.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
-	"net/url"
 	"os"
 	"sort"
 	"strings"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/watch"
 )
-
-// statsDoc is the subset of the /v1/stats envelope bbtop renders. One
-// struct decodes both daemons: bbserved fills shards, bbproxy fills
-// cluster (its pseudo-shard rows are redundant with cluster.rows).
-type statsDoc struct {
-	Info struct {
-		Protocol string `json:"protocol"`
-		N        int    `json:"n"`
-		Shards   int    `json:"shards"`
-		Engine   string `json:"engine"`
-	} `json:"info"`
-	Balls           int64   `json:"balls"`
-	Placed          int64   `json:"placed"`
-	Removed         int64   `json:"removed"`
-	MaxLoad         int     `json:"max_load"`
-	MinLoad         int     `json:"min_load"`
-	Gap             int     `json:"gap"`
-	Psi             float64 `json:"psi"`
-	CombiningFactor float64 `json:"combining_factor"`
-	Draining        bool    `json:"draining"`
-	Shards          []struct {
-		Shard   int   `json:"shard"`
-		Balls   int64 `json:"balls"`
-		MaxLoad int   `json:"max_load"`
-	} `json:"shards"`
-	Cluster *struct {
-		Policy   string `json:"policy"`
-		Backends int    `json:"backends"`
-		Healthy  int    `json:"healthy"`
-		Rows     []struct {
-			Slot  int    `json:"slot"`
-			Name  string `json:"name"`
-			Up    bool   `json:"up"`
-			Balls int64  `json:"balls"`
-			AgeMs int64  `json:"age_ms"`
-		} `json:"rows"`
-	} `json:"cluster"`
-	Keyed *struct {
-		Keys       int64 `json:"keys"`
-		Hits       int64 `json:"affinity_hits"`
-		Misses     int64 `json:"affinity_misses"`
-		MaxKeyLoad int64 `json:"max_key_load"`
-	} `json:"keyed"`
-	Watch *watch.StatsBlock `json:"watch"`
-}
 
 // frame is one polled snapshot of the target: everything a render (or
 // the -format json document) needs.
@@ -96,7 +51,7 @@ type frame struct {
 	Series watch.SeriesResponse `json:"timeseries"`
 	Events watch.EventsResponse `json:"events"`
 
-	doc statsDoc // Stats decoded for rendering
+	doc cluster.StatsResponse // Stats decoded for rendering
 }
 
 func main() {
@@ -114,8 +69,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bbtop: unknown -format %q (want text or json)\n", *format)
 		os.Exit(2)
 	}
-	base := strings.TrimRight(*target, "/")
-	client := &http.Client{Timeout: 5 * time.Second}
+	hb := cluster.NewHTTPBackend(strings.TrimRight(*target, "/"))
 	enc := json.NewEncoder(os.Stdout)
 
 	live := *format == "text" && !*once
@@ -123,7 +77,7 @@ func main() {
 		if !first {
 			time.Sleep(*every)
 		}
-		f, err := poll(client, base, *window)
+		f, err := poll(hb, *window)
 		if err != nil {
 			if *once {
 				fmt.Fprintln(os.Stderr, "bbtop:", err)
@@ -157,47 +111,21 @@ func main() {
 }
 
 // poll fetches the three surfaces that make up one frame.
-func poll(client *http.Client, base string, window int) (*frame, error) {
-	f := &frame{Target: base}
-	raw, err := get(client, base+"/v1/stats")
-	if err != nil {
+func poll(hb *cluster.HTTPBackend, window int) (*frame, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	f := &frame{Target: hb.Name()}
+	var err error
+	if f.doc, f.Stats, err = hb.StatsRaw(ctx); err != nil {
 		return nil, err
 	}
-	f.Stats = raw
-	if err := json.Unmarshal(raw, &f.doc); err != nil {
-		return nil, fmt.Errorf("decode /v1/stats: %w", err)
-	}
-	raw, err = get(client, base+"/v1/timeseries?window="+url.QueryEscape(fmt.Sprint(window)))
-	if err != nil {
+	if f.Series, err = hb.Timeseries(ctx, window); err != nil {
 		return nil, err
 	}
-	if err := json.Unmarshal(raw, &f.Series); err != nil {
-		return nil, fmt.Errorf("decode /v1/timeseries: %w", err)
-	}
-	raw, err = get(client, base+"/v1/events")
-	if err != nil {
+	if f.Events, err = hb.Events(ctx); err != nil {
 		return nil, err
-	}
-	if err := json.Unmarshal(raw, &f.Events); err != nil {
-		return nil, fmt.Errorf("decode /v1/events: %w", err)
 	}
 	return f, nil
-}
-
-func get(client *http.Client, u string) ([]byte, error) {
-	resp, err := client.Get(u)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return nil, fmt.Errorf("GET %s: %w", u, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %s: %s", u, resp.Status, strings.TrimSpace(string(body)))
-	}
-	return body, nil
 }
 
 // violations is the banner verdict: the journal's total (covers
@@ -228,7 +156,7 @@ func render(f *frame, tail int, color bool) string {
 	// Header: target, hop shape, drain state.
 	hop := fmt.Sprintf("%s  n=%d  shards=%d  engine=%s",
 		f.doc.Info.Protocol, f.doc.Info.N, f.doc.Info.Shards, f.doc.Info.Engine)
-	if c := f.doc.Cluster; c != nil {
+	if c := f.doc.Cluster; f.doc.IsProxy() {
 		hop = fmt.Sprintf("%s  policy=%s  backends=%d/%d healthy  n=%d/backend",
 			f.doc.Info.Protocol, c.Policy, c.Healthy, c.Backends, f.doc.Info.N)
 	}
@@ -256,14 +184,14 @@ func render(f *frame, tail int, color bool) string {
 	if p := lastPoint(f.Series.Points); p != nil {
 		fmt.Fprintf(&b, "  ops/s %.0f", p.OpsPerSec)
 	}
-	if k := f.doc.Keyed; k != nil && k.Hits+k.Misses > 0 {
+	if k, _ := f.doc.KeyedBlocks(); k != nil && k.AffinityHits+k.AffinityMisses > 0 {
 		fmt.Fprintf(&b, "  keys %d  hit %.3f", k.Keys,
-			float64(k.Hits)/float64(k.Hits+k.Misses))
+			float64(k.AffinityHits)/float64(k.AffinityHits+k.AffinityMisses))
 	}
 	b.WriteString("\n\n")
 
 	// Load bars: one per backend against a proxy, else one per shard.
-	if c := f.doc.Cluster; c != nil {
+	if c := f.doc.Cluster; f.doc.IsProxy() {
 		var peak int64 = 1
 		for _, r := range c.Rows {
 			if r.Balls > peak {

@@ -94,9 +94,11 @@
 // aggregated cross-backend stats (max load, gap, probe counts per
 // policy). Both daemons are one front end (serve.Handler) and one
 // process lifecycle (internal/daemon) over two tiers: the Dispatcher
-// and the Router each implement serve.Tier. bbload's cluster target
-// drives the same Router over
-// in-process backends for single-machine policy comparisons; see the
+// and the Router each implement serve.Tier. The client is one too:
+// the Router reaches its backends, and bbload and bbtop the daemon
+// they drive, through cluster's in-process, HTTP and wire backends,
+// which answer alike. bbload's cluster target drives the same Router
+// over in-process backends for single-machine policy comparisons; see the
 // README's Cluster tier section for measured gaps of random vs
 // 2-choice vs adaptive routing.
 //

@@ -65,10 +65,14 @@ var (
 	ErrBackendDown = errors.New("cluster: backend down")
 )
 
-// Backend is one routable serving node. Implementations must be safe
-// for concurrent use. The two implementations are HTTPBackend (a remote
-// bbserved) and InprocBackend (an in-process dispatch core, used for
-// single-machine routing experiments and CI).
+// Backend is one daemon as a client reaches it: the router's view of
+// a routable serving node, and the client behind bbload and bbtop.
+// Implementations must be safe for concurrent use. The three
+// implementations answer alike (same bins, same sentinel errors):
+// InprocBackend (a serve.Tier in process, used for single-machine
+// routing experiments, bbload's in-process targets and CI),
+// HTTPBackend (a remote daemon over HTTP) and WireBackend (the same
+// over the binary protocol).
 type Backend interface {
 	// Name identifies the backend in stats and metrics (e.g. its URL).
 	Name() string

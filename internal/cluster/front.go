@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"strconv"
 
+	"repro/internal/keyed"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/wire"
@@ -19,10 +20,11 @@ import (
 // wire surface.
 
 // StatsResponse is the body of the proxy's GET /v1/stats: the same
-// envelope a bbserved serves (so bbload and other serve clients work
-// against a proxy unmodified — backends appear as pseudo-shards) plus
+// envelope a bbserved serves (backends appear as pseudo-shards) plus
 // the aggregated cluster block. The keyed and durability blocks live
-// inside the cluster block.
+// inside the cluster block. It is also the one typed document clients
+// read from either tier: a bbserved's decodes with a zero cluster
+// block.
 type StatsResponse struct {
 	serve.StatsResponse
 	// WindowLatencyNs covers only the last completed staleness window
@@ -31,6 +33,25 @@ type StatsResponse struct {
 	WindowSec       float64       `json:"window_sec,omitempty"`
 	Cluster         Stats         `json:"cluster"`
 }
+
+// KeyedBlocks resolves the blocks whose place in the document depends
+// on the tier: a bbserved serves its keyed tier (keys → shards) and
+// its WAL at the top level, a bbproxy serves its own (keys → backends)
+// under cluster. Either is nil when the daemon runs none.
+func (sr *StatsResponse) KeyedBlocks() (*keyed.Stats, *keyed.DurabilityStats) {
+	ks, ds := sr.Keyed, sr.Durability
+	if sr.Cluster.Keyed != nil {
+		ks = sr.Cluster.Keyed
+	}
+	if sr.Cluster.Durability != nil {
+		ds = sr.Cluster.Durability
+	}
+	return ks, ds
+}
+
+// IsProxy reports whether a bbproxy served the document: only the
+// routing tier fills the cluster block.
+func (sr *StatsResponse) IsProxy() bool { return sr.Cluster.Policy != "" }
 
 // NewHandlerWire is serve.NewHandlerWire for a router: the proxy's
 // HTTP surface, with the wire server's counters when ws is non-nil.

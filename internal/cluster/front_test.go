@@ -22,33 +22,37 @@ func serveOver(t *testing.T, transport string, ds []*serve.Dispatcher) []Backend
 	t.Helper()
 	bks := make([]Backend, len(ds))
 	for i, d := range ds {
-		if transport == "inproc" {
-			bks[i] = &InprocBackend{D: d, Label: fmt.Sprintf("b%d", i)}
-			continue
-		}
-		info := serve.Info{Protocol: d.Name(), N: d.N(), Shards: d.Shards()}
-		hs := httptest.NewServer(serve.NewHandler(d, info))
-		t.Cleanup(hs.Close)
-		hb := NewHTTPBackend(hs.URL)
-		if transport == "http" {
-			bks[i] = hb
-			continue
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := wire.NewServer(serve.NewHandler(d, info), wire.ServerOptions{})
-		go ws.Serve(ln)
-		t.Cleanup(func() { ws.Close() })
-		wb, err := NewWireBackend(hb, ln.Addr().String(), d.N())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { wb.Close() })
-		bks[i] = wb
+		bks[i] = reachTier(t, transport, d, fmt.Sprintf("b%d", i))
 	}
 	return bks
+}
+
+// reachTier serves tier over transport and returns the client for it.
+func reachTier(t *testing.T, transport string, tier serve.Tier, label string) Backend {
+	t.Helper()
+	if transport == "inproc" {
+		return &InprocBackend{D: tier, Label: label}
+	}
+	h := serve.NewHandler(tier, serve.Info{N: tier.N()})
+	hs := httptest.NewServer(h)
+	t.Cleanup(hs.Close)
+	hb := NewHTTPBackend(hs.URL)
+	if transport == "http" {
+		return hb
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := wire.NewServer(h, wire.ServerOptions{})
+	go ws.Serve(ln)
+	t.Cleanup(func() { ws.Close() })
+	wb, err := NewWireBackend(hb, ln.Addr().String(), tier.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { wb.Close() })
+	return wb
 }
 
 // thresholdDispatchers returns k dispatchers whose spec cannot serve

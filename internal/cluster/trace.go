@@ -6,16 +6,42 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/watch"
 )
 
 // TraceBackend is the optional Backend capability behind cross-tier
-// trace assembly: read the backend daemon's retained-op ring, filtered
-// to one trace id (id "" returns the whole ring — the bundle path).
-// HTTPBackend serves it over GET /v1/trace, WireBackend over the TRACE
-// message (protocol ≥ 3) with HTTP fallback, InprocBackend straight
-// off the dispatcher's recorder.
+// trace assembly and bbload's slow-op join: read the daemon's own
+// retained-op ring, filtered to one trace id (id "" returns the whole
+// ring — the bundle path). HTTPBackend serves it over GET /v1/trace,
+// WireBackend over the TRACE message (protocol ≥ 3) with HTTP
+// fallback, InprocBackend straight off the tier's recorder.
 type TraceBackend interface {
 	ReadTrace(ctx context.Context, id string) ([]*obs.Op, error)
+}
+
+// ReportBackend is the optional Backend capability behind the client
+// tools' reports — bbload's end-of-run stamps and bbtop's frames. All
+// three backends implement it.
+type ReportBackend interface {
+	// StatsDoc reads the daemon's stats document, either tier's (see
+	// StatsResponse.KeyedBlocks and IsProxy).
+	StatsDoc(ctx context.Context) (StatsResponse, error)
+	// Timeseries reads the watchdog's time series: the last window
+	// points (0: every retained point). A daemon without a watchdog
+	// answers an empty document (Hop "").
+	Timeseries(ctx context.Context, window int) (watch.SeriesResponse, error)
+	// Transport reports the client's own transport counters.
+	Transport() TransportStats
+}
+
+// TransportStats describes a client's transport efficiency: which
+// transport carried its calls ("http" or "wire"; "" in process), the
+// requests coalesced into each socket write, and the socket bytes each
+// call cost.
+type TransportStats struct {
+	Transport        string
+	CoalescingFactor float64
+	BytesPerOp       float64
 }
 
 // gatherTimeout bounds each backend's trace read during assembly — a

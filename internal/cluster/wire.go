@@ -8,29 +8,32 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/watch"
 	"repro/internal/wire"
 )
 
-// WireBackend drives a bbserved over the binary protocol when the
-// backend advertises a wire listener. Routing semantics are identical
-// to HTTPBackend — wire codes map back onto the same sentinel errors —
+// WireBackend drives a bbserved or bbproxy over the binary protocol
+// when the daemon advertises a wire listener. Its answers are
+// HTTPBackend's — wire codes map back onto the same sentinel errors —
 // so failover and eviction behave the same on either transport. The
-// HTTP backend is retained for construction fallback and naming.
+// HTTP backend it is built over carries what the protocol does not:
+// whole-ring trace reads and the watchdog's time series.
 type WireBackend struct {
 	hb *HTTPBackend
 	wc *wire.Client
 }
 
-// NewWireBackend dials the wire listener advertised by the backend at
-// base. wantN > 0 enforces n-agreement from the HELLO handshake alone.
-// A dial or agreement failure returns an error; callers typically fall
-// back to the HTTP backend and log.
+// NewWireBackend dials the wire listener advertised by the daemon
+// behind hb, with a pool of hb's connection cap (default 1). wantN > 0
+// enforces n-agreement from the HELLO handshake alone. A dial or
+// agreement failure returns an error; callers typically fall back to
+// the HTTP backend and log.
 func NewWireBackend(hb *HTTPBackend, wireAddr string, wantN int) (*WireBackend, error) {
 	addr, err := wire.ResolveAddr(hb.Name(), wireAddr)
 	if err != nil {
 		return nil, err
 	}
-	wc, err := wire.Dial(addr, wire.ClientOptions{})
+	wc, err := wire.Dial(addr, wire.ClientOptions{Conns: hb.conns})
 	if err != nil {
 		return nil, err
 	}
@@ -51,15 +54,7 @@ func wireErr(err error) error {
 	if err == nil {
 		return nil
 	}
-	switch wire.ErrCode(err) {
-	case wire.CodeEmptyBin:
-		return serve.ErrEmptyBin
-	case wire.CodeDraining:
-		return serve.ErrDraining
-	case wire.CodeKeyedUnsupported:
-		return serve.ErrKeyedUnsupported
-	}
-	return err
+	return codeErr(wire.ErrCode(err), err)
 }
 
 // Place implements Backend.
@@ -84,18 +79,37 @@ func (b *WireBackend) RemoveKey(ctx context.Context, bin int, key string) error 
 	return wireErr(b.wc.Remove(ctx, bin, key))
 }
 
-// Stats implements Backend over a wire STATS request (the same JSON
-// document /v1/stats serves).
+// Stats implements Backend.
 func (b *WireBackend) Stats(ctx context.Context) (serve.StatsView, error) {
+	doc, err := b.StatsDoc(ctx)
+	return doc.StatsView, err
+}
+
+// StatsDoc implements ReportBackend over a wire STATS request (the
+// same JSON document /v1/stats serves).
+func (b *WireBackend) StatsDoc(ctx context.Context) (StatsResponse, error) {
 	body, err := b.wc.StatsJSON(ctx)
 	if err != nil {
-		return serve.StatsView{}, wireErr(err)
+		return StatsResponse{}, wireErr(err)
 	}
-	var sr serve.StatsResponse
+	var sr StatsResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
-		return serve.StatsView{}, fmt.Errorf("cluster: decode wire stats from %s: %w", b.Name(), err)
+		return StatsResponse{}, fmt.Errorf("cluster: decode wire stats from %s: %w", b.Name(), err)
 	}
-	return sr.StatsView, nil
+	return sr, nil
+}
+
+// Timeseries implements ReportBackend over HTTP: the protocol has no
+// time-series message.
+func (b *WireBackend) Timeseries(ctx context.Context, window int) (watch.SeriesResponse, error) {
+	return b.hb.Timeseries(ctx, window)
+}
+
+// Transport implements ReportBackend from the wire client's own
+// counters.
+func (b *WireBackend) Transport() TransportStats {
+	s := b.wc.Stats()
+	return TransportStats{Transport: "wire", CoalescingFactor: s.CoalescingFactor, BytesPerOp: s.BytesPerOp}
 }
 
 // Health implements Backend via wire PING, which reports draining just
@@ -107,7 +121,7 @@ func (b *WireBackend) Health(ctx context.Context) error {
 // ReadTrace implements TraceBackend. An exact-id lookup rides the wire
 // TRACE message when the connection negotiated protocol ≥ 3; a v2
 // backend (or a whole-ring read, which the wire message does not
-// carry) falls back to the retained HTTP backend.
+// carry) falls back to the HTTP backend.
 func (b *WireBackend) ReadTrace(ctx context.Context, id string) ([]*obs.Op, error) {
 	if id != "" {
 		body, err := b.wc.TraceJSON(ctx, obs.ParseTrace(id))

@@ -340,6 +340,28 @@ func TestDoctorFlagsTornBundle(t *testing.T) {
 	}
 }
 
+// TestDoctorFlagsWALOnBothTiers: the WAL checks read the durability
+// block wherever the tier puts it — top level on a bbserved, under
+// cluster on a bbproxy.
+func TestDoctorFlagsWALOnBothTiers(t *testing.T) {
+	wal := `{"recovery_torn_bytes": 12, "append_errors": 3}`
+	for tier, stats := range map[string]string{
+		"serve": `{"durability": ` + wal + `}`,
+		"proxy": `{"cluster": {"policy": "adaptive", "durability": ` + wal + `}}`,
+	} {
+		b := &Bundle{Path: tier, Complete: true, Sections: []Section{{Name: "stats", Data: []byte(stats)}}}
+		rep := Analyze(b)
+		kinds := map[string]bool{}
+		for _, a := range rep.Anomalies {
+			kinds[a.Kind] = true
+		}
+		if !kinds["wal-torn-tail"] || !kinds["wal-append-errors"] || rep.ExitCode() != 1 {
+			t.Errorf("%s stats: anomalies %+v (exit %d), want wal-torn-tail and wal-append-errors",
+				tier, rep.Anomalies, rep.ExitCode())
+		}
+	}
+}
+
 // TestDumpWithReentrantStatsSource reproduces the daemons' real
 // wiring: their StatsJSON closure builds the full stats document,
 // which embeds the recorder's own StatsDoc. A dump holding its

@@ -102,16 +102,26 @@ func Analyze(b *Bundle) *Report {
 		json.Unmarshal(data, &series)
 	}
 	// The stats document's shape differs per tier; decode just the
-	// blocks the checks need with a tolerant anonymous struct.
+	// blocks the checks need with a tolerant anonymous struct. A
+	// bbserved serves its WAL block at the top level, a bbproxy under
+	// cluster (this package sits below internal/cluster, so it cannot
+	// use cluster.StatsResponse's resolver).
+	type walBlock struct {
+		RecoveryTornBytes int64 `json:"recovery_torn_bytes"`
+		AppendErrors      int64 `json:"append_errors"`
+	}
 	var stats struct {
 		Obs        map[string]obs.StageSummary `json:"obs"`
-		Durability *struct {
-			RecoveryTornBytes int64 `json:"recovery_torn_bytes"`
-			AppendErrors      int64 `json:"append_errors"`
-		} `json:"durability"`
+		Durability *walBlock                   `json:"durability"`
+		Cluster    struct {
+			Durability *walBlock `json:"durability"`
+		} `json:"cluster"`
 	}
 	if data := b.Section("stats"); data != nil {
 		json.Unmarshal(data, &stats)
+	}
+	if stats.Cluster.Durability != nil {
+		stats.Durability = stats.Cluster.Durability
 	}
 
 	r.Anomalies = append(r.Anomalies, flagIntegrity(b)...)

@@ -3,13 +3,11 @@ package load
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	ballsbins "repro"
 	"repro/internal/cluster"
 	"repro/internal/keyed"
-	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/watch"
 )
@@ -19,26 +17,15 @@ import (
 // cluster.Router under the chosen policy, and sends every operation
 // through the router — the whole bbload → bbproxy → K×bbserved path
 // minus the network, so routing policies are comparable on one CPU
-// without pretending to have cluster parallelism.
+// without pretending to have cluster parallelism. The router is
+// reached through the embedded in-process backend, the same client
+// that drives bbload's single dispatcher.
 type ClusterTarget struct {
-	R *cluster.Router
-	// mu guards R across RestartProxy (which crashes and rebuilds the
-	// router mid-run); operations take the read lock, so during the
-	// rebuild they block rather than error — the in-proc analogue of
-	// clients retrying against a restarting proxy.
-	mu sync.RWMutex
+	cluster.InprocBackend
 	// rcfg rebuilds the router after a crash (restart scenarios).
 	rcfg cluster.Config
-	// dispatchers are owned by the target when built via
-	// NewInprocCluster; Close drains them.
+	// dispatchers are the backends; Close drains them.
 	dispatchers []*serve.Dispatcher
-}
-
-// router returns the current router under the read lock.
-func (t *ClusterTarget) router() *cluster.Router {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.R
 }
 
 // ClusterConfig parameterizes NewInprocCluster.
@@ -125,103 +112,47 @@ func NewInprocCluster(cfg ClusterConfig) (*ClusterTarget, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.R = rt
+	t.D = rt
 	return t, nil
 }
 
-// Place implements Target via the router.
-func (t *ClusterTarget) Place(ctx context.Context, count int) ([]int, int64, error) {
-	return t.router().Place(ctx, count)
-}
-
-// Remove implements Target via the router.
-func (t *ClusterTarget) Remove(ctx context.Context, bin int) error {
-	return t.router().Remove(ctx, bin)
-}
-
-// ReadStats implements StatsReader with the router's flattened view.
-func (t *ClusterTarget) ReadStats(context.Context) (serve.StatsView, error) {
-	return t.router().StatsView(), nil
-}
-
-// ReadClusterStats implements ClusterStatsReader.
-func (t *ClusterTarget) ReadClusterStats(context.Context) (cluster.Stats, bool, error) {
-	return t.router().Stats(), true, nil
-}
-
-// PlaceKey implements KeyedTarget via the router's keyed tier.
-func (t *ClusterTarget) PlaceKey(ctx context.Context, key string) ([]int, int64, error) {
-	return t.router().PlaceKeyed(ctx, key)
-}
-
-// RemoveKey implements KeyedTarget.
-func (t *ClusterTarget) RemoveKey(ctx context.Context, bin int, key string) error {
-	return t.router().RemoveKeyed(ctx, bin, key)
-}
-
-// ReadKeyedStats implements KeyedStatsReader; ok is false when the
-// router has no keyed tier.
-func (t *ClusterTarget) ReadKeyedStats(context.Context) (keyed.Stats, bool, error) {
-	km := t.router().Keyed()
-	if km == nil {
-		return keyed.Stats{}, false, nil
-	}
-	return km.Stats(), true, nil
-}
-
-// ReadTrace implements TraceReader from the router's recorder — the
-// routing hop's view (probe/forward spans), not the backends'.
-func (t *ClusterTarget) ReadTrace(_ context.Context, id string) (obs.TraceResponse, bool, error) {
-	r := t.router().Obs()
-	if id != "" {
-		return obs.TraceResponse{Hop: r.Hop(), Ops: r.OpsByTrace(id)}, true, nil
-	}
-	return obs.TraceResponse{Hop: r.Hop(), Ops: r.Ops(0)}, true, nil
-}
-
-// ReadStageStats implements StageStatsReader.
-func (t *ClusterTarget) ReadStageStats(context.Context) (map[string]obs.StageSummary, bool, error) {
-	return t.router().Obs().StageSummaries(), true, nil
-}
-
-// ReadWatch implements WatchReader with the routing hop's time series.
-// The violation verdict covers every tier the run spans: the router's
-// count plus each in-proc backend's own watchdog — a bound broken on a
-// backend fails the run even though the routing series stays clean.
-func (t *ClusterTarget) ReadWatch(context.Context) (watch.SeriesResponse, bool, error) {
-	m := t.router().Watch()
-	if m == nil {
-		return watch.SeriesResponse{}, false, nil
-	}
-	doc := m.SeriesDoc(0)
+// Timeseries is the router's series, with a violation verdict that
+// covers every tier the run spans: the router's count plus each
+// in-proc backend's own watchdog — a bound broken on a backend fails
+// the run even though the routing series stays clean.
+func (t *ClusterTarget) Timeseries(ctx context.Context, window int) (watch.SeriesResponse, error) {
+	doc, err := t.InprocBackend.Timeseries(ctx, window)
 	for _, d := range t.dispatchers {
 		doc.ViolationsTotal += d.Watch().ViolationsTotal()
 	}
-	return doc, true, nil
+	return doc, err
 }
 
 // RestartProxy implements ProxyRestarter: it crashes the router
 // without flushing (the in-proc analogue of kill -9 on a bbproxy —
 // the WAL tail is whatever made it to the OS), rebuilds it from the
 // same data directory, and reports the recovery cost. Operations
-// issued during the rebuild block on the lock rather than erroring.
+// issued during the rebuild wait for it rather than erroring.
 // Requires a DataDir-configured target.
 func (t *ClusterTarget) RestartProxy() (recoveryMs int64, recovered int64, err error) {
 	if t.rcfg.KeyedStore == nil {
 		return 0, 0, fmt.Errorf("load: RestartProxy needs a DataDir-configured cluster")
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.R.Crash()
-	rt, rec, err := cluster.OpenRouter(t.rcfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	t.R = rt
-	if km := rt.Keyed(); km != nil {
-		recovered = km.Stats().Keys
-	}
-	return rec.ReplayMs, recovered, nil
+	err = t.Swap(func(old serve.Tier) (serve.Tier, error) {
+		old.(*cluster.Router).Crash()
+		rt, rec, err := cluster.OpenRouter(t.rcfg)
+		if err != nil {
+			return nil, err
+		}
+		if rec != nil {
+			recoveryMs = rec.ReplayMs
+		}
+		if km := rt.Keyed(); km != nil {
+			recovered = km.Stats().Keys
+		}
+		return rt, nil
+	})
+	return recoveryMs, recovered, err
 }
 
 // KillBackend implements BackendKiller: it abruptly stops the
@@ -242,7 +173,7 @@ func (t *ClusterTarget) KillBackend() int {
 // Close stops the router, then drains the owned backends (Close is
 // idempotent, so an already-killed backend is fine).
 func (t *ClusterTarget) Close() {
-	t.router().Close()
+	t.Tier().Close()
 	for _, d := range t.dispatchers {
 		d.Close()
 	}

@@ -23,7 +23,7 @@ func TestKeyedScenarioInproc(t *testing.T) {
 		Duration:    600 * time.Millisecond,
 		ServiceMean: 5 * time.Millisecond,
 		Seed:        1,
-	}, InProc{D: d})
+	}, &cluster.InprocBackend{D: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,13 +54,19 @@ func TestKeyedScenarioRequiresKeyedTarget(t *testing.T) {
 	}
 }
 
-// placeOnlyTarget implements just Target.
+// placeOnlyTarget implements just cluster.Backend, without the keyed
+// API.
 type placeOnlyTarget struct{}
 
+func (placeOnlyTarget) Name() string { return "place-only" }
 func (placeOnlyTarget) Place(context.Context, int) ([]int, int64, error) {
 	return []int{0}, 1, nil
 }
 func (placeOnlyTarget) Remove(context.Context, int) error { return nil }
+func (placeOnlyTarget) Stats(context.Context) (serve.StatsView, error) {
+	return serve.StatsView{}, nil
+}
+func (placeOnlyTarget) Health(context.Context) error { return nil }
 
 // TestKeyedKillScenarioCluster runs the membership-kill scenario
 // end-to-end on an in-proc cluster: a backend dies mid-run, keyed
@@ -114,5 +120,46 @@ func TestKeyedKillScenarioCluster(t *testing.T) {
 	}
 	if res.KeyedPolicy != "adaptive" {
 		t.Fatalf("keyed policy stamp %q", res.KeyedPolicy)
+	}
+}
+
+// TestKeyedRestartScenarioCluster crash-restarts the in-proc router
+// from its WAL mid-run while open-loop traffic keeps arriving:
+// operations issued during the rebuild wait for it, so no placement
+// fails, and the recovered map keeps serving the run's keys.
+func TestKeyedRestartScenarioCluster(t *testing.T) {
+	policy, err := cluster.PolicyByName("single", 2, 3, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := NewInprocCluster(ClusterConfig{
+		Backends: 3, Spec: ballsbins.Adaptive(), N: 1024, Shards: 2, Seed: 5,
+		Policy: policy, Keyed: &keyed.Config{}, DataDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ct.Close()
+	sc := KeyedRestart()
+	sc.KeySpace = 64
+	res, err := Run(context.Background(), Config{
+		Scenario:    sc,
+		Mode:        "open",
+		Rate:        2000,
+		Duration:    600 * time.Millisecond,
+		ServiceMean: 10 * time.Millisecond,
+		Seed:        5,
+	}, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.ProxyRestarted || res.AssignmentsRecovered == 0 {
+		t.Fatalf("restart stamp: restarted %v, recovered %d keys", res.ProxyRestarted, res.AssignmentsRecovered)
+	}
+	if res.PlaceErrors != 0 || res.Placed == 0 {
+		t.Fatalf("placed %d with %d place errors across the restart", res.Placed, res.PlaceErrors)
+	}
+	if res.KeyedPolicy == "" || res.Keys == 0 {
+		t.Fatalf("keyed stamp after restart: policy %q keys %d", res.KeyedPolicy, res.Keys)
 	}
 }

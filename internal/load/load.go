@@ -1,6 +1,8 @@
 // Package load is the scenario-driven workload generator behind
-// cmd/bbload. It drives a Target — either the in-process dispatch core
-// or a remote bbserved over HTTP — in two classical modes:
+// cmd/bbload. It drives a daemon through the client bbproxy uses for
+// its backends, a cluster.Backend — a dispatch core or a whole
+// routing tier in process, or a remote bbserved or bbproxy over HTTP
+// or the wire protocol — in two classical modes:
 //
 //   - Open loop: arrivals are a Poisson process at a configured rate,
 //     independent of how fast the target responds (the honest way to
@@ -33,66 +35,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/hdrhist"
-	"repro/internal/keyed"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
-
-// Target is where generated operations go. Implementations must be
-// safe for concurrent use.
-type Target interface {
-	// Place allocates count balls and returns their bins.
-	Place(ctx context.Context, count int) (bins []int, samples int64, err error)
-	// Remove takes one ball out of bin.
-	Remove(ctx context.Context, bin int) error
-}
-
-// StatsReader is implemented by targets that can report the serving
-// stats view (used to stamp end-of-run load state into results).
-type StatsReader interface {
-	ReadStats(ctx context.Context) (serve.StatsView, error)
-}
-
-// ClusterStatsReader is implemented by targets fronting a routing tier
-// (the in-proc ClusterTarget, and HTTPTarget when pointed at a
-// bbproxy): it reports the aggregated cluster stats so runs can be
-// stamped with the routing policy and the cross-backend balance it
-// achieved. ok is false when the target is not a cluster.
-type ClusterStatsReader interface {
-	ReadClusterStats(ctx context.Context) (cs cluster.Stats, ok bool, err error)
-}
-
-// KeyedTarget is implemented by targets that accept keyed operations
-// (every built-in target does). Keyed scenarios require it.
-type KeyedTarget interface {
-	// PlaceKey places one ball for key.
-	PlaceKey(ctx context.Context, key string) (bins []int, samples int64, err error)
-	// RemoveKey removes one of key's balls from bin.
-	RemoveKey(ctx context.Context, bin int, key string) error
-}
-
-// KeyedStatsReader reports the target's keyed-tier stats block, used
-// to stamp affinity_hit_rate / keys_moved into keyed run records. ok
-// is false when the target serves no keyed tier.
-type KeyedStatsReader interface {
-	ReadKeyedStats(ctx context.Context) (ks keyed.Stats, ok bool, err error)
-}
-
-// TransportStats describes a network target's client-side transport
-// efficiency: which transport ran, how many requests were coalesced
-// into each socket write, and the socket bytes each operation cost.
-type TransportStats struct {
-	Transport        string
-	CoalescingFactor float64
-	BytesPerOp       float64
-}
-
-// TransportStatsReader is implemented by network targets (HTTPTarget,
-// WireTarget) so runs can be stamped with transport columns. ok is
-// false for in-proc targets, which have no transport.
-type TransportStatsReader interface {
-	ReadTransportStats() (ts TransportStats, ok bool)
-}
 
 // BackendKiller is implemented by targets that can abruptly kill one
 // of their backends mid-run (the in-proc ClusterTarget) — the
@@ -138,7 +83,7 @@ type Scenario struct {
 	// arrival is one ball for a key drawn Zipf(KeyZipfS) over a space
 	// of KeySpace keys from its own seedable stream, and its departure
 	// releases that key's ball. Requires the target to implement
-	// KeyedTarget.
+	// cluster.KeyedBackend.
 	Keyed    bool    `json:"keyed,omitempty"`
 	KeyZipfS float64 `json:"key_zipf_s,omitempty"` // default 1.2 (must be > 1)
 	KeySpace int     `json:"key_space,omitempty"`  // default 1024
@@ -406,7 +351,7 @@ type Result struct {
 }
 
 // Run executes one generator run against the target.
-func Run(ctx context.Context, cfg Config, target Target) (Result, error) {
+func Run(ctx context.Context, cfg Config, target cluster.Backend) (Result, error) {
 	if cfg.Duration <= 0 {
 		return Result{}, fmt.Errorf("load: duration must be positive")
 	}
@@ -429,7 +374,7 @@ func Run(ctx context.Context, cfg Config, target Target) (Result, error) {
 			return Result{}, fmt.Errorf("load: scenario %q: KeyZipfS must be > 1, got %v",
 				cfg.Scenario.Name, s)
 		}
-		if _, ok := target.(KeyedTarget); !ok {
+		if _, ok := target.(cluster.KeyedBackend); !ok {
 			return Result{}, fmt.Errorf("load: scenario %q is keyed but target %T has no keyed API",
 				cfg.Scenario.Name, target)
 		}
@@ -484,23 +429,40 @@ func Run(ctx context.Context, cfg Config, target Target) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	if sr, ok := target.(StatsReader); ok {
-		if v, serr := sr.ReadStats(ctx); serr == nil {
-			res.FinalBalls = v.Balls
-			res.FinalMaxLoad = v.MaxLoad
-			res.FinalGap = v.Gap
-			res.Combining = v.CombiningFactor
-		}
+	res.KilledBackend = int(killed.Load())
+	if sc := cfg.Scenario; sc.Keyed {
+		res.KeySpace = sc.KeySpace
+		res.KeyZipfS = sc.KeyZipfS
 	}
-	if tr, ok := target.(TransportStatsReader); ok {
-		if ts, isNet := tr.ReadTransportStats(); isNet {
-			res.Transport = ts.Transport
-			res.ClientCoalescing = ts.CoalescingFactor
-			res.ClientBytesPerOp = ts.BytesPerOp
-		}
+	if restarted.Load() {
+		res.ProxyRestarted = true
+		res.RecoveryMs = recoveryMs.Load()
+		res.AssignmentsRecovered = recovered.Load()
 	}
-	if cr, ok := target.(ClusterStatsReader); ok {
-		if cs, isCluster, cerr := cr.ReadClusterStats(ctx); cerr == nil && isCluster {
+	if rb, ok := target.(cluster.ReportBackend); ok {
+		stamp(ctx, &res, cfg.Scenario, rb)
+	}
+	if tb, ok := target.(cluster.TraceBackend); ok {
+		res.SlowOps = slow.join(ctx, tb)
+	}
+	return res, nil
+}
+
+// stamp fills the end-of-run columns from the target's reports. The
+// transport counters are read first, so the report reads do not count
+// toward the run's bytes per operation.
+func stamp(ctx context.Context, res *Result, sc Scenario, rb cluster.ReportBackend) {
+	if ts := rb.Transport(); ts.Transport != "" {
+		res.Transport = ts.Transport
+		res.ClientCoalescing = ts.CoalescingFactor
+		res.ClientBytesPerOp = ts.BytesPerOp
+	}
+	if doc, err := rb.StatsDoc(ctx); err == nil {
+		res.FinalBalls = doc.Balls
+		res.FinalMaxLoad = doc.MaxLoad
+		res.FinalGap = doc.Gap
+		res.Combining = doc.CombiningFactor
+		if cs := doc.Cluster; doc.IsProxy() {
 			res.Policy = cs.Policy
 			res.Backends = cs.Backends
 			res.HealthyBackends = cs.Healthy
@@ -509,44 +471,24 @@ func Run(ctx context.Context, cfg Config, target Target) (Result, error) {
 			res.ProbesPerPick = cs.ProbesPerPick
 			res.Failovers = cs.Failovers
 		}
-	}
-	if cfg.Scenario.Keyed {
-		res.KeySpace = cfg.Scenario.KeySpace
-		res.KeyZipfS = cfg.Scenario.KeyZipfS
-		if kr, ok := target.(KeyedStatsReader); ok {
-			if ks, isKeyed, kerr := kr.ReadKeyedStats(ctx); kerr == nil && isKeyed {
-				res.KeyedPolicy = ks.Policy
-				res.Keys = ks.Keys
-				res.HotKeys = ks.HotKeys
-				res.AffinityHitRate = ks.AffinityHitRate
-				res.KeysMoved = ks.MovedKeys
-				res.KeysShed = ks.ShedKeys
-				res.MaxKeyLoad = ks.MaxKeyLoad
-			}
+		if ks, _ := doc.KeyedBlocks(); sc.Keyed && ks != nil {
+			res.KeyedPolicy = ks.Policy
+			res.Keys = ks.Keys
+			res.HotKeys = ks.HotKeys
+			res.AffinityHitRate = ks.AffinityHitRate
+			res.KeysMoved = ks.MovedKeys
+			res.KeysShed = ks.ShedKeys
+			res.MaxKeyLoad = ks.MaxKeyLoad
 		}
-	}
-	res.KilledBackend = int(killed.Load())
-	if restarted.Load() {
-		res.ProxyRestarted = true
-		res.RecoveryMs = recoveryMs.Load()
-		res.AssignmentsRecovered = recovered.Load()
-		res.AffinityHitRatePostRestart = res.AffinityHitRate
-	}
-	if sr, ok := target.(StageStatsReader); ok {
-		if m, isObs, serr := sr.ReadStageStats(ctx); serr == nil && isObs {
-			res.StageP99Ns = stageP99(m)
+		if res.ProxyRestarted {
+			res.AffinityHitRatePostRestart = res.AffinityHitRate
 		}
+		res.StageP99Ns = stageP99(doc.Obs)
 	}
-	if wr, ok := target.(WatchReader); ok {
-		if doc, isWatched, werr := wr.ReadWatch(ctx); werr == nil && isWatched {
-			res.GapOverTime = gapSeries(doc)
-			res.Violations = doc.ViolationsTotal
-		}
+	if doc, err := rb.Timeseries(ctx, 0); err == nil && doc.Hop != "" {
+		res.GapOverTime = gapSeries(doc)
+		res.Violations = doc.ViolationsTotal
 	}
-	if tr, ok := target.(TraceReader); ok {
-		res.SlowOps = slow.join(ctx, tr)
-	}
-	return res, nil
 }
 
 // sampler draws inter-arrival gaps, service times and bulk sizes. It
@@ -649,7 +591,7 @@ func (s *sampler) service() time.Duration {
 	return time.Duration(x * float64(time.Second))
 }
 
-func runOpen(ctx context.Context, cfg Config, target Target, slow *slowTracker) (Result, error) {
+func runOpen(ctx context.Context, cfg Config, target cluster.Backend, slow *slowTracker) (Result, error) {
 	smp := newSampler(cfg)
 	placeHist, removeHist := hdrhist.New(), hdrhist.New()
 	var placed, removed, shed, placeErrs, removeErrs atomic.Int64
@@ -672,7 +614,7 @@ func runOpen(ctx context.Context, cfg Config, target Target, slow *slowTracker) 
 	sleepCtx, cancelSleeps := context.WithCancel(ctx)
 	defer cancelSleeps()
 
-	kt, _ := target.(KeyedTarget)
+	kt, _ := target.(cluster.KeyedBackend)
 
 	var wg sync.WaitGroup
 	depart := func(bin int, key string, after time.Duration) {
@@ -817,7 +759,7 @@ func runOpen(ctx context.Context, cfg Config, target Target, slow *slowTracker) 
 	return res, nil
 }
 
-func runClosed(ctx context.Context, cfg Config, target Target, slow *slowTracker) (Result, error) {
+func runClosed(ctx context.Context, cfg Config, target cluster.Backend, slow *slowTracker) (Result, error) {
 	placeHist, removeHist := hdrhist.New(), hdrhist.New()
 	var placed, removed, placeErrs, removeErrs atomic.Int64
 	// Errors are accounted per worker (each owns its slot; read after
@@ -827,7 +769,7 @@ func runClosed(ctx context.Context, cfg Config, target Target, slow *slowTracker
 	runCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
 
-	kt, _ := target.(KeyedTarget)
+	kt, _ := target.(cluster.KeyedBackend)
 
 	start := time.Now()
 	var wg sync.WaitGroup

@@ -99,7 +99,7 @@ func TestClosedLoopInProc(t *testing.T) {
 		Workers:  4,
 		Duration: 200 * time.Millisecond,
 		Seed:     1,
-	}, InProc{D: d})
+	}, &cluster.InprocBackend{D: d})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestOpenLoopInProc(t *testing.T) {
 		Duration:    300 * time.Millisecond,
 		ServiceMean: 20 * time.Millisecond,
 		Seed:        3,
-	}, InProc{D: d})
+	}, &cluster.InprocBackend{D: d})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestOpenLoopHTTP(t *testing.T) {
 		Duration:    300 * time.Millisecond,
 		ServiceMean: 10 * time.Millisecond,
 		Seed:        5,
-	}, NewHTTPTarget(srv.URL))
+	}, cluster.NewHTTPBackend(srv.URL))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -179,7 +179,7 @@ func TestOpenLoopHTTP(t *testing.T) {
 // flakyTarget fails every place whose global order is ≡ 0 mod 3,
 // exercising the per-worker error accounting.
 type flakyTarget struct {
-	inner Target
+	cluster.Backend
 	calls atomic.Int64
 }
 
@@ -187,11 +187,7 @@ func (f *flakyTarget) Place(ctx context.Context, count int) ([]int, int64, error
 	if f.calls.Add(1)%3 == 0 {
 		return nil, 0, errors.New("flaky")
 	}
-	return f.inner.Place(ctx, count)
-}
-
-func (f *flakyTarget) Remove(ctx context.Context, bin int) error {
-	return f.inner.Remove(ctx, bin)
+	return f.Backend.Place(ctx, count)
 }
 
 // TestClosedLoopWorkerErrors pins the per-worker error envelope: the
@@ -204,7 +200,7 @@ func TestClosedLoopWorkerErrors(t *testing.T) {
 		Workers:  3,
 		Duration: 150 * time.Millisecond,
 		Seed:     1,
-	}, &flakyTarget{inner: InProc{D: d}})
+	}, &flakyTarget{Backend: &cluster.InprocBackend{D: d}})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -270,7 +266,7 @@ func TestClusterTargetRun(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	d := newDispatcher(t, 8, 1)
-	tgt := InProc{D: d}
+	tgt := &cluster.InprocBackend{D: d}
 	ctx := context.Background()
 	for name, cfg := range map[string]Config{
 		"no duration":  {Mode: "open", Rate: 1, ServiceMean: time.Millisecond},

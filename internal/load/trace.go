@@ -6,26 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cluster"
 	"repro/internal/obs"
 )
-
-// TraceReader is implemented by targets that expose the server-side
-// trace ring (GET /v1/trace or the in-proc recorder), so runs can join
-// their slowest client-observed operations against the server's
-// per-stage decomposition. A non-empty id asks for exactly that trace
-// (GET /v1/trace?id= / the wire TRACE verb) — the slow-op join's
-// lookup — while "" dumps the whole ring. ok is false when the target
-// has no trace surface (e.g. an old server without the endpoint).
-type TraceReader interface {
-	ReadTrace(ctx context.Context, id string) (doc obs.TraceResponse, ok bool, err error)
-}
-
-// StageStatsReader is implemented by targets that report the server's
-// per-stage latency decomposition (the stats document's obs block). ok
-// is false when the target reports none.
-type StageStatsReader interface {
-	ReadStageStats(ctx context.Context) (stages map[string]obs.StageSummary, ok bool, err error)
-}
 
 // SlowOp is one row of a run's slow_ops section: a top-10 slowest
 // operation as timed by the client, joined (by trace id) against the
@@ -101,7 +84,7 @@ func (st *slowTracker) refloor() {
 // slowTrackerSize ids, so ten filtered reads replace shipping the
 // server's whole ring, and a miss on one id cannot be confused with a
 // snapshot race on another.
-func (st *slowTracker) join(ctx context.Context, tr TraceReader) []SlowOp {
+func (st *slowTracker) join(ctx context.Context, tb cluster.TraceBackend) []SlowOp {
 	st.mu.Lock()
 	ops := append([]clientOp(nil), st.ops...)
 	st.mu.Unlock()
@@ -112,8 +95,8 @@ func (st *slowTracker) join(ctx context.Context, tr TraceReader) []SlowOp {
 	out := make([]SlowOp, 0, len(ops))
 	for _, o := range ops {
 		so := SlowOp{Trace: obs.FormatTrace(o.trace), Op: o.op, ClientNs: o.ns}
-		if doc, ok, err := tr.ReadTrace(ctx, so.Trace); err == nil && ok {
-			for _, sv := range doc.Ops {
+		if got, err := tb.ReadTrace(ctx, so.Trace); err == nil {
+			for _, sv := range got {
 				if sv.Trace == so.Trace {
 					so.ServerNs = sv.DurationNs
 					so.Hop = sv.Hop

@@ -1,20 +1,6 @@
 package load
 
-import (
-	"context"
-	"encoding/json"
-	"net/http"
-
-	"repro/internal/watch"
-)
-
-// WatchReader is implemented by targets whose server runs the invariant
-// watchdog (GET /v1/timeseries or the in-proc monitor), so runs can
-// stamp the gap-over-time series and the violation count into their
-// result record. ok is false when the target has no watchdog surface.
-type WatchReader interface {
-	ReadWatch(ctx context.Context) (doc watch.SeriesResponse, ok bool, err error)
-}
+import "repro/internal/watch"
 
 // GapPoint is one gap_over_time sample in a Result: the compact
 // projection of a watch.Point a benchmark record needs to plot balance
@@ -43,36 +29,4 @@ func gapSeries(doc watch.SeriesResponse) []GapPoint {
 		})
 	}
 	return out
-}
-
-// ReadWatch implements WatchReader from the dispatcher's monitor.
-func (t InProc) ReadWatch(context.Context) (watch.SeriesResponse, bool, error) {
-	m := t.D.Watch()
-	if m == nil {
-		return watch.SeriesResponse{}, false, nil
-	}
-	return m.SeriesDoc(0), true, nil
-}
-
-// ReadWatch implements WatchReader via GET /v1/timeseries; ok is false
-// when the server predates the endpoint (404) or runs without a
-// watchdog (empty hop).
-func (t *HTTPTarget) ReadWatch(ctx context.Context) (watch.SeriesResponse, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.Base+"/v1/timeseries", nil)
-	if err != nil {
-		return watch.SeriesResponse{}, false, err
-	}
-	resp, err := t.Client.Do(req)
-	if err != nil {
-		return watch.SeriesResponse{}, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return watch.SeriesResponse{}, false, nil
-	}
-	var doc watch.SeriesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return watch.SeriesResponse{}, false, err
-	}
-	return doc, doc.Hop != "", nil
 }

@@ -1,9 +1,8 @@
 // Package netutil holds the small pieces of network-client plumbing
-// shared by every tier that dials another tier: the pooled HTTP
-// transport used by cluster backends and load targets (one tuning, so
-// the tiers cannot drift), the default dial timeout the wire protocol
-// shares with it, and a byte-counting conn wrapper for measuring a
-// client's true on-the-wire cost per operation.
+// behind the one client every tier dials another with
+// (cluster.HTTPBackend): the pooled HTTP transport, the default dial
+// timeout the wire protocol shares with it, and a byte-counting conn
+// wrapper for measuring a client's true on-the-wire cost per operation.
 package netutil
 
 import (
@@ -19,8 +18,8 @@ import (
 const DefaultDialTimeout = 3 * time.Second
 
 // PooledTransport clones http.DefaultTransport with a keep-alive pool
-// sized for maxIdle concurrent connections to one host — the shared
-// setup behind cluster.NewHTTPBackend and load.NewHTTPTarget.
+// sized for maxIdle concurrent connections to one host — the setup
+// behind cluster.NewHTTPBackendN.
 // maxConns > 0 additionally caps the total connections per host
 // (dials beyond it block), which is how a "single-connection" HTTP
 // comparison run is forced onto one socket.

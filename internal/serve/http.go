@@ -340,25 +340,27 @@ func (h *Handler) remove(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// statsDoc is the tier's stats document (the body of /v1/stats and of
-// wire STATS replies) over the blocks every tier shares.
-func (h *Handler) statsDoc(q url.Values) (any, error) {
+// StatsDocument is t's stats document — the body of /v1/stats, of
+// wire STATS replies and of an in-process client's stats reads: the
+// blocks every tier shares (ws, the wire server whose counters join
+// them, may be nil), completed by the tier.
+func StatsDocument(t Tier, info Info, ws *wire.Server, q url.Values) (any, error) {
 	base := StatsResponse{
-		Info:     h.info,
-		Draining: h.t.Draining(),
-		Obs:      h.t.Obs().StageSummaries(),
-		Watch:    h.t.Watch().StatsBlockDoc(),
-		Diag:     h.t.Diag().StatsDoc(),
+		Info:     info,
+		Draining: t.Draining(),
+		Obs:      t.Obs().StageSummaries(),
+		Watch:    t.Watch().StatsBlockDoc(),
+		Diag:     t.Diag().StatsDoc(),
 	}
-	if ws := h.ws.Load(); ws != nil {
+	if ws != nil {
 		s := ws.Stats()
 		base.Wire = &s
 	}
-	return h.t.StatsDoc(base, q)
+	return t.StatsDoc(base, q)
 }
 
 func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
-	doc, err := h.statsDoc(r.URL.Query())
+	doc, err := StatsDocument(h.t, h.info, h.ws.Load(), r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

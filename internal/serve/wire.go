@@ -53,7 +53,7 @@ func (h *Handler) Remove(ctx context.Context, bin int, key string) error {
 // StatsJSON implements wire.Handler: the exact /v1/stats document, so
 // wire clients decode with the same structs as HTTP clients.
 func (h *Handler) StatsJSON(ctx context.Context) ([]byte, error) {
-	doc, err := h.statsDoc(nil)
+	doc, err := StatsDocument(h.t, h.info, h.ws.Load(), nil)
 	if err != nil {
 		return nil, err
 	}
