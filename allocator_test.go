@@ -3,6 +3,7 @@ package ballsbins
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dist"
 )
@@ -533,6 +534,32 @@ func TestShardedAllocatorConcurrent(t *testing.T) {
 	}
 	if sum != sa.Balls() {
 		t.Fatalf("loads sum %d != Balls %d", sum, sa.Balls())
+	}
+}
+
+// TestShardedAllocatorCacheLines pins the layout that keeps concurrent
+// callers from false sharing: each shard header is exactly one cache
+// line (Go's allocator starts every object of the 64-byte size class on
+// a 64-byte boundary, so no two headers share a line), and the ticket
+// cursor, written by every ticket, fills a line of its own away from
+// the shards slice every op reads. The addresses of a live allocator
+// confirm the alignment.
+func TestShardedAllocatorCacheLines(t *testing.T) {
+	var sa ShardedAllocator
+	if got := unsafe.Sizeof(shard{}); got != cacheLine {
+		t.Errorf("shard header is %d B, want one %d B cache line", got, cacheLine)
+	}
+	if off, size := unsafe.Offsetof(sa.next), unsafe.Sizeof(sa); off != cacheLine || size != 2*cacheLine {
+		t.Errorf("cursor at offset %d of a %d B struct, want the whole second of two %d B lines", off, size, cacheLine)
+	}
+	live := NewSharded(Adaptive(), 64, 8)
+	if addr := uintptr(unsafe.Pointer(&live.next)); addr%cacheLine != 0 {
+		t.Errorf("cursor at %#x, not on a cache-line boundary", addr)
+	}
+	for i, sh := range live.shards {
+		if addr := uintptr(unsafe.Pointer(sh)); addr%cacheLine != 0 {
+			t.Errorf("shard %d header at %#x, not on a cache-line boundary", i, addr)
+		}
 	}
 }
 

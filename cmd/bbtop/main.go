@@ -179,8 +179,8 @@ func render(f *frame, tail int, color bool) string {
 	}
 
 	// Totals row.
-	fmt.Fprintf(&b, "balls %d  max %d  min %d  gap %d  ψ %.4f  combine %.2f",
-		f.doc.Balls, f.doc.MaxLoad, f.doc.MinLoad, f.doc.Gap, f.doc.Psi, f.doc.CombiningFactor)
+	fmt.Fprintf(&b, "balls %d  max %d  min %d  gap %d  ψ %.4f",
+		f.doc.Balls, f.doc.MaxLoad, f.doc.MinLoad, f.doc.Gap, f.doc.Psi)
 	if p := lastPoint(f.Series.Points); p != nil {
 		fmt.Fprintf(&b, "  ops/s %.0f", p.OpsPerSec)
 	}

@@ -161,8 +161,11 @@
 //
 // The serving stack is traced end to end (internal/obs): every
 // operation carries an allocation-free Capture whose stage spans
-// (queue/apply on bbserved, probe/forward on bbproxy) sum to the op
-// total, and slow or head-sampled ops are retained — with attrs like
+// (queue/apply, after probe for a keyed place, on bbserved;
+// probe/forward on bbproxy) sum to the op total. An op reads the wall
+// clock once, when it begins, and takes every later stamp as a
+// monotonic offset from it. Slow or head-sampled ops (a 1-in-N draw
+// per op) are retained — with attrs like
 // probes, failovers, and load-view staleness at pick time — in a
 // lock-free ring served by GET /v1/trace on both daemons. One trace
 // id names an op across every hop: minted at the first capturing
@@ -185,7 +188,7 @@
 // RECOVERY, DRAIN) in a bounded typed event journal served as GET
 // /v1/events and counted as bb_invariant_violations_total on
 // /metrics. Each tick also appends one aggregate point (gap, Ψ,
-// ops/s, combining factor, ...) to a fixed-width time-series ring
+// ops/s, affinity hit rate, ...) to a fixed-width time-series ring
 // behind GET /v1/timeseries, which bbload folds into its bench
 // envelopes as gap_over_time and cmd/bbtop renders as a live
 // terminal dashboard (-once -format json for scripting). Checks are

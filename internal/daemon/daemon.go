@@ -79,7 +79,7 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.SnapshotEvery, "snapshot-every", keyed.DefaultSnapshotEvery, "journal records between compacting snapshots")
 	fs.StringVar(&f.Fsync, "fsync", wal.SyncInterval, "WAL fsync policy: always, interval, never")
 	fs.DurationVar(&f.TraceSlow, "trace-slow", 0, "trace ops at or above this latency (0 = default 10ms)")
-	fs.IntVar(&f.TraceSample, "trace-sample", 0, "head-sample 1 in N ops into the trace ring (0 = default 1024)")
+	fs.IntVar(&f.TraceSample, "trace-sample", 0, "head-sample each op into the trace ring with probability 1/N (0 = default 1024)")
 	fs.DurationVar(&f.WatchEvery, "watch-every", watch.DefaultCadence, "invariant watchdog cadence (0 disables the watchdog)")
 	fs.StringVar(&f.DiagDir, "diag-dir", "", "flight-recorder bundle directory (empty = postmortem capture off)")
 	fs.StringVar(&f.LogLevel, "log-level", "info", "log level: debug, info, warn, error")

@@ -147,17 +147,22 @@ func TestViolationHookTriggersBundle(t *testing.T) {
 	}
 }
 
-// waitForBundle polls for the async trigger path's bundle.
+// waitForBundle polls for the async trigger path's bundle and returns
+// it once it is written in full: the writer creates the final file and
+// then appends to it, so a bundle seen mid-write does not yet read
+// back complete.
 func waitForBundle(t *testing.T, dir string) string {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if path, err := NewestBundle(dir); err == nil {
-			return path
+			if b, err := ReadBundle(path); err == nil && b.Complete {
+				return path
+			}
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatal("no bundle appeared within 5s")
+	t.Fatal("no complete bundle appeared within 5s")
 	return ""
 }
 

@@ -13,6 +13,7 @@
 package hdrhist
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -152,15 +153,26 @@ func (h *Hist) SnapshotAndReset() Snapshot {
 // Snapshot captures the current state for analysis. Concurrent Records
 // during the copy may straddle the snapshot (it is not atomic across
 // buckets); totals are reconciled so the snapshot is self-consistent.
-func (h *Hist) Snapshot() Snapshot {
-	s := Snapshot{
-		Sum: h.sum.Load(),
-		Max: h.max.Load(),
-		Min: -h.min.Load(),
+func (h *Hist) Snapshot() Snapshot { return SnapshotOf(h) }
+
+// SnapshotOf captures the union of live histograms in one pass, as if
+// every observation had been recorded into one histogram: bucket i of
+// the result sums bucket i of each. It allocates what one Snapshot
+// does, where Merge over per-histogram snapshots builds each of them
+// and then a third. Concurrent Records are tolerated as in Snapshot.
+func SnapshotOf(hs ...*Hist) Snapshot {
+	s := Snapshot{Min: math.MaxInt64}
+	for _, h := range hs {
+		s.Sum += h.sum.Load()
+		s.Max = max(s.Max, h.max.Load())
+		s.Min = min(s.Min, -h.min.Load())
 	}
 	var total int64
-	for i := range h.counts {
-		c := h.counts[i].Load()
+	for i := 0; i < numBuckets; i++ {
+		var c int64
+		for _, h := range hs {
+			c += h.counts[i].Load()
+		}
 		if c == 0 {
 			continue
 		}

@@ -1,6 +1,7 @@
 package hdrhist
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -249,5 +250,74 @@ func TestConcurrentRecord(t *testing.T) {
 	}
 	if total != s.Count {
 		t.Fatalf("bucket sum %d != count %d", total, s.Count)
+	}
+}
+
+// TestSnapshotOfEqualsMerge checks the one-pass union against the
+// two-snapshot Merge it replaces, on random quiescent data: the same
+// count, sum, min, max and buckets, including when either side is
+// empty.
+func TestSnapshotOfEqualsMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 50; trial++ {
+		a, b := New(), New()
+		for _, h := range []*Hist{a, b} {
+			scale := float64(int64(1) << uint(rng.Intn(30)))
+			for i, n := 0, rng.Intn(3)*rng.Intn(5000); i < n; i++ {
+				h.Record(int64(rng.ExpFloat64() * scale))
+			}
+		}
+		got, want := SnapshotOf(a, b), a.Snapshot().Merge(b.Snapshot())
+		if got.Count != want.Count || got.Sum != want.Sum || got.Min != want.Min || got.Max != want.Max ||
+			fmt.Sprint(got.Buckets()) != fmt.Sprint(want.Buckets()) {
+			t.Fatalf("trial %d: SnapshotOf = %+v, Merge = %+v", trial, got, want)
+		}
+	}
+	if s := SnapshotOf(); s.Count != 0 || s.Min != 0 || s.Max != 0 {
+		t.Fatalf("SnapshotOf() = %+v, want empty", s)
+	}
+}
+
+// TestSnapshotOfConcurrent reads the union of two histograms while
+// goroutines record into both: with -race this is its concurrency
+// test. Every snapshot must be self-consistent (its buckets sum to its
+// count), counts never go backwards, and the final union holds every
+// record.
+func TestSnapshotOfConcurrent(t *testing.T) {
+	const workers, perWorker = 4, 5000
+	a, b := New(), New()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			h := []*Hist{a, b}[w%2]
+			for i := 0; i < perWorker; i++ {
+				h.Record(int64(rng.Intn(1 << 30)))
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var last int64
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		s := SnapshotOf(a, b)
+		var total int64
+		for _, bk := range s.Buckets() {
+			total += bk.Count
+		}
+		if total != s.Count || s.Count < last {
+			t.Fatalf("snapshot count %d, buckets sum %d, previous count %d", s.Count, total, last)
+		}
+		last = s.Count
+	}
+	if s := SnapshotOf(a, b); s.Count != workers*perWorker {
+		t.Fatalf("final union count %d, want %d", s.Count, workers*perWorker)
 	}
 }

@@ -270,10 +270,9 @@ type Result struct {
 	WorkerErrors []int64 `json:"worker_errors,omitempty"`
 
 	// End-of-run serving state, when the target can report it.
-	FinalBalls   int64   `json:"final_balls,omitempty"`
-	FinalMaxLoad int     `json:"final_max_load,omitempty"`
-	FinalGap     int     `json:"final_gap,omitempty"`
-	Combining    float64 `json:"combining_factor,omitempty"`
+	FinalBalls   int64 `json:"final_balls,omitempty"`
+	FinalMaxLoad int   `json:"final_max_load,omitempty"`
+	FinalGap     int   `json:"final_gap,omitempty"`
 
 	// Transport columns, stamped for network targets: which transport
 	// carried the run ("http" or "wire" — empty for in-proc targets,
@@ -461,7 +460,6 @@ func stamp(ctx context.Context, res *Result, sc Scenario, rb cluster.ReportBacke
 		res.FinalBalls = doc.Balls
 		res.FinalMaxLoad = doc.MaxLoad
 		res.FinalGap = doc.Gap
-		res.Combining = doc.CombiningFactor
 		if cs := doc.Cluster; doc.IsProxy() {
 			res.Policy = cs.Policy
 			res.Backends = cs.Backends

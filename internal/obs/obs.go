@@ -4,14 +4,19 @@
 //
 // The design goal is near-zero cost on the untraced path. Every
 // operation carries a Capture — a plain value with fixed-size span
-// and attr arrays, kept on the caller's stack — so recording a stage
-// is two clock reads and a couple of stores, and finishing an op is
-// one atomic histogram record per stage. Nothing allocates unless the
-// op is actually retained: head-sampled (1/SampleEvery), or slower
-// than the tail threshold. Retained ops are materialized once and
-// published into a bounded ring of atomic pointers; readers snapshot
-// the ring without locks, so a torn span is structurally impossible
-// (an Op is immutable after publication).
+// and attr arrays, kept on the caller's stack. An op reads the wall
+// clock once, when it begins; every later stamp is a monotonic offset
+// from that begin time (Capture.Elapsed, one cheaper clock read), so
+// recording a stage is one such read and a couple of stores. Finishing
+// an op is one atomic histogram record per stage, each histogram found
+// by a short scan of the recorder's stage table, not by hashing its
+// name. Nothing allocates unless the op is actually retained:
+// head-sampled (a 1-in-SampleEvery draw per op from the runtime's
+// per-thread generator, so no counter is shared between cores), or
+// slower than the tail threshold. Retained ops are materialized once
+// and published into a bounded ring of atomic pointers; readers
+// snapshot the ring without locks, so a torn span is structurally
+// impossible (an Op is immutable after publication).
 //
 // Trace identity is a uint64, rendered as 16 hex digits. It
 // propagates bbload → bbproxy → bbserved over HTTP in the X-BB-Trace
@@ -22,6 +27,7 @@
 package obs
 
 import (
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,10 +62,10 @@ type Options struct {
 	// are retained regardless of sampling. 0 means
 	// DefaultSlowThreshold; negative disables tail capture.
 	SlowThreshold time.Duration
-	// SampleEvery head-samples one op in N (its whole downstream path
-	// is captured too, because the minted id propagates). 0 means
-	// DefaultSampleEvery; 1 captures every op; negative disables
-	// head sampling.
+	// SampleEvery head-samples one op in N, drawn independently per
+	// op (its whole downstream path is captured too, because the
+	// minted id propagates). 0 means DefaultSampleEvery; 1 captures
+	// every op; negative disables head sampling.
 	SampleEvery int
 	// RingSize bounds the retained-op ring. 0 means DefaultRingSize.
 	RingSize int
@@ -76,13 +82,20 @@ type Recorder struct {
 	hop     string
 	slowNs  int64  // 0 = tail capture off
 	sampleN uint64 // 0 = head sampling off
-	seq     atomic.Uint64
 
 	ring   []atomic.Pointer[Op]
 	cursor atomic.Uint64
 
 	mu     sync.Mutex // guards copy-on-write of stages
-	stages atomic.Pointer[map[string]*hdrhist.Hist]
+	stages atomic.Pointer[[]stageHist]
+}
+
+// stageHist is one entry of a Recorder's stage table. A tier records
+// a handful of stage names, so finding one is a scan of a few string
+// compares, cheaper than hashing it.
+type stageHist struct {
+	name string
+	h    *hdrhist.Hist
 }
 
 // NewRecorder builds a Recorder, or nil when o.Disabled.
@@ -108,8 +121,7 @@ func NewRecorder(o Options) *Recorder {
 		size = DefaultRingSize
 	}
 	r.ring = make([]atomic.Pointer[Op], size)
-	empty := make(map[string]*hdrhist.Hist)
-	r.stages.Store(&empty)
+	r.stages.Store(new([]stageHist))
 	return r
 }
 
@@ -142,7 +154,7 @@ type Span struct {
 
 // spanRec holds a stage in flight. start is the monotonic offset from
 // the op's begin time, not a wall timestamp: wall nanos are minted once
-// at EndAt from the op's base clock, so a span's [start, start+dur)
+// at the op's end from its base clock, so a span's [start, start+dur)
 // can never drift outside its parent by wall/monotonic rounding.
 type spanRec struct {
 	stage      string
@@ -172,13 +184,15 @@ type Capture struct {
 // BeginAt opens a Capture for op starting at t0. trace is the
 // caller-propagated id (0 = none). A head-sampled op with no upstream
 // id gets one minted here, so the decision to trace is made at the
-// first hop and the id can propagate downstream.
+// first hop and the id can propagate downstream. The sampling draw
+// comes from the runtime's per-thread generator: no state is shared
+// between the cores beginning ops.
 func (r *Recorder) BeginAt(trace uint64, op string, t0 time.Time) Capture {
 	if r == nil {
 		return Capture{}
 	}
 	c := Capture{rec: r, trace: trace, op: op, start: t0}
-	if r.sampleN > 0 && r.seq.Add(1)%r.sampleN == 0 {
+	if r.sampleN > 0 && rand.Uint64N(r.sampleN) == 0 {
 		c.forced = true
 		if c.trace == 0 {
 			c.trace = NewTraceID()
@@ -187,8 +201,12 @@ func (r *Recorder) BeginAt(trace uint64, op string, t0 time.Time) Capture {
 	return c
 }
 
-// Begin is BeginAt starting now.
+// Begin is BeginAt starting now: the op's one wall-clock read (none on
+// a nil Recorder).
 func (r *Recorder) Begin(trace uint64, op string) Capture {
+	if r == nil {
+		return Capture{}
+	}
 	return r.BeginAt(trace, op, time.Now())
 }
 
@@ -199,26 +217,39 @@ func (c *Capture) Trace() uint64 { return c.trace }
 // Active reports whether the capture records anything at all.
 func (c *Capture) Active() bool { return c.rec != nil }
 
-// StageAt records one [start, end) span for stage.
-func (c *Capture) StageAt(stage string, start, end time.Time) {
+// Elapsed returns the nanoseconds from the op's begin time until now,
+// read from the monotonic clock alone (time.Since), which costs less
+// than the wall-and-monotonic pair time.Now reads. Offsets from one
+// begin time taken this way never run backwards, so spans built from
+// them tile the op exactly. A zero Capture reads no clock and returns 0.
+func (c *Capture) Elapsed() int64 {
+	if c.rec == nil {
+		return 0
+	}
+	return int64(time.Since(c.start))
+}
+
+// StageElapsed records one span for stage over [from, to), both
+// offsets from the op's begin time as Elapsed returns them.
+func (c *Capture) StageElapsed(stage string, from, to int64) {
 	if c.rec == nil || c.nspans >= maxSpans {
 		return
 	}
-	d := end.Sub(start).Nanoseconds()
-	if d < 0 {
-		d = 0
-	}
-	off := start.Sub(c.start).Nanoseconds()
-	if off < 0 {
-		off = 0
-	}
-	c.spans[c.nspans] = spanRec{stage: stage, start: off, dur: d}
+	c.spans[c.nspans] = spanRec{stage: stage, start: max(from, 0), dur: max(to-from, 0)}
 	c.nspans++
+}
+
+// StageAt records one [start, end) span for stage.
+func (c *Capture) StageAt(stage string, start, end time.Time) {
+	c.StageElapsed(stage, start.Sub(c.start).Nanoseconds(), end.Sub(c.start).Nanoseconds())
 }
 
 // Stage records a span for stage from start until now.
 func (c *Capture) Stage(stage string, start time.Time) {
-	c.StageAt(stage, start, time.Now())
+	if c.rec == nil {
+		return
+	}
+	c.StageElapsed(stage, start.Sub(c.start).Nanoseconds(), c.Elapsed())
 }
 
 // Attr attaches an integer attribute (probes, failovers, bulk size,
@@ -231,20 +262,18 @@ func (c *Capture) Attr(key string, val int64) {
 	c.nattrs++
 }
 
-// EndAt closes the op at end: every span plus the op total is
+// EndElapsed closes the op total nanoseconds after its begin time (an
+// offset as Elapsed returns it): every span plus the op total is
 // recorded into the per-stage histograms (the op total under the op
 // name itself), and the op is materialized into the ring when it was
 // head-sampled, carries an upstream trace id and crossed the tail
 // threshold, or is simply slow enough.
-func (c *Capture) EndAt(end time.Time, err error) {
+func (c *Capture) EndElapsed(total int64, err error) {
 	r := c.rec
 	if r == nil {
 		return
 	}
-	total := end.Sub(c.start).Nanoseconds()
-	if total < 0 {
-		total = 0
-	}
+	total = max(total, 0)
 	r.stageHist(c.op).Record(total)
 	for i := 0; i < int(c.nspans); i++ {
 		r.stageHist(c.spans[i].stage).Record(c.spans[i].dur)
@@ -280,9 +309,14 @@ func (c *Capture) EndAt(end time.Time, err error) {
 	r.ring[i].Store(op)
 }
 
-// End is EndAt now.
+// EndAt closes the op at end (see EndElapsed).
+func (c *Capture) EndAt(end time.Time, err error) {
+	c.EndElapsed(end.Sub(c.start).Nanoseconds(), err)
+}
+
+// End closes the op now (see EndElapsed).
 func (c *Capture) End(err error) {
-	c.EndAt(time.Now(), err)
+	c.EndElapsed(c.Elapsed(), err)
 }
 
 // Ops snapshots the retained ring: every op at least minDur slow,
@@ -319,27 +353,31 @@ func (r *Recorder) OpsByTrace(trace string) []*Op {
 
 // stageHist returns (creating on first use) the histogram for stage.
 // The stage set is tiny and fixed per component, so the copy-on-write
-// map settles after the first few requests and the hot path is one
-// atomic load plus a map read.
+// table settles after the first few requests and the hot path is one
+// atomic load plus a scan of a few entries.
 func (r *Recorder) stageHist(stage string) *hdrhist.Hist {
-	m := r.stages.Load()
-	if h, ok := (*m)[stage]; ok {
+	if h := lookupStage(*r.stages.Load(), stage); h != nil {
 		return h
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m = r.stages.Load()
-	if h, ok := (*m)[stage]; ok {
+	old := *r.stages.Load()
+	if h := lookupStage(old, stage); h != nil {
 		return h
 	}
-	next := make(map[string]*hdrhist.Hist, len(*m)+1)
-	for k, v := range *m {
-		next[k] = v
-	}
 	h := hdrhist.New()
-	next[stage] = h
+	next := append(old[:len(old):len(old)], stageHist{name: stage, h: h})
 	r.stages.Store(&next)
 	return h
+}
+
+func lookupStage(table []stageHist, stage string) *hdrhist.Hist {
+	for _, s := range table {
+		if s.name == stage {
+			return s.h
+		}
+	}
+	return nil
 }
 
 // StageSnapshots returns a consistent-enough snapshot of every
@@ -348,12 +386,31 @@ func (r *Recorder) StageSnapshots() map[string]hdrhist.Snapshot {
 	if r == nil {
 		return nil
 	}
-	m := r.stages.Load()
-	out := make(map[string]hdrhist.Snapshot, len(*m))
-	for k, h := range *m {
-		out[k] = h.Snapshot()
+	table := *r.stages.Load()
+	out := make(map[string]hdrhist.Snapshot, len(table))
+	for _, s := range table {
+		out[s.name] = s.h.Snapshot()
 	}
 	return out
+}
+
+// UnionSnapshot returns one snapshot over the named stages'
+// histograms together, built in one pass (hdrhist.SnapshotOf), as if
+// they had been recorded into one. A stage never recorded contributes
+// nothing; a nil Recorder returns an empty snapshot.
+func (r *Recorder) UnionSnapshot(stages ...string) hdrhist.Snapshot {
+	if r == nil {
+		return hdrhist.Snapshot{}
+	}
+	table := *r.stages.Load()
+	var buf [4]*hdrhist.Hist
+	hs := buf[:0]
+	for _, stage := range stages {
+		if h := lookupStage(table, stage); h != nil {
+			hs = append(hs, h)
+		}
+	}
+	return hdrhist.SnapshotOf(hs...)
 }
 
 // StageSummary is the JSON-facing digest of one stage histogram — the

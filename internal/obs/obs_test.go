@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -311,5 +312,68 @@ func TestLogger(t *testing.T) {
 	}
 	if _, err := NewLogger(&sb, "info", "yaml"); err == nil {
 		t.Fatal("bad format accepted")
+	}
+}
+
+// TestHeadSamplingRate checks the per-op sampling draw: with
+// SampleEvery N each op is head-sampled with probability 1/N on its
+// own, so over 64k ops at N = 64 the sampled count is Binomial(65536,
+// 1/64) and lands within 6σ of its mean of 1024. N = 1 samples every
+// op, and a negative N none (with tail capture off, nothing is
+// retained at all).
+func TestHeadSamplingRate(t *testing.T) {
+	const ops = 1 << 16
+	sampled := func(every int) int {
+		r := NewRecorder(Options{SampleEvery: every, SlowThreshold: -1})
+		n := 0
+		for i := 0; i < ops; i++ {
+			c := r.Begin(0, "place")
+			if c.forced {
+				n++
+			}
+			c.End(nil)
+		}
+		if n > 0 && len(r.Ops(0)) == 0 {
+			t.Errorf("SampleEvery %d: %d ops sampled, none retained", every, n)
+		}
+		if n == 0 && len(r.Ops(0)) != 0 {
+			t.Errorf("SampleEvery %d: nothing sampled, %d ops retained", every, len(r.Ops(0)))
+		}
+		return n
+	}
+	const p = 1.0 / 64
+	mean, sigma := ops*p, math.Sqrt(ops*p*(1-p))
+	if got := sampled(64); math.Abs(float64(got)-mean) > 6*sigma {
+		t.Errorf("SampleEvery 64: %d of %d ops sampled, want %.0f ± %.0f (6σ)", got, ops, mean, 6*sigma)
+	}
+	if got := sampled(1); got != ops {
+		t.Errorf("SampleEvery 1: %d of %d ops sampled, want all", got, ops)
+	}
+	if got := sampled(-1); got != 0 {
+		t.Errorf("SampleEvery -1: %d ops sampled, want none", got)
+	}
+}
+
+// TestUnionSnapshot checks the recorder's one-pass union of stage
+// histograms: it counts exactly the named stages' records, ignores a
+// stage never recorded, and is empty on a nil recorder.
+func TestUnionSnapshot(t *testing.T) {
+	r := NewRecorder(Options{SampleEvery: -1, SlowThreshold: -1})
+	t0 := time.Now()
+	for i, op := range []string{"place", "remove", "place"} {
+		c := r.BeginAt(0, op, t0)
+		c.StageElapsed("queue", 0, int64(i+1))
+		c.EndElapsed(int64(10*(i+1)), nil)
+	}
+	u := r.UnionSnapshot("place", "remove", "never")
+	if u.Count != 3 || u.Sum != 60 || u.Min != 10 || u.Max != 30 {
+		t.Fatalf("union of place and remove = %+v, want count 3, sum 60, min 10, max 30", u)
+	}
+	if q := r.UnionSnapshot("queue"); q.Count != 3 || q.Sum != 6 {
+		t.Fatalf("queue = %+v, want count 3, sum 6", q)
+	}
+	var nr *Recorder
+	if s := nr.UnionSnapshot("place"); s.Count != 0 {
+		t.Fatalf("nil recorder union = %+v", s)
 	}
 }

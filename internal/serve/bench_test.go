@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	ballsbins "repro"
@@ -86,4 +87,56 @@ func BenchmarkDispatcherPlace(b *testing.B) {
 		d.BindDiag(rec)
 		benchPlace(b, d)
 	})
+}
+
+// BenchmarkDispatcherChurn is bbmark's serve-churn workload in process:
+// 8 shards over 65,536 bins prefilled with 8n balls, and two goroutines
+// that each place one ball and then remove their oldest, every call
+// under its own trace-tagged ctx (obs at the production default). One
+// op is one place plus one remove, so ns/op is wall time per cycle
+// with both goroutines running.
+func BenchmarkDispatcherChurn(b *testing.B) {
+	const n, shards, workers = 1 << 16, 8, 2
+	d := NewDispatcher(Config{Spec: ballsbins.Adaptive(), N: n, Shards: shards, Seed: 1})
+	b.Cleanup(d.Close)
+	ctx := context.Background()
+	fifos := make([][]int, workers) // each worker's live balls, oldest first
+	for left, i := 8*n, 0; left > 0; {
+		bins, _, err := d.PlaceMany(ctx, min(left, MaxBulkPlace))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, bin := range bins {
+			fifos[i%workers] = append(fifos[i%workers], bin)
+			i++
+		}
+		left -= len(bins)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := range workers {
+		cycles := b.N / workers
+		if w == 0 {
+			cycles += b.N % workers
+		}
+		wg.Add(1)
+		go func(q []int, cycles int, trace uint64) {
+			defer wg.Done()
+			for i := 0; i < cycles; i++ {
+				bin, _, err := d.Place(obs.WithTrace(ctx, trace+uint64(2*i)))
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				j := i % len(q) // q is a ring: slot j holds the oldest ball
+				if err := d.Remove(obs.WithTrace(ctx, trace+uint64(2*i+1)), q[j]); err != nil {
+					b.Error(err)
+					return
+				}
+				q[j] = bin
+			}
+		}(fifos[w], cycles, uint64(w+1)<<48)
+	}
+	wg.Wait()
 }

@@ -117,7 +117,6 @@ type Dispatcher struct {
 	km      *keyed.KeyMap                 // key → shard affinity (keyed placements)
 	store   *keyed.Store                  // nil unless Config.KeyedStore was set
 	keyedOK bool                          // spec terminates under shard-pinned traffic
-	latency *hdrhist.Hist                 // admission → completion, per shard lock taken
 	obs     *obs.Recorder                 // stage decomposition + slow-op ring (nilable)
 	watch   *watch.Monitor                // invariant watchdog + time series (nilable)
 	diag    atomic.Pointer[diag.Recorder] // flight recorder, bound late (nilable)
@@ -186,13 +185,12 @@ func OpenDispatcher(cfg Config) (*Dispatcher, *keyed.RecoveryInfo, error) {
 		obsOpts.Hop = "serve"
 	}
 	d := &Dispatcher{
-		sa:      ballsbins.NewSharded(cfg.Spec, cfg.N, cfg.Shards, opts...),
-		cfg:     cfg,
-		stats:   newStats(cfg.Shards),
-		km:      km,
-		store:   store,
-		latency: hdrhist.New(),
-		obs:     obs.NewRecorder(obsOpts),
+		sa:    ballsbins.NewSharded(cfg.Spec, cfg.N, cfg.Shards, opts...),
+		cfg:   cfg,
+		stats: newStats(cfg.Shards),
+		km:    km,
+		store: store,
+		obs:   obs.NewRecorder(obsOpts),
 	}
 	// Threshold-family and fixed-bound specs reject keyed traffic (see
 	// ErrKeyedUnsupported); "threshold-retry" (BoundedRetry) is safe —
@@ -237,10 +235,9 @@ func (d *Dispatcher) Place(ctx context.Context) (bin int, samples int64, err err
 		return 0, 0, err
 	}
 	defer d.drainMu.RUnlock()
-	t0 := time.Now()
-	c := d.obs.BeginAt(obs.TraceFrom(ctx), "place", t0)
+	c := d.obs.Begin(obs.TraceFrom(ctx), "place")
 	var one [1]int
-	samples = d.placeChunk(d.sa.NextShard(), one[:], &c, t0)
+	samples = d.placeChunk(d.sa.NextShard(), one[:], &c, 0)
 	return one[0], samples, nil
 }
 
@@ -253,7 +250,9 @@ func (d *Dispatcher) Place(ctx context.Context) (bin int, samples int64, err err
 // counts by key popularity — bounded at the key level by the keyed
 // policy, and at the traffic level by hot-key splitting — rather
 // than obeying the round-robin evenness of anonymous placements.
-// Admission and commit semantics are exactly Place's.
+// Admission and commit semantics are exactly Place's. The op is timed
+// from admission, so its route is a "probe" span ahead of queue and
+// apply, and the three sum exactly to the op total.
 func (d *Dispatcher) PlaceKeyed(ctx context.Context, key string) (bin int, samples int64, err error) {
 	if key == "" {
 		return d.Place(ctx)
@@ -265,18 +264,20 @@ func (d *Dispatcher) PlaceKeyed(ctx context.Context, key string) (bin int, sampl
 		return 0, 0, err
 	}
 	defer d.drainMu.RUnlock()
+	c := d.obs.Begin(obs.TraceFrom(ctx), "place")
 	shard, probes, hit, err := d.km.Route(key)
-	if err != nil {
-		return 0, 0, err // unreachable: serve shards never leave rotation
-	}
-	t0 := time.Now()
-	c := d.obs.BeginAt(obs.TraceFrom(ctx), "place", t0)
+	routed := c.Elapsed()
+	c.StageElapsed("probe", 0, routed)
 	c.Attr("key_probes", int64(probes))
 	if hit {
 		c.Attr("key_hit", 1)
 	}
+	if err != nil {
+		c.EndElapsed(routed, err)
+		return 0, 0, err // unreachable: serve shards never leave rotation
+	}
 	var one [1]int
-	samples = d.placeChunk(shard, one[:], &c, t0)
+	samples = d.placeChunk(shard, one[:], &c, routed)
 	return one[0], samples, nil
 }
 
@@ -368,7 +369,7 @@ func (f *fanOut) wait() int64 {
 func (d *Dispatcher) placeBulkChunk(s int, chunk []int, bulk int, trace uint64, t0 time.Time) int64 {
 	c := d.obs.BeginAt(trace, "place", t0)
 	c.Attr("bulk", int64(bulk))
-	return d.placeChunk(s, chunk, &c, t0)
+	return d.placeChunk(s, chunk, &c, 0)
 }
 
 // Remove takes one ball out of global bin. It returns ErrEmptyBin if
@@ -392,10 +393,9 @@ func (d *Dispatcher) RemoveKeyed(ctx context.Context, bin int, key string) error
 		return err
 	}
 	defer d.drainMu.RUnlock()
-	t0 := time.Now()
-	c := d.obs.BeginAt(obs.TraceFrom(ctx), "remove", t0)
+	c := d.obs.Begin(obs.TraceFrom(ctx), "remove")
 	shard := d.sa.ShardOf(bin)
-	err := d.run(shard, &c, t0, func(a *ballsbins.Allocator, base int) error {
+	err := d.run(shard, &c, 0, func(a *ballsbins.Allocator, base int) error {
 		local := bin - base
 		if a.Load(local) == 0 {
 			return ErrEmptyBin
@@ -452,9 +452,10 @@ func (d *Dispatcher) Close() {
 
 // placeChunk places len(bins) balls on shard s under one lock
 // acquisition, writing their global bins, and returns the samples
-// consumed.
-func (d *Dispatcher) placeChunk(s int, bins []int, c *obs.Capture, t0 time.Time) (samples int64) {
-	d.run(s, c, t0, func(a *ballsbins.Allocator, base int) error {
+// consumed. queued is when the op started waiting for the lock, as an
+// offset from c's begin time.
+func (d *Dispatcher) placeChunk(s int, bins []int, c *obs.Capture, queued int64) (samples int64) {
+	d.run(s, c, queued, func(a *ballsbins.Allocator, base int) error {
 		for i := range bins {
 			local, smp := a.Place()
 			bins[i] = base + local
@@ -467,31 +468,34 @@ func (d *Dispatcher) placeChunk(s int, bins []int, c *obs.Capture, t0 time.Time)
 
 // run applies op to shard s under the shard lock and publishes the
 // shard's stats row before unlocking, so every row is an exact post-op
-// observation. The latency and stage records are made after the
-// unlock: queue runs from admission (t0) until the lock is held, apply
-// is the time under the lock, and the two sum exactly to the op total
-// c ends with.
-func (d *Dispatcher) run(s int, c *obs.Capture, t0 time.Time, op func(a *ballsbins.Allocator, base int) error) error {
-	var locked, end time.Time
+// observation. The op read the wall clock once, at admission; the
+// lock-held and end stamps are monotonic offsets from it
+// (Capture.Elapsed), and the stage records are made after the unlock:
+// queue runs from queued (0, or the end of a keyed route) until the
+// lock is held, apply is the time under the lock, and the spans sum
+// exactly to the op total c ends with.
+func (d *Dispatcher) run(s int, c *obs.Capture, queued int64, op func(a *ballsbins.Allocator, base int) error) error {
+	var locked, end int64
 	var err error
 	d.sa.WithShardLocked(s, func(a *ballsbins.Allocator, base int) {
-		locked = time.Now()
+		locked = c.Elapsed()
 		err = op(a, base)
 		d.stats.publish(s, a)
-		end = time.Now()
+		end = c.Elapsed()
 	})
-	d.latency.Record(end.Sub(t0).Nanoseconds())
-	c.StageAt("queue", t0, locked)
-	c.StageAt("apply", locked, end)
-	c.EndAt(end, err)
+	c.StageElapsed("queue", queued, locked)
+	c.StageElapsed("apply", locked, end)
+	c.EndElapsed(end, err)
 	return err
 }
 
-// Latency returns a snapshot of the dispatch-latency histogram: the
-// time from a call's admission until its shard lock is released — the
-// wait for the lock plus the work under it — one sample per lock
-// taken (a bulk records one per shard chunk).
-func (d *Dispatcher) Latency() hdrhist.Snapshot { return d.latency.Snapshot() }
+// Latency returns a snapshot of the dispatch latency: the time from a
+// call's admission until its shard lock is released — a keyed route,
+// the wait for the lock and the work under it — one sample per lock
+// taken (a bulk records one per shard chunk). It is the union of the
+// obs op totals, "place" and "remove", read in one pass, so each op
+// records its latency once; it is empty when Config.Obs.Disabled.
+func (d *Dispatcher) Latency() hdrhist.Snapshot { return d.obs.UnionSnapshot("place", "remove") }
 
 // Obs returns the dispatcher's observability recorder (nil when
 // Config.Obs.Disabled).

@@ -3,12 +3,15 @@ package serve
 import (
 	"context"
 	"fmt"
+	"io"
+	"net/url"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	ballsbins "repro"
+	"repro/internal/hdrhist"
 	"repro/internal/watch"
 )
 
@@ -90,8 +93,7 @@ func TestDispatcherPlaceMany(t *testing.T) {
 // TestDispatcherOneLockPerRequest drives one shard from 16 goroutines
 // and checks the stats pipeline's exact operation counts: every
 // request takes its own shard lock, so requests, lock acquisitions and
-// latency samples all equal the op count and the combining factor is
-// exactly 1.
+// latency samples all equal the op count.
 func TestDispatcherOneLockPerRequest(t *testing.T) {
 	const n, workers, perWorker = 32, 16, 200
 	d := newTestDispatcher(t, n, 1) // one shard: every request shares its lock
@@ -116,9 +118,6 @@ func TestDispatcherOneLockPerRequest(t *testing.T) {
 	}
 	if row := v.Shards[0]; row.Requests != workers*perWorker || row.Batches != workers*perWorker {
 		t.Fatalf("stats requests/batches = %d/%d, want %d", row.Requests, row.Batches, workers*perWorker)
-	}
-	if v.CombiningFactor != 1 {
-		t.Fatalf("combining factor %v, want 1", v.CombiningFactor)
 	}
 	if lat := d.Latency(); lat.Count != workers*perWorker {
 		t.Fatalf("latency histogram recorded %d ops, want %d", lat.Count, workers*perWorker)
@@ -391,4 +390,119 @@ func TestDispatcherCloseRace(t *testing.T) {
 		t.Fatalf("books: placed %d - removed %d != balls %d",
 			statsAtClose.Placed, statsAtClose.Removed, statsAtClose.Balls)
 	}
+}
+
+// TestDispatcherStageRecords pins what each op records: one op total
+// under its name ("place" or "remove") and one queue and one apply
+// span per shard lock taken, with the dispatch latency the union of
+// the two op totals. k places, j removes and one bulk spanning every
+// shard must leave exactly those counts, no more and no fewer.
+func TestDispatcherStageRecords(t *testing.T) {
+	const n, shards, k, j, bulk = 64, 4, 30, 12, 10
+	d := NewDispatcher(Config{
+		Spec: ballsbins.Adaptive(), N: n, Shards: shards, Seed: 9,
+		Watch: watch.Options{Disabled: true},
+	})
+	t.Cleanup(d.Close)
+	ctx := context.Background()
+	var bins []int
+	for i := 0; i < k; i++ {
+		bin, _, err := d.Place(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bins = append(bins, bin)
+	}
+	for _, bin := range bins[:j] {
+		if err := d.Remove(ctx, bin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := d.PlaceMany(ctx, bulk); err != nil { // one chunk per shard
+		t.Fatal(err)
+	}
+	st := d.Obs().StageSummaries()
+	places, removes := int64(k+shards), int64(j)
+	if st["place"].Count != places || st["remove"].Count != removes {
+		t.Fatalf("op totals: place %d, remove %d; want %d, %d", st["place"].Count, st["remove"].Count, places, removes)
+	}
+	if st["queue"].Count != places+removes || st["apply"].Count != places+removes {
+		t.Fatalf("spans: queue %d, apply %d; want %d each", st["queue"].Count, st["apply"].Count, places+removes)
+	}
+	if got := d.Latency().Count; got != places+removes {
+		t.Fatalf("latency count %d, want place + remove = %d", got, places+removes)
+	}
+}
+
+// allocsPerCall is testing.AllocsPerRun that also reports bytes: the
+// mean heap allocations and bytes of one call of f, measured on one
+// P after a warm-up call.
+func allocsPerCall(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestStatsReadAllocs pins the allocation cost of the two stats
+// surfaces a poller reads, /v1/stats (StatsDoc) and /metrics
+// (WriteMetrics), to the parent commit's. Both read the dispatch
+// latency, which is now the union of two histograms. A snapshot's cost
+// grows with its non-empty buckets, and these depend on timing, so the
+// bound is: what one snapshot of a single histogram with the same
+// buckets costs, plus the rest of the parent's cost, measured with this
+// harness for 1,024 bins and 8 shards after 200k ops. (The parent
+// allocated 16 objects and 13,880 B per StatsDoc when its latency
+// histogram had 129-256 non-empty buckets.) Reading the union as two
+// snapshots and a Merge would cost three snapshots and fail here.
+func TestStatsReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	const (
+		docRestAllocs, docRestBytes         = 7, 1616
+		metricsRestAllocs, metricsRestBytes = 114, 2729
+	)
+	d := NewDispatcher(Config{
+		Spec: ballsbins.Adaptive(), N: 1024, Shards: 8, Seed: 1,
+		Watch: watch.Options{Disabled: true},
+	})
+	t.Cleanup(d.Close)
+	ctx := context.Background()
+	q, _, err := d.PlaceMany(ctx, 8*1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100_000; i++ {
+		bin, _, err := d.Place(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Remove(ctx, q[i%len(q)]); err != nil {
+			t.Fatal(err)
+		}
+		q[i%len(q)] = bin
+	}
+	ref := hdrhist.New()
+	for _, b := range d.Latency().Buckets() {
+		ref.Record(b.Lo)
+	}
+	snapAllocs, snapBytes := allocsPerCall(200, func() { ref.Snapshot() })
+	check := func(name string, restAllocs, restBytes float64, f func()) {
+		t.Helper()
+		allocs, bytes := allocsPerCall(200, f)
+		if allocs > restAllocs+snapAllocs || bytes > restBytes+snapBytes {
+			t.Errorf("%s: %v allocs, %v B per call; the parent's cost at these buckets is %v allocs, %v B",
+				name, allocs, bytes, restAllocs+snapAllocs, restBytes+snapBytes)
+		}
+	}
+	check("Latency", 0, 0, func() { d.Latency() })
+	check("StatsDoc", docRestAllocs, docRestBytes, func() { d.StatsDoc(StatsResponse{}, url.Values{}) })
+	check("WriteMetrics", metricsRestAllocs, metricsRestBytes, func() { d.WriteMetrics(io.Discard) })
 }

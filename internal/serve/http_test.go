@@ -224,7 +224,6 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 		`bb_shard_balls{shard="1"}`,
 		`bb_dispatch_latency_seconds{quantile="0.99"}`,
 		"bb_dispatch_latency_seconds_count ",
-		"bb_combining_factor ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q", want)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	ballsbins "repro"
+	"repro/internal/obs"
 )
 
 func newKeyedTestServer(t *testing.T, n, shards int) (*Dispatcher, *httptest.Server) {
@@ -206,5 +207,49 @@ func TestDispatcherKeyedAffinityUnderConcurrency(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestPlaceKeyedTimesRoute pins when a keyed place starts its clock:
+// at admission, before the key is routed. A retained keyed miss carries
+// exactly the spans probe, queue and apply, and they sum exactly to its
+// duration, so the route is inside the op total the latency histograms
+// record. An anonymous place keeps exactly queue and apply, which CI's
+// obs-smoke job also checks on a live bbserved.
+func TestPlaceKeyedTimesRoute(t *testing.T) {
+	d := NewDispatcher(Config{
+		Spec: ballsbins.Adaptive(), N: 64, Shards: 4, Seed: 7,
+		Obs: obs.Options{SampleEvery: 1, SlowThreshold: -1},
+	})
+	t.Cleanup(d.Close)
+	ctx := context.Background()
+	if _, _, err := d.PlaceKeyed(ctx, "cold-key"); err != nil { // a miss: the key is new
+		t.Fatal(err)
+	}
+	if _, _, err := d.Place(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ops := d.Obs().Ops(0)
+	if len(ops) != 2 {
+		t.Fatalf("%d ops retained, want 2", len(ops))
+	}
+	for i, want := range [][]string{{"probe", "queue", "apply"}, {"queue", "apply"}} {
+		op := ops[i]
+		var stages []string
+		var sum int64
+		for _, sp := range op.Spans {
+			stages = append(stages, sp.Stage)
+			sum += sp.DurationNs
+		}
+		if fmt.Sprint(stages) != fmt.Sprint(want) || sum != op.DurationNs {
+			t.Errorf("op %d (%s, attrs %v): spans %v summing to %d ns, want %v summing to its %d ns",
+				i, op.Op, op.Attrs, stages, sum, want, op.DurationNs)
+		}
+	}
+	if ops[0].Attrs["key_hit"] != 0 || ops[0].Attrs["key_probes"] < 1 {
+		t.Errorf("keyed op attrs %v, want a miss with at least one probe", ops[0].Attrs)
+	}
+	if got := d.Latency().Count; got != 2 {
+		t.Errorf("latency count %d, want 2", got)
 	}
 }

@@ -70,7 +70,8 @@ type ShardStat struct {
 	MinLoad int   `json:"min_load"`
 	// Batches counts shard lock acquisitions and Requests the requests
 	// they applied (a bulk's chunk is one request). Every request takes
-	// its own lock, so the two are equal.
+	// its own lock, so the two are equal; both stay because the bbmark
+	// benchmark (bench/workloads.go) reads them.
 	Batches  int64 `json:"batches"`
 	Requests int64 `json:"requests"`
 }
@@ -89,12 +90,8 @@ type StatsView struct {
 	// rows (Σ sumSq − t²/n over the rows as read).
 	Psi float64 `json:"psi"`
 	// SamplesPerBall is cumulative samples over cumulative placements.
-	SamplesPerBall float64 `json:"samples_per_ball"`
-	// CombiningFactor is total requests over total lock acquisitions.
-	// Each request takes its own shard lock, so it reads 1.0 once any
-	// traffic has run.
-	CombiningFactor float64     `json:"combining_factor"`
-	Shards          []ShardStat `json:"shards"`
+	SamplesPerBall float64     `json:"samples_per_ball"`
+	Shards         []ShardStat `json:"shards"`
 }
 
 // ShardRow returns shard s's latest published row alone — the cheap
@@ -125,7 +122,7 @@ func toShardStat(s int, g *shardRow) ShardStat {
 // View assembles a StatsView for n total bins.
 func (st *Stats) View(n int) StatsView {
 	v := StatsView{MinLoad: math.MaxInt}
-	var sumSq, ops int64
+	var sumSq int64
 	for s := range st.shards {
 		g := st.shards[s].row.Load()
 		if g == nil {
@@ -137,7 +134,6 @@ func (st *Stats) View(n int) StatsView {
 		v.Removed += g.removed
 		v.Samples += g.samples
 		sumSq += g.sumSq
-		ops += g.ops
 		if g.maxLoad > v.MaxLoad {
 			v.MaxLoad = g.maxLoad
 		}
@@ -153,9 +149,6 @@ func (st *Stats) View(n int) StatsView {
 	v.Psi = float64(sumSq) - t*t/float64(n)
 	if v.Placed > 0 {
 		v.SamplesPerBall = float64(v.Samples) / float64(v.Placed)
-	}
-	if ops > 0 {
-		v.CombiningFactor = 1
 	}
 	return v
 }

@@ -103,7 +103,6 @@ func (d *Dispatcher) WriteMetrics(w io.Writer) {
 	obs.WriteGauge(w, "bb_gap", "Max minus min load.", v.Gap)
 	obs.WriteGauge(w, "bb_psi", "Quadratic potential of the load vector.", v.Psi)
 	obs.WriteGauge(w, "bb_samples_per_ball", "Cumulative samples per placed ball.", v.SamplesPerBall)
-	obs.WriteGauge(w, "bb_combining_factor", "Requests applied per shard lock acquisition (1: every request takes its own).", v.CombiningFactor)
 
 	ks := d.KeyedStats()
 	obs.WriteGauge(w, "bb_keyed_keys", "Keys in the keyed placement table.", ks.Keys)
@@ -121,7 +120,7 @@ func (d *Dispatcher) WriteMetrics(w io.Writer) {
 		fmt.Fprintf(w, "bb_shard_max_load{shard=%q} %d\n", strconv.Itoa(row.Shard), row.MaxLoad)
 	}
 
-	fmt.Fprintf(w, "# HELP bb_dispatch_latency_seconds Request admission-to-completion latency (shard lock wait plus work under it).\n")
+	fmt.Fprintf(w, "# HELP bb_dispatch_latency_seconds Request admission-to-completion latency (keyed route, shard lock wait and work under it).\n")
 	fmt.Fprintf(w, "# TYPE bb_dispatch_latency_seconds summary\n")
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
 		fmt.Fprintf(w, "bb_dispatch_latency_seconds{quantile=%q} %g\n",

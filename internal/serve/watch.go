@@ -50,14 +50,11 @@ func (d *Dispatcher) watchSample() watch.Sample {
 	worst.Invariant = "serve_shard_max"
 	var booksSkew int64
 	var viewPlaced, viewRemoved, viewBalls int64
-	var batches, reqs int64
 	for shard := 0; shard < d.cfg.Shards; shard++ {
 		row := d.stats.ShardRow(shard)
 		viewPlaced += row.Placed
 		viewRemoved += row.Removed
 		viewBalls += row.Balls
-		batches += row.Batches
-		reqs += row.Requests
 		if skew := row.Balls - (row.Placed - row.Removed); skew != 0 {
 			if skew < 0 {
 				skew = -skew
@@ -131,9 +128,6 @@ func (d *Dispatcher) watchSample() watch.Sample {
 		Gap:             metrics.Gap,
 		Psi:             metrics.Psi,
 		AffinityHitRate: ks.AffinityHitRate,
-	}
-	if batches > 0 {
-		s.Point.CombiningFactor = float64(reqs) / float64(batches)
 	}
 	if sum := d.obs.StageSummaries(); len(sum) > 0 {
 		s.Point.StageP99Ns = make(map[string]int64, len(sum))

@@ -7,8 +7,8 @@ import (
 
 // Point is one time-series sample: the per-window aggregates the
 // collector reads from the tier's stats each tick. Fields that a tier
-// cannot report (pick staleness on a bbserved, combining factor on a
-// bbproxy) stay zero.
+// cannot report (pick staleness on a bbserved, affinity on a tier
+// without keyed traffic) stay zero.
 type Point struct {
 	Seq        int64 `json:"seq"`
 	TimeUnixMs int64 `json:"t_ms"`
@@ -22,7 +22,6 @@ type Point struct {
 	Gap             int     `json:"gap"`
 	Psi             float64 `json:"psi"`
 	OpsPerSec       float64 `json:"ops_per_sec"`
-	CombiningFactor float64 `json:"combining_factor"`
 	AffinityHitRate float64 `json:"affinity_hit_rate"`
 	// PickStalenessP99Ms is the routing tier's staleness-at-decision
 	// p99 (the Benjamini–Makarychev cost-of-stale-views metric), here

@@ -18,9 +18,9 @@
 //     offending snapshot.
 //
 //   - A time-series ring: per-tick Points (gap, max load, psi, ops/s,
-//     combining factor, affinity hit rate, pick staleness, per-stage
-//     p99s) served as GET /v1/timeseries?window= and joined by bbload
-//     into the gap_over_time result column.
+//     affinity hit rate, pick staleness, per-stage p99s) served as
+//     GET /v1/timeseries?window= and joined by bbload into the
+//     gap_over_time result column.
 //
 // The tier under watch supplies a Probe closure returning one Sample:
 // a Point plus the armed Checks, all read from that tier's own

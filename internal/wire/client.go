@@ -68,8 +68,7 @@ func (o ClientOptions) withDefaults() ClientOptions {
 }
 
 // ClientStats snapshots a client's transport-efficiency counters: the
-// coalescing factor (requests per socket write — the client-side twin
-// of the dispatcher's combining factor) and raw socket bytes.
+// coalescing factor (requests per socket write) and raw socket bytes.
 type ClientStats struct {
 	Requests         int64   `json:"requests"`
 	Writes           int64   `json:"writes"`

@@ -30,10 +30,8 @@
 // writer that packs everything pending into one write, and Client runs
 // the same loop for requests — concurrent callers enqueue onto a
 // per-connection send loop that drains the queue into a single
-// write/syscall per flush. This is the client-side twin of
-// serve.Dispatcher's arrival combining, and the measured
-// requests-per-write factor is exported just like the dispatcher's
-// combining factor.
+// write/syscall per flush. The measured requests-per-write factor is
+// exported as the client's coalescing factor.
 package wire
 
 import (

@@ -29,16 +29,37 @@ import (
 //
 // Aggregate reads (Loads, MaxLoad, Gap, Psi, Metrics, Snapshot) lock
 // every shard, so they are linearizable snapshots of the whole system.
+//
+// Two concurrent callers pay a tax over one Allocator's Place, in three
+// parts:
+//   - False sharing, removed by layout: every shard header (its mutex,
+//     written by each lock and unlock) and the ticket cursor (written by
+//     every ticket) sit alone on their own cache line, so no caller's
+//     write invalidates a line another caller only reads.
+//   - The shared cursor, kept on purpose: every ticket is one atomic add
+//     on a line all callers write. Splitting it per caller would break
+//     the exact round-robin evenness the sharded bound rests on.
+//   - Allocator state in motion: round-robin tickets interleave the
+//     callers over the shards, so each shard's allocator state (its
+//     load vector, level index and RNG) migrates between cores with
+//     the lock, and a placement starts with cache misses the
+//     single-threaded Allocator never takes.
 type ShardedAllocator struct {
 	shards []*shard
 	n      int
-	next   atomic.Uint64
+	_      [cacheLine - 32]byte // the read-mostly fields above keep their own line
+	next   atomic.Uint64        // round-robin ticket cursor
+	_      [cacheLine - 8]byte
 }
+
+// cacheLine is the coherence unit the hot fields are padded to.
+const cacheLine = 64
 
 type shard struct {
 	mu sync.Mutex
 	a  *Allocator
-	lo int // global index of the shard's first bin
+	lo int                  // global index of the shard's first bin
+	_  [cacheLine - 24]byte // one cache line per shard header
 }
 
 // NewSharded returns a ShardedAllocator over n bins split into
