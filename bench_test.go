@@ -70,9 +70,9 @@ func BenchmarkTable1(b *testing.B) {
 				return float64(m)/n + core.PredictMemoryMaxLoad(n)
 			}},
 		{"threshold", ballsbins.Threshold(),
-			func(m int64) float64 { return float64(core.PredictMaxLoadBound(n, m)) }},
+			func(m int64) float64 { return float64(protocol.MaxLoadBound(n, m)) }},
 		{"adaptive", ballsbins.Adaptive(),
-			func(m int64) float64 { return float64(core.PredictMaxLoadBound(n, m)) }},
+			func(m int64) float64 { return float64(protocol.MaxLoadBound(n, m)) }},
 	}
 	for _, phi := range []int64{1, 32} {
 		m := phi * n

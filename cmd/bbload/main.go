@@ -309,19 +309,13 @@ func runOne(ctx context.Context, sf *cli.SpecFlags, sc load.Scenario,
 		// keyed-P (or keyed[P]) policies run the keyed tier under inner
 		// policy P; anonymous traffic routes under P's anonymous
 		// analogue (hash → single). Same mapping as bbproxy -policy.
-		var keyedCfg *keyed.Config
-		anonName, anonD := policyName, sf.D
-		if inner, ok := keyed.SplitName(policyName); ok {
-			kp, kerr := keyed.PolicyByName(inner, sf.D, retries, horizon)
-			if kerr != nil {
-				return load.Result{}, kerr
-			}
-			keyedCfg = &keyed.Config{Policy: kp}
-			anonName, anonD = keyed.AnonAnalogue(inner, sf.D)
-		}
-		policy, err := cluster.PolicyByName(anonName, anonD, retries, sf.Bound, horizon)
+		policy, kp, err := cluster.ResolvePolicy(policyName, sf.D, retries, sf.Bound, horizon)
 		if err != nil {
 			return load.Result{}, err
+		}
+		var keyedCfg *keyed.Config
+		if kp != nil {
+			keyedCfg = &keyed.Config{Policy: kp}
 		}
 		// Restart scenarios need durable keyed state; each run gets a
 		// fresh directory so one run's WAL never replays into the next.

@@ -130,20 +130,13 @@ func main() {
 	// tier under inner policy P; anonymous (unkeyed) requests then
 	// route under the matching anonymous policy — P itself, except
 	// hash, whose anonymous analogue is single-choice.
-	var keyedCfg *keyed.Config
-	anonName := o.policy
-	anonD := o.d
-	if inner, ok := keyed.SplitName(o.policy); ok {
-		kp, err := keyed.PolicyByName(inner, o.d, o.Retries, o.Horizon)
-		if err != nil {
-			daemon.Exit(logger, err, 2)
-		}
-		keyedCfg = o.Keyed(kp)
-		anonName, anonD = keyed.AnonAnalogue(inner, o.d)
-	}
-	policy, err := cluster.PolicyByName(anonName, anonD, o.Retries, o.bound, o.Horizon)
+	policy, kp, err := cluster.ResolvePolicy(o.policy, o.d, o.Retries, o.bound, o.Horizon)
 	if err != nil {
 		daemon.Exit(logger, err, 2)
+	}
+	var keyedCfg *keyed.Config
+	if kp != nil {
+		keyedCfg = o.Keyed(kp)
 	}
 
 	// Probe the backends for their configuration: every backend must

@@ -18,6 +18,7 @@ import (
 	ballsbins "repro"
 	"repro/internal/cli"
 	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/table"
 )
 
@@ -69,12 +70,12 @@ func main() {
 				fmt.Sprintf("%.2f", float64(m)/float64(*n)+core.PredictMemoryMaxLoad(*n))},
 			{ballsbins.Threshold(),
 				fmt.Sprintf("%.0f (=m+m^3/4 n^1/4)", core.PredictThresholdTime(*n, m)),
-				fmt.Sprintf("%d (=ceil(m/n)+1)", core.PredictMaxLoadBound(*n, m))},
+				fmt.Sprintf("%d (=ceil(m/n)+1)", protocol.MaxLoadBound(*n, m))},
 			{ballsbins.Adaptive(), "O(m)",
-				fmt.Sprintf("%d (=ceil(m/n)+1)", core.PredictMaxLoadBound(*n, m))},
+				fmt.Sprintf("%d (=ceil(m/n)+1)", protocol.MaxLoadBound(*n, m))},
 			{ballsbins.AdaptiveNoSlack(),
 				fmt.Sprintf("%.0f (=m ln n)", core.PredictAdaptiveNoSlackTime(*n, m)),
-				fmt.Sprintf("%d", core.PredictMaxLoadBound(*n, m))},
+				fmt.Sprintf("%d", protocol.MaxLoadBound(*n, m))},
 		}
 		for _, row := range rows {
 			sum, err := ballsbins.Replicates(ctx, row.spec, *n, m, *reps,

@@ -87,7 +87,11 @@
 // Greedy(d) is the classical power of d choices, and Adaptive accepts
 // a backend whose estimated load is below (live total)/K + 1, which
 // transplants its ⌈i/K⌉+1 max-load guarantee to the cluster level
-// while needing no declared horizon. bbproxy serves the same HTTP
+// while needing no declared horizon. Each routing policy, like each
+// keyed policy below, is one protocol.Rule: the acceptance test
+// (protocol.Accepts), probe cap and defended bound are stated once in
+// internal/protocol, and the router's pick loop runs any of them.
+// bbproxy serves the same HTTP
 // surface as bbserved (clients cannot tell the tiers apart), health-
 // checks its backends with eviction and automatic rejoin on stable
 // slots, fails placements over on backend errors, and exposes
@@ -111,8 +115,8 @@
 // own machinery: every key owns a deterministic pseudo-random probe
 // sequence (a per-key RNG stream, the same construction as the
 // protocols' bin draws) and is assigned to the first probed bin
-// passing the active policy's acceptance rule — the exact integer
-// test K·(load−1) < i over per-bin key counts, so keyed-adaptive
+// passing the active policy's acceptance rule (a protocol.Rule) — the
+// exact integer test K·(load−1) < i over per-bin key counts, so keyed-adaptive
 // carries the ⌈i/K⌉+1 guarantee on keys per bin where plain hash
 // affinity has none. An assignment table makes repeat traffic free
 // (sticky affinity, zero probes); keys whose request share crosses a

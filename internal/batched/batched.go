@@ -102,7 +102,6 @@ func (g *Greedy) Place(v *loadvec.Vector, r *rng.Rand, _ int64) int64 {
 // sequential variant).
 type Adaptive struct {
 	b        int64
-	n        int64
 	placed   int64
 	known    int64 // ball counter as of the batch start
 	snapshot []int32
@@ -125,7 +124,6 @@ func (a *Adaptive) Reset(n int, _ int64) {
 	if a.b > int64(n) {
 		panic(fmt.Sprintf("batched: adaptive needs b <= n (%d > %d)", a.b, n))
 	}
-	a.n = int64(n)
 	a.snapshot = make([]int32, n)
 	a.placed = 0
 	a.known = 0
@@ -146,7 +144,7 @@ func (a *Adaptive) Place(v *loadvec.Vector, r *rng.Rand, i int64) int64 {
 	for {
 		j := r.Intn(n)
 		samples++
-		if a.n*int64(a.snapshot[j]-1) < a.known {
+		if protocol.Accepts(n, int64(a.snapshot[j]), a.known) {
 			v.Increment(j)
 			return samples
 		}

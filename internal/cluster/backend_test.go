@@ -43,7 +43,7 @@ func TestBinCountAgreement(t *testing.T) {
 	}
 
 	bks := []Backend{NewHTTPBackend(urls[0]), NewHTTPBackend(urls[1]), NewHTTPBackendN(urls[2], 0, n)}
-	rt := NewRouter(Config{Backends: bks, BinsPerBackend: n, Policy: single{}, Seed: 3, FailAfter: 2})
+	rt := NewRouter(Config{Backends: bks, BinsPerBackend: n, Policy: policyNamed("single"), Seed: 3, FailAfter: 2})
 	defer rt.Close()
 	ctx := context.Background()
 	for i := 0; i < 200; i++ {
@@ -70,7 +70,7 @@ func TestBinCountAgreement(t *testing.T) {
 func TestClientErrorParity(t *testing.T) {
 	d := serve.NewDispatcher(serve.Config{Spec: ballsbins.Adaptive(), N: 64, Shards: 2, Seed: 1})
 	t.Cleanup(d.Close)
-	rt, _ := newInprocCluster(t, 2, 32, single{}, 1)
+	rt, _ := newInprocCluster(t, 2, 32, policyNamed("single"), 1)
 	for _, tc := range []struct {
 		tier      serve.Tier
 		err, want error

@@ -27,10 +27,10 @@
 //     two-choices literature: decisions are made against load values
 //     up to one staleness window old.
 //
-//   - Router picks a backend per request using a Policy — the paper's
-//     protocol specs transplanted to routing, where a protocol "retry"
-//     becomes a probe of another backend against the stale load view
-//     (see Policy for the exact mapping) — then forwards the request
+//   - Router picks a backend per request using a Policy — a
+//     protocol.Rule, whose table gives every policy's acceptance test,
+//     probe cap and bound; a protocol "retry" becomes a probe of
+//     another backend against the stale load view — then forwards the request
 //     over a per-backend pooled connection, failing over to another
 //     backend when the chosen one errors. Latency is accounted in
 //     internal/hdrhist histograms, both cumulative and per staleness

@@ -34,7 +34,7 @@ func newDurableCluster(t *testing.T, k int, dir, fsync string) (Config, []*serve
 	return Config{
 		Backends:       backends,
 		BinsPerBackend: n,
-		Policy:         single{},
+		Policy:         policyNamed("single"),
 		Seed:           7,
 		Keyed:          &keyed.Config{HotShare: 1},
 		KeyedStore:     &keyed.StoreOptions{Dir: dir, Fsync: fsync},

@@ -80,7 +80,7 @@ func TestKeyedUnsupportedKeepsBackends(t *testing.T) {
 			rt := NewRouter(Config{
 				Backends:       serveOver(t, transport, thresholdDispatchers(t, k)),
 				BinsPerBackend: 64,
-				Policy:         single{},
+				Policy:         policyNamed("single"),
 				Seed:           7,
 				FailAfter:      2,
 				Keyed:          &keyed.Config{HotShare: 1},
@@ -143,7 +143,7 @@ func TestFrontStatusMatchesWireCode(t *testing.T) {
 	}
 	d := serve.NewDispatcher(serve.Config{Spec: ballsbins.Adaptive(), N: 64, Shards: 2, Seed: 1})
 	t.Cleanup(d.Close)
-	rt, _ := newInprocCluster(t, 2, 32, single{}, 1)
+	rt, _ := newInprocCluster(t, 2, 32, policyNamed("single"), 1)
 	boom := errors.New("boom")
 	tiers := []struct {
 		name     string
@@ -219,7 +219,7 @@ func TestFrontAllocs(t *testing.T) {
 	}
 	d := serve.NewDispatcher(serve.Config{Spec: ballsbins.Adaptive(), N: 1024, Shards: 4, Seed: 1})
 	t.Cleanup(d.Close)
-	rt, _ := newInprocCluster(t, 3, 256, greedy{d: 2}, 1)
+	rt, _ := newInprocCluster(t, 3, 256, policyNamed("greedy"), 1)
 	krt, _ := newKeyedCluster(t, 3, &keyed.Config{HotShare: 1})
 	ctx := context.Background()
 	const runs = 2000

@@ -62,7 +62,7 @@ func get(t *testing.T, url string) *http.Response {
 // at quiescence, removes by global bin succeed and then conflict.
 func TestProxyHTTPRoundTrip(t *testing.T) {
 	const k, n = 3, 64
-	_, ds, srv := newProxyServer(t, k, n, greedy{d: 2})
+	_, ds, srv := newProxyServer(t, k, n, policyNamed("greedy"))
 
 	pl := decode[serve.PlaceResponse](t, post(t, srv.URL+"/v1/place?count=30"), http.StatusOK)
 	if pl.Count != 30 || len(pl.Bins) != 30 || pl.Bin != pl.Bins[0] {
@@ -115,7 +115,7 @@ func TestProxyHTTPRoundTrip(t *testing.T) {
 // surface.
 func TestProxyHTTPMalformed(t *testing.T) {
 	const k, n = 2, 16
-	_, _, srv := newProxyServer(t, k, n, single{})
+	_, _, srv := newProxyServer(t, k, n, policyNamed("single"))
 	for _, tc := range []struct {
 		method, path string
 		wantStatus   int
@@ -149,7 +149,7 @@ func TestProxyHTTPMalformed(t *testing.T) {
 // surface.
 func TestProxyHealthAndMetrics(t *testing.T) {
 	const k, n = 2, 32
-	rt, ds, srv := newProxyServer(t, k, n, single{})
+	rt, ds, srv := newProxyServer(t, k, n, policyNamed("single"))
 
 	resp := get(t, srv.URL+"/healthz")
 	body, _ := io.ReadAll(resp.Body)

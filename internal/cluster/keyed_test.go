@@ -38,7 +38,7 @@ func newKeyedCluster(t *testing.T, k int, kc *keyed.Config) (*Router, []*serve.D
 	rt := NewRouter(Config{
 		Backends:       backends,
 		BinsPerBackend: n,
-		Policy:         single{},
+		Policy:         policyNamed("single"),
 		Seed:           7,
 		Keyed:          kc,
 	})

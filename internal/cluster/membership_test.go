@@ -66,7 +66,7 @@ func TestMembershipEvictRejoin(t *testing.T) {
 	rt := NewRouter(Config{
 		Backends:       backends,
 		BinsPerBackend: n,
-		Policy:         greedy{d: 2},
+		Policy:         policyNamed("greedy"),
 		Seed:           1,
 		Staleness:      25 * time.Millisecond,
 		HealthEvery:    10 * time.Millisecond,

@@ -5,152 +5,49 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/keyed"
+	"repro/internal/protocol"
 	"repro/internal/rng"
 )
 
-// Policy chooses a backend for one request. It is the paper's protocol
-// spec transplanted to routing: the "bins" are healthy backends, a
-// bin's "load" is the stale LoadView estimate of the backend's ball
-// count, and a protocol "retry" (one more sampled bin) becomes one
-// more probe of a random backend against the view. The mapping:
+// Policy chooses a backend for one request: a protocol.Rule whose bins
+// are the healthy backends and whose loads are the stale LoadView
+// estimates of their ball counts. The routing names are single (alias
+// random), greedy[d], adaptive, threshold[m], threshold-retry[R] and
+// fixed[<b]; protocol.Rule tabulates their acceptance tests, probe
+// caps and bounds.
+type Policy = protocol.Rule
+
+// pick runs policy's acceptance loop over the healthy slots for a bulk
+// of count balls: probe uniform slots against the view, take the first
+// that Accept admits at the live total i (the bulk included), and after
+// MaxProbes probes take the least loaded slot probed. probes is the
+// number of view probes consumed, the routing analogue of the paper's
+// allocation time. fallback reports that the loop took the least
+// loaded slot although the policy would accept an empty one: the
+// chosen backend never passed the acceptance test, so load bounds
+// derived from that test do not cover this pick. Greedy refuses even
+// an empty backend, so its least-of-d is never a fallback.
 //
-//	protocol spec          routing policy
-//	─────────────────────  ────────────────────────────────────────────
-//	single                 one uniform probe (random routing)
-//	greedy[d]              d uniform probes, least loaded wins
-//	adaptive               probe until load < t/K + 1, t = live total
-//	                       (capped; fall back to least-loaded probed)
-//	threshold (horizon m)  probe until load < m/K + 1 (same cap)
-//	threshold-retry[R]     at most R probes against t/K + 1, fall back
-//	                       to least loaded of the R
-//	fixed[<b]              probe until load < b (same cap)
-//
-// Acceptance tests use the same exact integer arithmetic as the
-// protocols (K·(load−1) < i). Unlike a simulation, a routing policy
-// must terminate even when the stale view claims every backend is
-// over threshold, so the unbounded protocols carry a probe cap with a
-// greedy fallback — exactly the BoundedRetry construction, with a cap
-// generous enough (4·K) that it is hit only when the view is wrong.
-//
-// Pick must only be called from one goroutine at a time (the Router
+// pick must only be called from one goroutine at a time (the Router
 // serializes on its RNG).
-type Policy interface {
-	// Name identifies the policy, mirroring protocol naming ("single",
-	// "greedy[2]", "adaptive", ...).
-	Name() string
-	// Pick chooses a slot from healthy (non-empty) for a bulk of count
-	// balls, reading stale loads from view. probes is the number of
-	// load-view probes consumed — the routing analogue of the paper's
-	// allocation time. fallback reports that an acceptance loop
-	// exhausted its probe cap and took the least-loaded probe instead:
-	// the chosen backend did NOT pass the policy's acceptance test, so
-	// load-bound invariants derived from that test do not cover this
-	// pick. Policies without an acceptance loop never set it.
-	Pick(r *rng.Rand, view *LoadView, healthy []int, count int) (slot int, probes int, fallback bool)
-}
-
-// probeCap bounds the sampling loop of the unbounded policies: beyond
-// 4 probes per healthy backend the view is evidently out of date and
-// the greedy fallback takes over.
-func probeCap(k int) int {
-	c := 4 * k
-	if c < 8 {
-		c = 8
-	}
-	return c
-}
-
-// single is random routing: the SingleChoice baseline.
-type single struct{}
-
-func (single) Name() string { return "single" }
-
-func (single) Pick(r *rng.Rand, _ *LoadView, healthy []int, _ int) (int, int, bool) {
-	return healthy[r.Intn(len(healthy))], 1, false
-}
-
-// greedy is d-choice routing: the Greedy(d) baseline (probes with
-// replacement, like the protocol; first minimum wins).
-type greedy struct{ d int }
-
-func (g greedy) Name() string { return fmt.Sprintf("greedy[%d]", g.d) }
-
-func (g greedy) Pick(r *rng.Rand, view *LoadView, healthy []int, _ int) (int, int, bool) {
-	best := healthy[r.Intn(len(healthy))]
-	bestLoad := view.Load(best)
-	for j := 1; j < g.d; j++ {
-		c := healthy[r.Intn(len(healthy))]
-		if l := view.Load(c); l < bestLoad {
-			best, bestLoad = c, l
-		}
-	}
-	// Min-of-d IS greedy's contract, not a fallback.
-	return best, g.d, false
-}
-
-// accepting implements the shared rejection loop of the threshold
-// family: sample until K·(load−1) < bound(i), up to cap probes, then
-// fall back to the least loaded backend probed.
-func accepting(r *rng.Rand, view *LoadView, healthy []int, bound int64, maxProbes int) (int, int, bool) {
-	k := int64(len(healthy))
+func pick(policy Policy, r *rng.Rand, view *LoadView, healthy []int, count int) (slot, probes int, fallback bool) {
+	k := len(healthy)
+	i := view.Total(healthy) + int64(count)
+	maxProbes := policy.MaxProbes(k)
 	best := -1
 	var bestLoad int64
 	for probe := 1; probe <= maxProbes; probe++ {
-		s := healthy[r.Intn(len(healthy))]
+		s := healthy[r.Intn(k)]
 		load := view.Load(s)
-		if k*(load-1) < bound {
+		if policy.Accept(k, load, i) {
 			return s, probe, false
 		}
 		if best < 0 || load < bestLoad {
 			best, bestLoad = s, load
 		}
 	}
-	return best, maxProbes, true
-}
-
-// adaptive is the paper's protocol as a routing policy: accept a
-// backend whose (stale) load is < i/K + 1, where i is the live total
-// ball estimate including the incoming bulk — no horizon needed, and
-// departures lower the bound automatically.
-type adaptive struct{}
-
-func (adaptive) Name() string { return "adaptive" }
-
-func (adaptive) Pick(r *rng.Rand, view *LoadView, healthy []int, count int) (int, int, bool) {
-	i := view.Total(healthy) + int64(count)
-	return accepting(r, view, healthy, i, probeCap(len(healthy)))
-}
-
-// threshold is Czumaj–Stemann routing: a fixed acceptance bound m/K+1
-// from a declared horizon m (total balls the cluster will hold).
-type threshold struct{ m int64 }
-
-func (t threshold) Name() string { return fmt.Sprintf("threshold[%d]", t.m) }
-
-func (t threshold) Pick(r *rng.Rand, view *LoadView, healthy []int, _ int) (int, int, bool) {
-	return accepting(r, view, healthy, t.m, probeCap(len(healthy)))
-}
-
-// boundedRetry caps the adaptive acceptance loop at R probes with the
-// greedy-among-R fallback — the Czumaj–Stemann tradeoff family.
-type boundedRetry struct{ r int }
-
-func (b boundedRetry) Name() string { return fmt.Sprintf("threshold-retry[%d]", b.r) }
-
-func (b boundedRetry) Pick(r *rng.Rand, view *LoadView, healthy []int, count int) (int, int, bool) {
-	i := view.Total(healthy) + int64(count)
-	return accepting(r, view, healthy, i, b.r)
-}
-
-// fixed accepts any backend under an absolute ball bound — capacity
-// routing. (K·(load−1) < K·(bound−1) ⟺ load < bound.)
-type fixed struct{ bound int64 }
-
-func (f fixed) Name() string { return fmt.Sprintf("fixed[<%d]", f.bound) }
-
-func (f fixed) Pick(r *rng.Rand, view *LoadView, healthy []int, _ int) (int, int, bool) {
-	k := int64(len(healthy))
-	return accepting(r, view, healthy, k*(f.bound-1), probeCap(len(healthy)))
+	return best, maxProbes, policy.Accept(k, 0, i)
 }
 
 // Policies lists the names PolicyByName accepts, sorted.
@@ -167,31 +64,50 @@ func Policies() []string {
 func PolicyByName(name string, d, retries, bound int, horizon int64) (Policy, error) {
 	switch strings.ToLower(name) {
 	case "single", "random":
-		return single{}, nil
+		return protocol.FirstRule("single"), nil
 	case "greedy":
 		if d < 1 {
 			return nil, fmt.Errorf("cluster: greedy policy needs d >= 1, got %d", d)
 		}
-		return greedy{d: d}, nil
+		return protocol.GreedyRule(d), nil
 	case "adaptive":
-		return adaptive{}, nil
+		return protocol.AdaptiveRule(), nil
 	case "threshold":
 		if horizon <= 0 {
 			return nil, fmt.Errorf("cluster: threshold policy needs a positive horizon (declared total balls)")
 		}
-		return threshold{m: horizon}, nil
+		return protocol.ThresholdRule(horizon), nil
 	case "boundedretry", "retry":
 		if retries < 1 {
 			return nil, fmt.Errorf("cluster: boundedretry policy needs retries >= 1, got %d", retries)
 		}
-		return boundedRetry{r: retries}, nil
+		return protocol.RetryRule("threshold-retry", retries), nil
 	case "fixed":
 		if bound < 1 {
 			return nil, fmt.Errorf("cluster: fixed policy needs bound >= 1, got %d", bound)
 		}
-		return fixed{bound: int64(bound)}, nil
+		return protocol.FixedRule(int64(bound)), nil
 	default:
 		return nil, fmt.Errorf("cluster: unknown policy %q (want one of %s)",
 			name, strings.Join(Policies(), ", "))
 	}
+}
+
+// ResolvePolicy resolves a router's -policy value. A plain name is an
+// anonymous routing policy (PolicyByName). A keyed name ("keyed[P]",
+// "keyed-P", bare "keyed" for adaptive) also returns keyed policy P
+// for the keyed tier, and unkeyed traffic routes under P's anonymous
+// analogue (keyed.AnonAnalogue: P itself, except hash → single).
+// keyedPolicy is nil for a plain name.
+func ResolvePolicy(name string, d, retries, bound int, horizon int64) (anon, keyedPolicy Policy, err error) {
+	if inner, ok := keyed.SplitName(name); ok {
+		if keyedPolicy, err = keyed.PolicyByName(inner, d, retries, horizon); err != nil {
+			return nil, nil, err
+		}
+		name, d = keyed.AnonAnalogue(inner, d)
+	}
+	if anon, err = PolicyByName(name, d, retries, bound, horizon); err != nil {
+		return nil, nil, err
+	}
+	return anon, keyedPolicy, nil
 }

@@ -359,7 +359,7 @@ func (rt *Router) Draining() bool { return rt.draining.Load() }
 // polled, i.e. the view ran on local accounting alone).
 func (rt *Router) pick(healthy []int, count int) (slot int, probes int, staleMs int64) {
 	rt.mu.Lock()
-	slot, probes, fallback := rt.policy.Pick(rt.rnd, rt.view, healthy, count)
+	slot, probes, fallback := pick(rt.policy, rt.rnd, rt.view, healthy, count)
 	rt.mu.Unlock()
 	rt.picks.Add(1)
 	rt.probes.Add(int64(probes))

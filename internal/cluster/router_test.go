@@ -40,6 +40,16 @@ func newInprocCluster(t testing.TB, k, n int, policy Policy, seed uint64) (*Rout
 	return rt, ds
 }
 
+// policyNamed resolves a routing policy by name, with d = 2 and
+// retries = 2 for the names that take them.
+func policyNamed(name string) Policy {
+	p, err := PolicyByName(name, 2, 2, 0, 0)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // skewBulks reproduces the skew scenario's arrival pattern
 // deterministically: Zipf(1.5) bulk sizes on [1,32], totalling at
 // least total balls.
@@ -88,9 +98,9 @@ func TestPolicyGapOrdering(t *testing.T) {
 		key    string
 		policy Policy
 	}{
-		{"single", single{}},
-		{"greedy2", greedy{d: 2}},
-		{"adaptive", adaptive{}},
+		{"single", policyNamed("single")},
+		{"greedy2", policyNamed("greedy")},
+		{"adaptive", policyNamed("adaptive")},
 	} {
 		rt, _ := newInprocCluster(t, k, n, tc.policy, seed)
 		st := routeBulks(t, rt, bulks)
@@ -123,7 +133,7 @@ func TestAdaptiveRoutingBound(t *testing.T) {
 		n     = 2048
 		total = 7500
 	)
-	rt, _ := newInprocCluster(t, k, n, adaptive{}, 3)
+	rt, _ := newInprocCluster(t, k, n, policyNamed("adaptive"), 3)
 	ctx := context.Background()
 	for i := 1; i <= total; i++ {
 		if _, _, err := rt.Place(ctx, 1); err != nil {
@@ -145,7 +155,7 @@ func TestAdaptiveRoutingBound(t *testing.T) {
 // there, and the view's local accounting follows both directions.
 func TestRouterPlaceRemoveRoundTrip(t *testing.T) {
 	const k, n = 3, 64
-	rt, ds := newInprocCluster(t, k, n, greedy{d: 2}, 9)
+	rt, ds := newInprocCluster(t, k, n, policyNamed("greedy"), 9)
 	ctx := context.Background()
 
 	bins, samples, err := rt.Place(ctx, 10)
@@ -189,7 +199,7 @@ func TestRouterPlaceRemoveRoundTrip(t *testing.T) {
 // and the dead slot is evicted by its own traffic.
 func TestRouterFailover(t *testing.T) {
 	const k, n = 3, 64
-	rt, ds := newInprocCluster(t, k, n, single{}, 11)
+	rt, ds := newInprocCluster(t, k, n, policyNamed("single"), 11)
 	ctx := context.Background()
 
 	// Kill backend 1: its dispatcher drains, so Place returns errors.
@@ -221,7 +231,7 @@ func TestRouterFailover(t *testing.T) {
 // -race acceptance test for the routing tier) and checks conservation.
 func TestRouterConcurrent(t *testing.T) {
 	const k, n, workers, perWorker = 4, 256, 8, 300
-	rt, ds := newInprocCluster(t, k, n, greedy{d: 2}, 21)
+	rt, ds := newInprocCluster(t, k, n, policyNamed("greedy"), 21)
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -299,7 +309,7 @@ func TestClientCancelIsNotBackendEvidence(t *testing.T) {
 	rt := NewRouter(Config{
 		Backends:       []Backend{cb},
 		BinsPerBackend: 8,
-		Policy:         single{},
+		Policy:         policyNamed("single"),
 		Seed:           1,
 		FailAfter:      1, // a single real failure would evict
 	})
@@ -365,7 +375,7 @@ func TestPolicyByName(t *testing.T) {
 // backends are over threshold).
 func TestBoundedRetryProbeCap(t *testing.T) {
 	const k, n, total = 4, 1024, 3000
-	rt, _ := newInprocCluster(t, k, n, boundedRetry{r: 2}, 17)
+	rt, _ := newInprocCluster(t, k, n, policyNamed("boundedretry"), 17)
 	st := routeBulks(t, rt, skewBulks(5, total))
 	if st.ProbesPerPick > 2 {
 		t.Fatalf("threshold-retry[2] spent %.3f probes/pick, cap is 2", st.ProbesPerPick)

@@ -43,7 +43,7 @@ func sealVictim(dir string) {
 		backends = append(backends, &InprocBackend{D: d})
 	}
 	rt, _, err := OpenRouter(Config{
-		Backends: backends, BinsPerBackend: n, Policy: single{}, Seed: 7,
+		Backends: backends, BinsPerBackend: n, Policy: policyNamed("single"), Seed: 7,
 		Keyed:      &keyed.Config{},
 		KeyedStore: &keyed.StoreOptions{Dir: dir},
 		Watch:      watch.Options{Logger: slog.New(slog.NewJSONHandler(os.Stderr, nil))},

@@ -1,14 +1,13 @@
 package cluster
 
 import (
+	"repro/internal/protocol"
 	"repro/internal/watch"
 )
 
 // Watch returns the router's invariant monitor (nil when
 // Config.Watch.Disabled).
 func (rt *Router) Watch() *watch.Monitor { return rt.watch }
-
-func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
 // watchSample assembles one watchdog sample for the cluster tier. The
 // time-series point comes from one rt.Stats() aggregation pass; the
@@ -107,7 +106,7 @@ func (rt *Router) watchSample() watch.Sample {
 		s.Checks = append(s.Checks, watch.Check{
 			Invariant: "cluster_backend_max",
 			Observed:  observed,
-			Bound:     ceilDiv(horizon, int64(cs.Healthy)) + slack,
+			Bound:     protocol.CeilDiv(horizon, int64(cs.Healthy)) + slack,
 			Fields: map[string]int64{
 				"balls": cs.Balls, "horizon": horizon,
 				"healthy": int64(cs.Healthy), "bulk_slack": slack,

@@ -54,7 +54,7 @@ func newWatchedCluster(t *testing.T, k int, pol Policy, kc *keyed.Config) (*Rout
 // and a REJOIN if the backend returns. This is the jq contract the CI
 // watch-smoke job asserts over HTTP.
 func TestWatchEvictionRebalanceRejoinEvents(t *testing.T) {
-	rt, ds := newWatchedCluster(t, 3, single{}, &keyed.Config{HotShare: 1})
+	rt, ds := newWatchedCluster(t, 3, policyNamed("single"), &keyed.Config{HotShare: 1})
 	ctx := context.Background()
 
 	for i := 0; i < 60; i++ {
@@ -96,7 +96,7 @@ func TestWatchEvictionRebalanceRejoinEvents(t *testing.T) {
 // adaptive routing policy and asserts the cross-backend bound check is
 // armed and holding on every manual tick.
 func TestWatchClusterBoundHolds(t *testing.T) {
-	rt, _ := newWatchedCluster(t, 3, adaptive{}, nil)
+	rt, _ := newWatchedCluster(t, 3, policyNamed("adaptive"), nil)
 	ctx := context.Background()
 	for i := 0; i < 40; i++ {
 		if _, _, err := rt.Place(ctx, 25); err != nil {
@@ -131,7 +131,7 @@ func TestWatchClusterBoundHolds(t *testing.T) {
 // tier: a bogus injected bound must fire exactly one violation within
 // one tick, visible in the journal, the ledger and the metrics text.
 func TestWatchClusterInjection(t *testing.T) {
-	rt, _ := newWatchedCluster(t, 2, adaptive{}, nil)
+	rt, _ := newWatchedCluster(t, 2, policyNamed("adaptive"), nil)
 	if _, _, err := rt.Place(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestWatchClusterInjection(t *testing.T) {
 
 // TestWatchClusterHTTPEndpoints covers the proxy's watch surfaces.
 func TestWatchClusterHTTPEndpoints(t *testing.T) {
-	rt, _ := newWatchedCluster(t, 2, single{}, &keyed.Config{HotShare: 1})
+	rt, _ := newWatchedCluster(t, 2, policyNamed("single"), &keyed.Config{HotShare: 1})
 	ctx := context.Background()
 	for i := 0; i < 30; i++ {
 		if _, _, err := rt.PlaceKeyed(ctx, fmt.Sprintf("k-%d", i)); err != nil {
@@ -187,7 +187,7 @@ func TestWatchClusterHTTPEndpoints(t *testing.T) {
 // TestWatchDrainEventOnce: Close records exactly one DRAIN even when
 // called twice.
 func TestWatchDrainEventOnce(t *testing.T) {
-	rt, _ := newWatchedCluster(t, 2, single{}, nil)
+	rt, _ := newWatchedCluster(t, 2, policyNamed("single"), nil)
 	rt.Close()
 	rt.Close()
 	if got := rt.Watch().EventCounts()[watch.EventDrain]; got != 1 {

@@ -135,12 +135,6 @@ func TestPredictPanics(t *testing.T) {
 	PredictGreedyMaxLoad(10, 10, 1)
 }
 
-func TestPredictMaxLoadBound(t *testing.T) {
-	if got := PredictMaxLoadBound(10, 25); got != 4 {
-		t.Fatalf("bound = %d want 4", got)
-	}
-}
-
 func TestPredictNoSlack(t *testing.T) {
 	// The ablation prediction must dominate plain adaptive's O(m).
 	const n = 4096

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"repro/internal/protocol"
-)
+import "math"
 
 // This file evaluates the closed-form allocation-time and maximum-load
 // expressions from the paper's Table 1, so the benchmark harness can
@@ -77,12 +73,6 @@ func PredictSingleChoiceMaxLoad(n int, m int64) float64 {
 // paper's experiments indicate is the right scale).
 func PredictThresholdTime(n int, m int64) float64 {
 	return float64(m) + math.Pow(float64(m), 0.75)*math.Pow(float64(n), 0.25)
-}
-
-// PredictMaxLoadBound returns the deterministic ⌈m/n⌉+1 guarantee
-// shared by threshold and adaptive.
-func PredictMaxLoadBound(n int, m int64) int64 {
-	return protocol.MaxLoadBound(n, m)
 }
 
 // PredictAdaptiveNoSlackTime returns the Θ(m·log n) coupon-collector

@@ -15,10 +15,11 @@
 // uniformly with replacement — the same construction as the
 // protocols' bin draws, so the whole assignment is a pure function of
 // (seed, operation sequence). A key is placed at the first probed bin
-// passing the active Policy's acceptance rule (the protocols' exact
-// integer test K·(load−1) < i over key-replica counts), with the
-// probe cap + least-loaded-probed fallback of the BoundedRetry
-// construction; the cap applies per pick, not per request.
+// passing the active Policy's acceptance rule (a protocol.Rule: the
+// protocols' exact integer test K·(load−1) < i over key-replica
+// counts), with the probe cap + least-loaded-probed fallback of the
+// BoundedRetry construction; the cap applies per pick, not per
+// request.
 //
 // Three mechanisms ride on top:
 //

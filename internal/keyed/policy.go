@@ -4,133 +4,37 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/protocol"
 )
 
-// Policy is a keyed placement rule: the paper's protocol acceptance
-// tests transplanted to key→bin assignment, where a bin's "load" is
-// the number of key replicas resident on it and a protocol "retry"
-// is one more draw from the key's deterministic probe sequence. The
-// acceptance arithmetic is the protocols' exact integer test
-// K·(load−1) < i — no floats, no thresholds to tune.
-//
-//	policy            assignment behavior
-//	────────────────  ──────────────────────────────────────────────
-//	hash              first healthy probe wins (pure hash affinity —
-//	                  consistent hashing with zero balance guarantee)
-//	greedy[d]         d probes, least-loaded wins (two-choices at d=2)
-//	adaptive          probe until K·(load−1) < i, i = live replicas
-//	threshold[m]      probe until K·(load−1) < m, m a declared horizon
-//	boundedretry[R]   adaptive bound, at most R probes, least-loaded
-//	                  fallback
+// Policy is a keyed placement rule: a protocol.Rule whose bins are
+// the healthy bins, whose loads are the key replicas resident on each,
+// and whose retries are further draws from the key's deterministic
+// probe sequence. The keyed names are hash (alias affinity),
+// greedy[d], adaptive, threshold[m] and boundedretry[R];
+// protocol.Rule tabulates their acceptance tests, probe caps and
+// bounds. Bound is the rebalancer's shedding threshold.
 //
 // Probe caps apply per pick (one assignment decision), not per
 // request: repeat traffic for an assigned key costs zero probes, and
 // a rebalance re-probes each affected key as one fresh pick.
-type Policy interface {
-	// Name identifies the policy, mirroring protocol naming ("hash",
-	// "greedy[2]", "adaptive", ...).
-	Name() string
-	// Accept reports whether a healthy bin currently holding load key
-	// replicas may take one more, when the map will hold i live
-	// replicas (including the one being placed) across k healthy bins.
-	Accept(k int, load, i int64) bool
-	// MaxProbes caps the probe loop of one pick; past it the
-	// least-loaded probed bin wins (the BoundedRetry construction).
-	MaxProbes(k int) int
-	// Bound returns the largest per-bin replica count the policy
-	// defends at i live replicas over k healthy bins — the
-	// rebalancer's shedding threshold. ok is false for policies with
-	// no load guarantee (hash, greedy) and for boundedretry (whose
-	// fallback may legitimately exceed the adaptive bound).
-	Bound(k int, i int64) (bound int64, ok bool)
-}
-
-// probeCap mirrors the cluster routing tier: 4 probes per healthy bin
-// before the greedy fallback takes over, at least 8.
-func probeCap(k int) int {
-	c := 4 * k
-	if c < 8 {
-		c = 8
-	}
-	return c
-}
-
-func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
-
-// hashAffinity is the baseline every affinity scheme starts from: the
-// key's first healthy probe, unconditionally.
-type hashAffinity struct{}
-
-func (hashAffinity) Name() string                  { return "hash" }
-func (hashAffinity) Accept(int, int64, int64) bool { return true }
-func (hashAffinity) MaxProbes(int) int             { return 1 }
-func (hashAffinity) Bound(int, int64) (int64, bool) {
-	return 0, false
-}
-
-// greedy is d-choice assignment: never accept early, so the pick
-// falls back to the least loaded of d probes.
-type greedy struct{ d int }
-
-func (g greedy) Name() string                 { return fmt.Sprintf("greedy[%d]", g.d) }
-func (greedy) Accept(int, int64, int64) bool  { return false }
-func (g greedy) MaxProbes(int) int            { return g.d }
-func (greedy) Bound(int, int64) (int64, bool) { return 0, false }
-
-// adaptive is the paper's rule on live replica counts: accept a bin
-// whose load is < i/K + 1 — exactly K·(load−1) < i in integers.
-type adaptive struct{}
-
-func (adaptive) Name() string { return "adaptive" }
-func (adaptive) Accept(k int, load, i int64) bool {
-	return int64(k)*(load-1) < i
-}
-func (adaptive) MaxProbes(k int) int { return probeCap(k) }
-func (adaptive) Bound(k int, i int64) (int64, bool) {
-	if k <= 0 {
-		return 0, false
-	}
-	return ceilDiv(i, int64(k)) + 1, true
-}
-
-// threshold is the Czumaj–Stemann rule with a declared horizon m.
-type threshold struct{ m int64 }
-
-func (t threshold) Name() string { return fmt.Sprintf("threshold[%d]", t.m) }
-func (t threshold) Accept(k int, load, _ int64) bool {
-	return int64(k)*(load-1) < t.m
-}
-func (t threshold) MaxProbes(k int) int { return probeCap(k) }
-func (t threshold) Bound(k int, _ int64) (int64, bool) {
-	if k <= 0 {
-		return 0, false
-	}
-	return ceilDiv(t.m, int64(k)) + 1, true
-}
-
-// boundedRetry caps the adaptive loop at R probes.
-type boundedRetry struct{ r int }
-
-func (b boundedRetry) Name() string { return fmt.Sprintf("boundedretry[%d]", b.r) }
-func (boundedRetry) Accept(k int, load, i int64) bool {
-	return int64(k)*(load-1) < i
-}
-func (b boundedRetry) MaxProbes(int) int            { return b.r }
-func (boundedRetry) Bound(int, int64) (int64, bool) { return 0, false }
+type Policy = protocol.Rule
 
 // Adaptive returns the adaptive policy — the default for every keyed
 // tier in the system.
-func Adaptive() Policy { return adaptive{} }
+func Adaptive() Policy { return protocol.AdaptiveRule() }
 
-// Hash returns the hash-affinity baseline.
-func Hash() Policy { return hashAffinity{} }
+// Hash returns the hash-affinity baseline: the key's first healthy
+// probe, unconditionally.
+func Hash() Policy { return protocol.FirstRule("hash") }
 
 // Greedy returns the d-choice policy.
 func Greedy(d int) Policy {
 	if d < 1 {
 		panic("keyed: Greedy needs d >= 1")
 	}
-	return greedy{d: d}
+	return protocol.GreedyRule(d)
 }
 
 // Policies lists the names PolicyByName accepts, sorted.
@@ -151,24 +55,24 @@ func PolicyByName(name string, d, retries int, horizon int64) (Policy, error) {
 	}
 	switch name {
 	case "hash", "affinity":
-		return hashAffinity{}, nil
+		return Hash(), nil
 	case "greedy":
 		if d < 1 {
 			return nil, fmt.Errorf("keyed: greedy policy needs d >= 1, got %d", d)
 		}
-		return greedy{d: d}, nil
+		return Greedy(d), nil
 	case "adaptive":
-		return adaptive{}, nil
+		return Adaptive(), nil
 	case "threshold":
 		if horizon <= 0 {
 			return nil, fmt.Errorf("keyed: threshold policy needs a positive horizon (declared total keys)")
 		}
-		return threshold{m: horizon}, nil
+		return protocol.ThresholdRule(horizon), nil
 	case "boundedretry", "retry":
 		if retries < 1 {
 			return nil, fmt.Errorf("keyed: boundedretry policy needs retries >= 1, got %d", retries)
 		}
-		return boundedRetry{r: retries}, nil
+		return protocol.RetryRule("boundedretry", retries), nil
 	default:
 		return nil, fmt.Errorf("keyed: unknown policy %q (want one of %s)",
 			name, strings.Join(Policies(), ", "))
@@ -178,8 +82,8 @@ func PolicyByName(name string, d, retries int, horizon int64) (Policy, error) {
 // AnonAnalogue maps a keyed inner policy name to the anonymous
 // routing policy that unkeyed traffic should use alongside it: hash
 // has none (its analogue is single-choice), a greedyN suffix unfolds
-// into d, every other name maps to itself. Shared by bbproxy and
-// bbload so the two binaries cannot diverge.
+// into d, every other name maps to itself. cluster.ResolvePolicy
+// applies it for both bbproxy and bbload.
 func AnonAnalogue(inner string, d int) (name string, outD int) {
 	name = strings.ToLower(strings.TrimSpace(inner))
 	if rest, ok := strings.CutPrefix(name, "greedy"); ok && rest != "" {

@@ -14,7 +14,7 @@
 // head-sampled (a 1-in-SampleEvery draw per op from the runtime's
 // per-thread generator, so no counter is shared between cores), or
 // slower than the tail threshold. Retained ops are materialized once
-// and published into a bounded ring of atomic pointers; readers
+// and published into a bounded watch.Ring of atomic pointers; readers
 // snapshot the ring without locks, so a torn span is structurally
 // impossible (an Op is immutable after publication).
 //
@@ -28,13 +28,13 @@ package obs
 
 import (
 	"math/rand/v2"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/hdrhist"
 	"repro/internal/rng"
+	"repro/internal/watch"
 )
 
 // Defaults for Options zero values.
@@ -83,8 +83,7 @@ type Recorder struct {
 	slowNs  int64  // 0 = tail capture off
 	sampleN uint64 // 0 = head sampling off
 
-	ring   []atomic.Pointer[Op]
-	cursor atomic.Uint64
+	ring *watch.Ring[Op]
 
 	mu     sync.Mutex // guards copy-on-write of stages
 	stages atomic.Pointer[[]stageHist]
@@ -120,7 +119,7 @@ func NewRecorder(o Options) *Recorder {
 	if size <= 0 {
 		size = DefaultRingSize
 	}
-	r.ring = make([]atomic.Pointer[Op], size)
+	r.ring = watch.NewRing[Op](size)
 	r.stages.Store(new([]stageHist))
 	return r
 }
@@ -305,8 +304,7 @@ func (c *Capture) EndElapsed(total int64, err error) {
 			op.Attrs[c.attrs[i].key] = c.attrs[i].val
 		}
 	}
-	i := (r.cursor.Add(1) - 1) % uint64(len(r.ring))
-	r.ring[i].Store(op)
+	r.ring.Put(r.ring.Claim(), op)
 }
 
 // EndAt closes the op at end (see EndElapsed).
@@ -325,14 +323,7 @@ func (r *Recorder) Ops(minDur time.Duration) []*Op {
 	if r == nil {
 		return nil
 	}
-	out := make([]*Op, 0, len(r.ring))
-	for i := range r.ring {
-		if op := r.ring[i].Load(); op != nil && op.DurationNs >= minDur.Nanoseconds() {
-			out = append(out, op)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
+	return r.ring.Snapshot(func(op *Op) bool { return op.DurationNs >= minDur.Nanoseconds() }, opStart)
 }
 
 // OpsByTrace snapshots the retained ring filtered to one trace id
@@ -341,15 +332,10 @@ func (r *Recorder) OpsByTrace(trace string) []*Op {
 	if r == nil {
 		return nil
 	}
-	var out []*Op
-	for i := range r.ring {
-		if op := r.ring[i].Load(); op != nil && op.Trace == trace {
-			out = append(out, op)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
+	return r.ring.Snapshot(func(op *Op) bool { return op.Trace == trace }, opStart)
 }
+
+func opStart(op *Op) int64 { return op.Start }
 
 // stageHist returns (creating on first use) the histogram for stage.
 // The stage set is tiny and fixed per component, so the copy-on-write

@@ -328,7 +328,7 @@ func TestMaxLoadBound(t *testing.T) {
 		m    int64
 		want int64
 	}{
-		{10, 0, 1}, {10, 10, 2}, {10, 11, 3}, {10, 100, 11}, {3, 7, 4},
+		{10, 0, 1}, {10, 10, 2}, {10, 11, 3}, {10, 25, 4}, {10, 100, 11}, {3, 7, 4},
 	}
 	for _, c := range cases {
 		if got := MaxLoadBound(c.n, c.m); got != c.want {

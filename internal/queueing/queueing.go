@@ -22,6 +22,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/protocol"
 	"repro/internal/rng"
 )
 
@@ -224,10 +225,9 @@ func dispatch(cfg Config, queues [][]float64, inSystem int64, r *rng.Rand) (int,
 		for {
 			j := r.Intn(n)
 			probes++
-			// Accept iff queue length < inSystem/n + 1, in integers:
-			// n*(len-1) < inSystem. Some server is always at or below
-			// the average, so this terminates.
-			if int64(n)*int64(len(queues[j])-1) < inSystem {
+			// Accept iff queue length < inSystem/n + 1. Some server is
+			// always at or below the average, so this terminates.
+			if protocol.Accepts(n, int64(len(queues[j])), inSystem) {
 				return j, probes
 			}
 		}

@@ -3,6 +3,7 @@ package serve
 import (
 	"strings"
 
+	"repro/internal/protocol"
 	"repro/internal/watch"
 )
 
@@ -12,8 +13,6 @@ import (
 // the threshold family's bound is already a fixed horizon; only the
 // adaptive family is armed for live max-load checks.
 func adaptiveFamily(name string) bool { return strings.HasPrefix(name, "adaptive") }
-
-func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
 // Watch returns the dispatcher's invariant monitor (nil when
 // Config.Watch.Disabled).
@@ -62,14 +61,14 @@ func (d *Dispatcher) watchSample() watch.Sample {
 			booksSkew += skew
 		}
 		if adaptive {
-			bins := int64(d.sa.ShardSize(shard))
-			bound := ceilDiv(row.Placed, bins) + 1
+			bins := d.sa.ShardSize(shard)
+			bound := protocol.MaxLoadBound(bins, row.Placed)
 			if worst.Fields == nil || int64(row.MaxLoad)-bound > worst.Observed-worst.Bound {
 				worst.Observed = int64(row.MaxLoad)
 				worst.Bound = bound
 				worst.Fields = map[string]int64{
 					"shard": int64(shard), "balls": row.Balls,
-					"placed": row.Placed, "bins": bins,
+					"placed": row.Placed, "bins": int64(bins),
 				}
 			}
 		}
@@ -97,9 +96,8 @@ func (d *Dispatcher) watchSample() watch.Sample {
 		// popularity instead, so the global form is armed only while
 		// all traffic is anonymous (the per-shard form above stays
 		// armed either way — shard-local acceptance is unconditional).
-		shards := int64(d.cfg.Shards)
 		placed := d.sa.Placed() // monotone: read-after only loosens
-		bound := ceilDiv(ceilDiv(placed, shards), int64(d.cfg.N)/shards) + 1
+		bound := protocol.MaxLoadBound(d.cfg.N/d.cfg.Shards, protocol.CeilDiv(placed, int64(d.cfg.Shards)))
 		s.Checks = append(s.Checks, watch.Check{
 			Invariant: "serve_global_max",
 			Observed:  int64(metrics.MaxLoad),

@@ -4,8 +4,8 @@
 // live system, on a configurable cadence, and keeps the history.
 //
 // A Monitor owns three bounded structures, all lock-free on the read
-// side (the obs.Recorder atomic-pointer-ring idiom, so scrapers never
-// block traffic):
+// side (the journal and the series are Rings, like obs's trace ring,
+// so scrapers never block traffic):
 //
 //   - An event journal: a ring of typed events (BOUND_VIOLATION,
 //     EVICTION, REJOIN, REBALANCE, RECOVERY, DRAIN) served as
@@ -35,7 +35,6 @@ package watch
 import (
 	"fmt"
 	"log/slog"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -135,13 +134,10 @@ type Monitor struct {
 	logger  *slog.Logger
 	probe   func() Sample
 
-	ring    []atomic.Pointer[Event]
-	cursor  atomic.Uint64
-	seq     atomic.Int64
+	events  *Ring[Event]
+	series  *Ring[Point]
 	typeCnt [6]atomic.Int64
 	violCnt atomic.Int64
-
-	series *series
 
 	// onViolation, when set, is invoked (in the reporting goroutine)
 	// with every violation event just after it is booked — the flight
@@ -190,8 +186,8 @@ func New(hop string, o Options, probe func() Sample) *Monitor {
 		cadence:     o.Cadence,
 		logger:      o.Logger,
 		probe:       probe,
-		ring:        make([]atomic.Pointer[Event], o.EventRing),
-		series:      newSeries(o.SeriesSlots),
+		events:      NewRing[Event](o.EventRing),
+		series:      NewRing[Point](o.SeriesSlots),
 		violations:  make(map[string]int64),
 		inViolation: make(map[string]bool),
 		overrides:   make(map[string]int64),
@@ -283,7 +279,8 @@ func (m *Monitor) Tick(now time.Time) {
 	m.rememberChecks(s.Checks)
 	m.evaluate(now, s.Checks)
 	p.Violations = m.violCnt.Load()
-	m.series.add(&p)
+	p.Seq = m.series.Claim()
+	m.series.Put(p.Seq, &p)
 }
 
 // rememberChecks stores this tick's armed checks (with any override
@@ -461,12 +458,10 @@ func (m *Monitor) RecordError(t EventType, detail string, err error) {
 	m.logger.Error("watch: "+detail, "hop", m.hop, "type", string(t), "err", err)
 }
 
-// appendAt publishes one event into the journal ring (the
-// obs.Recorder idiom: claim a slot with the cursor, store the
-// immutable entry behind an atomic pointer).
+// appendAt publishes one event into the journal ring.
 func (m *Monitor) appendAt(now time.Time, t EventType, invariant, detail string, fields map[string]int64) *Event {
 	ev := &Event{
-		Seq:        m.seq.Add(1),
+		Seq:        m.events.Claim(),
 		TimeUnixMs: now.UnixMilli(),
 		Type:       t,
 		Invariant:  invariant,
@@ -476,8 +471,7 @@ func (m *Monitor) appendAt(now time.Time, t EventType, invariant, detail string,
 	if i := typeIndex(t); i >= 0 {
 		m.typeCnt[i].Add(1)
 	}
-	slot := (m.cursor.Add(1) - 1) % uint64(len(m.ring))
-	m.ring[slot].Store(ev)
+	m.events.Put(ev.Seq, ev)
 	return ev
 }
 
@@ -487,14 +481,8 @@ func (m *Monitor) Events(since int64) []Event {
 	if m == nil {
 		return nil
 	}
-	out := make([]Event, 0, len(m.ring))
-	for i := range m.ring {
-		if ev := m.ring[i].Load(); ev != nil && ev.Seq > since {
-			out = append(out, *ev)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	return values(m.events.Snapshot(func(ev *Event) bool { return ev.Seq > since },
+		func(ev *Event) int64 { return ev.Seq }))
 }
 
 // LastSeq returns the newest event's sequence number (0 when empty).
@@ -502,7 +490,7 @@ func (m *Monitor) LastSeq() int64 {
 	if m == nil {
 		return 0
 	}
-	return m.seq.Load()
+	return m.events.Last()
 }
 
 // EventCounts returns cumulative appends per event type — every type
@@ -547,5 +535,18 @@ func (m *Monitor) Series(n int) []Point {
 	if m == nil {
 		return nil
 	}
-	return m.series.last(n)
+	ps := m.series.Snapshot(nil, func(p *Point) int64 { return p.Seq })
+	if n > 0 && len(ps) > n {
+		ps = ps[len(ps)-n:]
+	}
+	return values(ps)
+}
+
+// values copies a snapshot's entries out of the ring.
+func values[T any](ps []*T) []T {
+	out := make([]T, len(ps))
+	for i, p := range ps {
+		out[i] = *p
+	}
+	return out
 }
