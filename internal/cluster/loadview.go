@@ -93,18 +93,21 @@ func (v *LoadView) Polled(slot int) (st serve.StatsView, age time.Duration, ok b
 func (v *LoadView) Delta(slot int) int64 { return v.cells[slot].delta.Load() }
 
 // Refresh polls slot's stats from its backend and, on success, snaps
-// the view to the backend's truth, zeroing the local delta. Traffic
-// noted between the poll request and its response is absorbed by the
-// snap (it is already included in the backend's answer, or will be
-// corrected by the next refresh) — the view is approximate by design.
+// the view to the backend's truth: it drops from the local delta what
+// had been noted when the poll was sent, which the answer includes.
+// Traffic noted while the poll is in flight stays in the delta, so a
+// departure noted then is not lost; only an op the backend applied
+// before answering but the router noted after sending the poll counts
+// twice, until the next refresh — the view is approximate by design.
 func (v *LoadView) Refresh(ctx context.Context, slot int, b Backend) error {
+	c := &v.cells[slot]
+	sent := c.delta.Load()
 	st, err := b.Stats(ctx)
 	if err != nil {
 		return err
 	}
-	c := &v.cells[slot]
 	c.stats.Store(&st)
-	c.delta.Store(0)
+	c.delta.Add(-sent)
 	c.polledAt.Store(time.Now().UnixNano())
 	return nil
 }

@@ -30,23 +30,37 @@ func AppendFrame(dst, payload []byte) []byte {
 // ReadFrame reads one frame from r and returns its payload. Errors
 // other than a clean io.EOF at a frame boundary mean the stream is
 // unusable. The returned slice is freshly allocated (safe to retain).
-func ReadFrame(r *bufio.Reader) ([]byte, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
+func ReadFrame(r *bufio.Reader) ([]byte, error) { return readFrame(r, nil) }
+
+// readFrame is ReadFrame decoding into buf's storage when it has room:
+// the payload then aliases buf and is valid only until buf is reused.
+// A larger frame gets a fresh slice, which the caller may keep as its
+// next buf.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	// Peek the header in place: a local array handed to io.ReadFull
+	// would escape, one allocation per frame. Discarding what Peek
+	// returned cannot fail.
+	hdr, err := r.Peek(frameHeader)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
 			return nil, ErrTruncated
 		}
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
+	sum := binary.LittleEndian.Uint32(hdr[4:8])
+	r.Discard(frameHeader)
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	payload := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, ErrTruncated
 	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
+	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, ErrBadCRC
 	}
 	return payload, nil

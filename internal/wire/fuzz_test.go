@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"testing"
 )
 
@@ -54,34 +55,54 @@ func FuzzWireFrameRoundTrip(f *testing.F) {
 		intact := bytes.Equal(mutated, pristine)
 
 		r := bufio.NewReader(bytes.NewReader(mutated))
-		got := 0
+		var decoded [][]byte
+		var readErr error
 		for {
 			payload, err := ReadFrame(r)
 			if err != nil {
-				if intact && got != len(frames) {
-					t.Fatalf("pristine stream failed at frame %d: %v", got, err)
+				readErr = err
+				break
+			}
+			decoded = append(decoded, payload)
+		}
+		// The server decodes every frame into one reused buffer; that
+		// path must yield the same frames and end in the same error.
+		r = bufio.NewReader(bytes.NewReader(mutated))
+		var buf []byte
+		for i := 0; ; i++ {
+			payload, err := readFrame(r, buf)
+			if err != nil {
+				if i != len(decoded) || err != readErr {
+					t.Fatalf("reused buffer: frame %d ended in %v; ReadFrame decoded %d frames and ended in %v",
+						i, err, len(decoded), readErr)
 				}
 				break
 			}
-			if got >= len(frames) {
-				t.Fatalf("decoded %d frames, pristine stream has only %d", got+1, len(frames))
+			if i >= len(decoded) || !bytes.Equal(payload, decoded[i]) {
+				t.Fatalf("reused buffer: frame %d = %x differs from ReadFrame's", i, payload)
 			}
-			if !bytes.Equal(payload, frames[got]) {
-				t.Fatalf("frame %d = %x, want pristine %x", got, payload, frames[got])
+			buf = payload
+		}
+
+		if len(decoded) > len(frames) {
+			t.Fatalf("decoded %d frames, pristine stream has only %d", len(decoded), len(frames))
+		}
+		for i, payload := range decoded {
+			if !bytes.Equal(payload, frames[i]) {
+				t.Fatalf("frame %d = %x, want pristine %x", i, payload, frames[i])
 			}
 			// The surviving payload must still speak the request codec,
 			// and re-encoding must reproduce it byte-for-byte.
 			req, err := ParseRequest(payload)
 			if err != nil {
-				t.Fatalf("frame %d survived CRC but failed parse: %v", got, err)
+				t.Fatalf("frame %d survived CRC but failed parse: %v", i, err)
 			}
 			if re := AppendRequest(nil, req); !bytes.Equal(re, payload) {
-				t.Fatalf("frame %d re-encode = %x, want %x", got, re, payload)
+				t.Fatalf("frame %d re-encode = %x, want %x", i, re, payload)
 			}
-			got++
 		}
-		if intact && got != len(frames) {
-			t.Fatalf("pristine stream decoded %d of %d frames", got, len(frames))
+		if intact && (len(decoded) != len(frames) || readErr != io.EOF) {
+			t.Fatalf("pristine stream decoded %d of %d frames, then %v", len(decoded), len(frames), readErr)
 		}
 	})
 }

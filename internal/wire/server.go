@@ -45,16 +45,11 @@ type Handler interface {
 
 // ServerOptions tune a Server; zero values select the defaults.
 type ServerOptions struct {
-	// MaxInflight bounds concurrently-executing requests per
-	// connection (default 1024). Beyond it the reader stalls, which
-	// backpressures the client through TCP.
+	// MaxInflight bounds the worker goroutines per connection, and so
+	// the requests executing at once on it (default 1024). With every
+	// worker busy the reader stalls, which backpressures the client
+	// through TCP.
 	MaxInflight int
-	// ReplyQueue is the per-connection buffered reply channel depth
-	// (default 1024).
-	ReplyQueue int
-	// MaxBatch caps reply frames coalesced into one socket write
-	// (default 256).
-	MaxBatch int
 	// Logger receives structured connection-lifecycle and decode-error
 	// events (default slog.Default).
 	Logger *slog.Logger
@@ -64,12 +59,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 1024
 	}
-	if o.ReplyQueue <= 0 {
-		o.ReplyQueue = 1024
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 256
-	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
 	}
@@ -77,9 +66,12 @@ func (o ServerOptions) withDefaults() ServerOptions {
 }
 
 // Server accepts wire connections and dispatches decoded requests to a
-// Handler. Each request runs in its own goroutine (bounded by
-// MaxInflight) so the dispatcher's arrival combining sees genuinely
-// concurrent arrivals from a single pipelined connection.
+// Handler. Each connection keeps long-lived workers, at most
+// MaxInflight, so requests pipelined on one connection run
+// concurrently and reply out of order without starting a goroutine, or
+// growing a fresh stack, per request. A worker appends its reply frame
+// to the connection's pending buffer, and whichever goroutine finds no
+// write in progress writes everything pending in one socket write.
 type Server struct {
 	h    Handler
 	opts ServerOptions
@@ -143,7 +135,7 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Close stops accepting, closes every active connection, and waits for
-// their handlers to finish.
+// each connection's reader and workers to exit.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -182,106 +174,184 @@ func (s *Server) dropConn(nc net.Conn) {
 	nc.Close()
 }
 
+// conn is one accepted connection: its reader, its workers and the
+// reply frames they share.
+type conn struct {
+	s   *Server
+	nc  net.Conn
+	ctx context.Context
+
+	// reqs hands a decoded request to an idle worker. It is
+	// unbuffered, so a send succeeds at once only when a worker is
+	// waiting on it.
+	reqs    chan Request
+	workers int // started so far; touched only by the reader
+	wg      sync.WaitGroup
+
+	mu      sync.Mutex
+	drained sync.Cond // on mu; a write took pending, or one failed
+	pending []byte    // reply frames not yet written
+	frames  int64     // frames in pending
+	spare   []byte    // the buffer last written, reused as the next pending
+	writing bool      // a goroutine is writing, and writes pending too
+	broken  bool      // a write failed; later replies are dropped
+}
+
+// maxPending bounds the reply frames a connection holds behind a write
+// in progress. Past it a goroutine with a reply waits for the write to
+// take them, so a client that stops reading stalls the workers, then
+// the reader, and TCP pushes back instead of the buffer growing.
+const maxPending = 1024
+
 func (s *Server) serveConn(nc net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(nc)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	c := &conn{s: s, nc: nc, ctx: ctx, reqs: make(chan Request)}
+	c.drained.L = &c.mu
+	c.read()
+	// The reader is done: cancel stragglers (un-admitted work aborts;
+	// work the dispatcher already committed completes), then wait for
+	// the workers to send their last replies and exit.
+	cancel()
+	close(c.reqs)
+	c.wg.Wait()
+}
 
-	replies := make(chan []byte, s.opts.ReplyQueue)
-	writerDone := make(chan struct{})
-	go s.writeLoop(nc, replies, writerDone)
-
-	sem := make(chan struct{}, s.opts.MaxInflight)
-	var inflight sync.WaitGroup
-	br := bufio.NewReaderSize(nc, 64<<10)
+// read decodes request frames until the stream ends. HELLO, PING and
+// STATS run inline; every other request goes to a worker.
+func (c *conn) read() {
+	s := c.s
+	br := bufio.NewReaderSize(c.nc, 64<<10)
+	var frame, reply []byte
 	for {
-		payload, err := ReadFrame(br)
+		// Every frame decodes into the same buffer. That is safe
+		// because ParseRequest copies the key out, so no Request
+		// aliases the frame.
+		payload, err := readFrame(br, frame)
 		if err != nil {
 			// io.EOF at a frame boundary is a clean hangup; anything
 			// else means the stream lost sync.
 			if err == ErrBadCRC || err == ErrFrameTooLarge || err == ErrTruncated {
 				s.c.decodeErrors.Add(1)
 				s.opts.Logger.Warn("wire: dropping connection on frame decode error",
-					"remote", nc.RemoteAddr(), "err", err)
+					"remote", c.nc.RemoteAddr(), "err", err)
 			} else if err != io.EOF {
 				s.opts.Logger.Debug("wire: connection read ended",
-					"remote", nc.RemoteAddr(), "err", err)
+					"remote", c.nc.RemoteAddr(), "err", err)
 			}
-			break
+			return
 		}
+		frame = payload
 		s.c.framesIn.Add(1)
 		req, err := ParseRequest(payload)
 		if err != nil {
 			s.c.decodeErrors.Add(1)
 			s.opts.Logger.Warn("wire: dropping connection on request decode error",
-				"remote", nc.RemoteAddr(), "err", err)
-			break
+				"remote", c.nc.RemoteAddr(), "err", err)
+			return
 		}
 		switch req.Type {
 		case MsgHello, MsgPing, MsgStats:
 			// Cheap control-plane requests run inline on the reader.
-			replies <- s.handle(ctx, req)
+			reply = s.handle(c.ctx, req, reply[:0])
+			c.send(reply)
 		default:
-			sem <- struct{}{}
-			inflight.Add(1)
-			go func(req Request) {
-				defer inflight.Done()
-				defer func() { <-sem }()
-				replies <- s.handle(ctx, req)
-			}(req)
+			c.dispatch(req)
 		}
-	}
-	// Reader is done: cancel stragglers (un-admitted work aborts; work
-	// the dispatcher already committed completes), let them enqueue
-	// their replies, then release the writer.
-	cancel()
-	inflight.Wait()
-	close(replies)
-	<-writerDone
-}
-
-// writeLoop drains the reply channel into coalesced socket writes —
-// the server-side twin of the client's send loop. After a write error
-// it keeps draining (discarding) so handlers never block on a dead
-// connection.
-func (s *Server) writeLoop(nc net.Conn, replies <-chan []byte, done chan<- struct{}) {
-	defer close(done)
-	var buf []byte
-	broken := false
-	for p := range replies {
-		buf = AppendFrame(buf[:0], p)
-		n := 1
-	fill:
-		for n < s.opts.MaxBatch {
-			select {
-			case p2, ok := <-replies:
-				if !ok {
-					break fill
-				}
-				buf = AppendFrame(buf, p2)
-				n++
-			default:
-				break fill
-			}
-		}
-		if broken {
-			continue
-		}
-		if _, err := nc.Write(buf); err != nil {
-			broken = true
-			continue
-		}
-		s.c.writes.Add(1)
-		s.c.framesOut.Add(int64(n))
 	}
 }
 
-// handle executes one request and returns the encoded reply payload.
-func (s *Server) handle(ctx context.Context, req Request) []byte {
-	var body []byte
-	var err error
+// dispatch hands req to an idle worker. With none idle it starts a
+// new one, or, once MaxInflight are running, waits for one to finish.
+func (c *conn) dispatch(req Request) {
+	select {
+	case c.reqs <- req:
+		return
+	default:
+	}
+	if c.workers < c.s.opts.MaxInflight {
+		c.workers++
+		c.wg.Add(1)
+		go c.work(req)
+		return
+	}
+	c.reqs <- req
+}
+
+// work handles req, then each request the reader hands it, until the
+// reader closes reqs. Its reply buffer and its grown stack serve every
+// request it handles.
+func (c *conn) work(req Request) {
+	defer c.wg.Done()
+	var reply []byte
+	for {
+		reply = c.s.handle(c.ctx, req, reply[:0])
+		c.send(reply)
+		var ok bool
+		if req, ok = <-c.reqs; !ok {
+			return
+		}
+	}
+}
+
+// send frames payload into the pending buffer, copying it, so the
+// caller may reuse payload once send returns. Unless another goroutine
+// is already writing, it then writes everything pending, one socket
+// write per round, until nothing is left. The mutex is never held
+// across a write, so replies that arrive during one share the next.
+// A write error marks the connection broken, and every later reply is
+// dropped, so workers never block on a dead socket.
+func (c *conn) send(payload []byte) {
+	c.mu.Lock()
+	for c.writing && c.frames >= maxPending && !c.broken {
+		c.drained.Wait()
+	}
+	if c.broken {
+		c.mu.Unlock()
+		return
+	}
+	c.pending = AppendFrame(c.pending, payload)
+	c.frames++
+	if c.writing {
+		c.mu.Unlock()
+		return
+	}
+	c.writing = true
+	for c.frames > 0 {
+		buf, n := c.pending, c.frames
+		c.pending, c.frames = c.spare[:0], 0
+		c.drained.Broadcast()
+		c.mu.Unlock()
+		// Counted before the write, so the stats never trail a reply
+		// the client already holds.
+		c.s.c.writes.Add(1)
+		c.s.c.framesOut.Add(n)
+		_, err := c.nc.Write(buf)
+		c.mu.Lock()
+		if err != nil {
+			c.broken = true
+			c.pending, c.frames, c.spare = nil, 0, nil
+			c.drained.Broadcast()
+			break
+		}
+		c.spare = buf
+	}
+	c.writing = false
+	c.mu.Unlock()
+}
+
+// handle executes one request and appends its encoded reply payload to
+// dst. A PLACE's bins are appended straight after the reply header.
+func (s *Server) handle(ctx context.Context, req Request, dst []byte) []byte {
+	var (
+		body    []byte
+		bins    []int
+		samples int64
+		err     error
+	)
 	if req.Trace != 0 {
 		// Propagate the trace id into the tier's own recorder (the
 		// dispatcher or router reads it back with obs.TraceFrom).
@@ -307,23 +377,13 @@ func (s *Server) handle(ctx context.Context, req Request) []byte {
 	case MsgStats:
 		body, err = s.h.StatsJSON(ctx)
 	case MsgTrace:
-		// Dispatched on the bounded-goroutine path, not inline: the
-		// proxy's TraceJSON fans out to its backends over the network.
+		// Handled by a worker, not inline: the proxy's TraceJSON fans
+		// out to its backends over the network.
 		body, err = s.h.TraceJSON(ctx, req.Query)
 	case MsgPlace:
-		var bins []int
-		var samples int64
 		bins, samples, err = s.h.Place(ctx, req.Count)
-		if err == nil {
-			body = AppendPlaceBody(nil, bins, samples)
-		}
 	case MsgPlaceKeyed:
-		var bins []int
-		var samples int64
 		bins, samples, err = s.h.PlaceKeyed(ctx, req.Key)
-		if err == nil {
-			body = AppendPlaceBody(nil, bins, samples)
-		}
 	case MsgRemove, MsgRemoveKeyed:
 		err = s.h.Remove(ctx, req.Bin, req.Key)
 	}
@@ -335,7 +395,11 @@ func (s *Server) handle(ctx context.Context, req Request) []byte {
 		if errors.As(err, &we) {
 			code, msg = we.Code, we.Msg
 		}
-		return AppendReply(nil, req.ID, code, errBody(nil, msg))
+		return errBody(AppendReply(dst, req.ID, code, nil), msg)
 	}
-	return AppendReply(nil, req.ID, CodeOK, body)
+	dst = AppendReply(dst, req.ID, CodeOK, body)
+	if req.Type == MsgPlace || req.Type == MsgPlaceKeyed {
+		dst = AppendPlaceBody(dst, bins, samples)
+	}
+	return dst
 }

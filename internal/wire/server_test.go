@@ -1,0 +1,271 @@
+package wire
+
+import (
+	"context"
+	"net"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// gateHandler is testHandler with a PLACE that blocks until gate is
+// closed. It counts the PLACEs running at once and their peak, and
+// signals entered as each one reaches the gate.
+type gateHandler struct {
+	*testHandler
+	gate    chan struct{}
+	entered chan struct{}
+	running atomic.Int64
+	peak    atomic.Int64
+}
+
+func newGateHandler(n, places int) *gateHandler {
+	return &gateHandler{
+		testHandler: newTestHandler(n),
+		gate:        make(chan struct{}),
+		entered:     make(chan struct{}, places),
+	}
+}
+
+func (h *gateHandler) Place(ctx context.Context, count int) ([]int, int64, error) {
+	now := h.running.Add(1)
+	for p := h.peak.Load(); now > p && !h.peak.CompareAndSwap(p, now); p = h.peak.Load() {
+	}
+	h.entered <- struct{}{}
+	<-h.gate
+	h.running.Add(-1)
+	return h.testHandler.Place(ctx, count)
+}
+
+// awaitEntered waits for k PLACEs to reach the gate.
+func (h *gateHandler) awaitEntered(t *testing.T, k int) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for i := 0; i < k; i++ {
+		select {
+		case <-h.entered:
+		case <-deadline:
+			t.Fatalf("%d of %d PLACEs reached the handler", i, k)
+		}
+	}
+}
+
+// TestServerWorkerBound pins MaxInflight as the bound on one
+// connection's workers: 16 PLACEs pipelined into a handler that blocks
+// run at most 4 at a time, and all 16 complete once it lets go.
+func TestServerWorkerBound(t *testing.T) {
+	const bound, places = 4, 16
+	h := newGateHandler(64, places)
+	_, addr := startServer(t, h, ServerOptions{MaxInflight: bound})
+	c, err := Dial(addr, ClientOptions{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	errs := make(chan error, places)
+	for i := 0; i < places; i++ {
+		go func() {
+			_, _, err := c.Place(context.Background(), 1)
+			errs <- err
+		}()
+	}
+	h.awaitEntered(t, bound)
+	// Every PLACE is on the wire well within this window; none past the
+	// bound may reach the handler while the first four hold it.
+	select {
+	case <-h.entered:
+		t.Fatalf("a PLACE beyond MaxInflight=%d reached the handler", bound)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(h.gate)
+	for i := 0; i < places; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p := h.peak.Load(); p > bound {
+		t.Fatalf("%d PLACEs ran at once, MaxInflight is %d", p, bound)
+	}
+	if placed, _, _ := h.books(); placed != places {
+		t.Fatalf("placed %d balls, want %d", placed, places)
+	}
+}
+
+// TestServerNoHeadOfLine pins out-of-order replies on one connection:
+// a PING and a REMOVE sent after a blocked PLACE both return while the
+// PLACE is still blocked.
+func TestServerNoHeadOfLine(t *testing.T) {
+	h := newGateHandler(64, 1)
+	_, addr := startServer(t, h, ServerOptions{})
+	c, err := Dial(addr, ClientOptions{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	bins, _, err := c.PlaceKeyed(ctx, "seed") // a ball for the REMOVE
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	placed := make(chan error, 1)
+	go func() {
+		_, _, err := c.Place(context.Background(), 1)
+		placed <- err
+	}()
+	h.awaitEntered(t, 1)
+	if err := c.Ping(ctx); err != nil {
+		t.Fatalf("ping behind a blocked PLACE: %v", err)
+	}
+	if err := c.Remove(ctx, bins[0], ""); err != nil {
+		t.Fatalf("remove behind a blocked PLACE: %v", err)
+	}
+	select {
+	case err := <-placed:
+		t.Fatalf("the gated PLACE returned (%v) before its release", err)
+	default:
+	}
+	close(h.gate)
+	if err := <-placed; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServerWorkersExit pins the workers' lifetime: after a burst from
+// 64 callers, CloseConns and Close leave no server goroutine behind.
+func TestServerWorkersExit(t *testing.T) {
+	before := runtime.NumGoroutine()
+	h := newTestHandler(256)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(h, ServerOptions{})
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ln) }()
+	c, err := Dial(ln.Addr().String(), ClientOptions{Conns: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 64
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				bins, _, err := c.Place(context.Background(), 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := c.Remove(context.Background(), bins[0], ""); err != nil && ErrCode(err) != CodeEmptyBin {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	c.Close()
+	s.CloseConns()
+	s.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, %d before the server started:\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// roundTripAllocs is what one Place+Remove cycle allocates over
+// loopback, client and server together.
+const roundTripAllocs = 10
+
+// TestRoundTripAllocs pins the allocations of one Place+Remove cycle,
+// counting the client and the server (testHandler's bins included).
+func TestRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	_, addr := startServer(t, newTestHandler(64), ServerOptions{})
+	c, err := Dial(addr, ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cycle := roundTrip(t, c)
+	if got := testing.AllocsPerRun(500, cycle); got > roundTripAllocs {
+		t.Fatalf("%v allocs per Place+Remove cycle, want at most %v", got, roundTripAllocs)
+	}
+}
+
+// roundTrip returns one Place+Remove cycle on c.
+func roundTrip(tb testing.TB, c *Client) func() {
+	ctx := context.Background()
+	return func() {
+		bins, _, err := c.Place(ctx, 1)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := c.Remove(ctx, bins[0], ""); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// stackHandler is testHandler behind a call chain that takes about
+// 16 KB of stack. It stands in for the router and dispatcher chain a
+// daemon runs per request, whose stack a goroutine started per request
+// used to grow again on every request.
+type stackHandler struct{ *testHandler }
+
+func (h stackHandler) Place(ctx context.Context, count int) ([]int, int64, error) {
+	deepStack(15)
+	return h.testHandler.Place(ctx, count)
+}
+
+func (h stackHandler) Remove(ctx context.Context, bin int, key string) error {
+	deepStack(15)
+	return h.testHandler.Remove(ctx, bin, key)
+}
+
+// deepStack recurses depth+1 calls deep with a 1 KB frame each.
+//
+//go:noinline
+func deepStack(depth int) byte {
+	var frame [1 << 10]byte
+	frame[depth] = byte(depth)
+	if depth > 0 {
+		frame[0] = deepStack(depth - 1)
+	}
+	return frame[0] ^ frame[depth]
+}
+
+// BenchmarkServerRoundTrip times one Place+Remove cycle over loopback
+// through stackHandler, on one pipelined connection.
+func BenchmarkServerRoundTrip(b *testing.B) {
+	_, addr := startServer(b, stackHandler{newTestHandler(1024)}, ServerOptions{})
+	c, err := Dial(addr, ClientOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	cycle := roundTrip(b, c)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}

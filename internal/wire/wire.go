@@ -19,19 +19,28 @@
 //	reply:    [1B MsgReply][uvarint request id][1B code][body...]
 //
 // Request IDs are per-connection and chosen by the client; the server
-// may reply out of order (each request is handled concurrently, so a
-// slow bulk PLACE does not head-of-line-block a PING behind it) and
-// the client demuxes replies back to waiting callers by ID. Typed
+// may reply out of order (requests on one connection run concurrently,
+// so a slow bulk PLACE does not head-of-line-block a PING behind it)
+// and the client demuxes replies back to waiting callers by ID. Typed
 // error codes (CodeEmptyBin, CodeKeyedUnsupported, ...) map 1:1 onto
 // the HTTP tier's status semantics so both transports are
 // interchangeable at equal correctness.
 //
-// Both ends coalesce: the server funnels replies through a per-conn
-// writer that packs everything pending into one write, and Client runs
-// the same loop for requests — concurrent callers enqueue onto a
+// The server gives each connection long-lived workers, at most
+// ServerOptions.MaxInflight of them: its reader hands each decoded
+// request to an idle worker and starts a new one only when none is
+// idle, so a request costs no goroutine start and no stack regrowth.
+// HELLO, PING and STATS run inline on the reader. Replies are written
+// by the goroutine that handled the request: it appends its frame to
+// the connection's pending buffer, and the first goroutine to find no
+// write in progress writes everything pending in one socket write, so
+// replies that arrive during a write share the next one.
+//
+// The client coalesces requests too: concurrent callers enqueue onto a
 // per-connection send loop that drains the queue into a single
-// write/syscall per flush. The measured requests-per-write factor is
-// exported as the client's coalescing factor.
+// write/syscall per flush. The measured
+// requests-per-write factor is exported as the client's coalescing
+// factor, and the server's replies-per-write as batched_per_write.
 package wire
 
 import (

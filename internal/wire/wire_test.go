@@ -112,7 +112,7 @@ func (h *testHandler) books() (placed, removed int64, balls int) {
 
 // startServer boots a Server on a loopback listener and returns it
 // with its address; cleanup closes it.
-func startServer(t *testing.T, h Handler, opts ServerOptions) (*Server, string) {
+func startServer(t testing.TB, h Handler, opts ServerOptions) (*Server, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
