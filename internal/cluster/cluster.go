@@ -32,9 +32,7 @@
 //     probe cap and bound; a protocol "retry" becomes a probe of
 //     another backend against the stale load view — then forwards the request
 //     over a per-backend pooled connection, failing over to another
-//     backend when the chosen one errors. Latency is accounted in
-//     internal/hdrhist histograms, both cumulative and per staleness
-//     window (SnapshotAndReset).
+//     backend when the chosen one errors.
 //
 // Router implements serve.Tier, so bbproxy serves it through the same
 // front end (serve.Handler, run by internal/daemon) as bbserved serves

@@ -2,8 +2,13 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	ballsbins "repro"
 	"repro/internal/keyed"
@@ -138,4 +143,125 @@ func TestRouterCrashRestartReplaysExact(t *testing.T) {
 			t.Fatalf("key %s moved across crash: backend %d -> %d", key, slot, post[key])
 		}
 	}
+}
+
+// gatedBackend fails the first keyed place through any backend that
+// shares its gate, after blocking it until the gate opens: a backend
+// dying under a request that is already in flight.
+type gatedBackend struct {
+	*InprocBackend
+	g *placeGate
+}
+
+type placeGate struct {
+	fired   atomic.Bool
+	entered chan struct{} // closed once the first keyed place arrives
+	release chan struct{} // closed by the test to let it fail
+}
+
+func (b *gatedBackend) PlaceKey(ctx context.Context, key string) ([]int, int64, error) {
+	if b.g.fired.CompareAndSwap(false, true) {
+		close(b.g.entered)
+		<-b.g.release
+		return nil, 0, errors.New("backend died mid-place")
+	}
+	return b.InprocBackend.PlaceKey(ctx, key)
+}
+
+// newGatedCluster is a durable two-backend cluster whose backends
+// share one gate.
+func newGatedCluster(t *testing.T) (Config, *placeGate) {
+	t.Helper()
+	cfg, _ := newDurableCluster(t, 2, t.TempDir(), wal.SyncInterval)
+	g := &placeGate{entered: make(chan struct{}), release: make(chan struct{})}
+	for i, b := range cfg.Backends {
+		cfg.Backends[i] = &gatedBackend{InprocBackend: b.(*InprocBackend), g: g}
+	}
+	return cfg, g
+}
+
+// TestRouterCloseDrainsAdmittedPlace: Close starts while a keyed place
+// is admitted and blocked on a backend that then fails, so the place
+// moves its key to the other backend and succeeds there. Close must
+// not return before the place does, and the store it seals must hold
+// the moved key: a router reopened on the same directory recovers
+// exactly the drained map.
+func TestRouterCloseDrainsAdmittedPlace(t *testing.T) {
+	cfg, g := newGatedCluster(t)
+	rt, _, err := OpenRouter(cfg)
+	if err != nil {
+		t.Fatalf("OpenRouter: %v", err)
+	}
+	type result struct {
+		bins []int
+		err  error
+	}
+	placed := make(chan result, 1)
+	go func() {
+		bins, _, err := rt.PlaceKeyed(context.Background(), "k")
+		placed <- result{bins, err}
+	}()
+	<-g.entered
+	closed := make(chan struct{})
+	go func() {
+		rt.Close()
+		close(closed)
+	}()
+	for !rt.Draining() {
+		runtime.Gosched()
+	}
+	select {
+	case <-closed:
+		t.Error("Close returned while a keyed place was still admitted")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(g.release)
+	res := <-placed
+	<-closed
+	if res.err != nil {
+		t.Fatalf("keyed place during the drain: %v", res.err)
+	}
+	drained := rt.Keyed().Mirror()
+	if got, want := drained.Keys["k"], []int{res.bins[0] / rt.BinsPerBackend()}; !slices.Equal(got, want) {
+		t.Fatalf("drained map holds k on %v, the place landed on %v", got, want)
+	}
+
+	rt2, _, err := OpenRouter(cfg)
+	if err != nil {
+		t.Fatalf("reopen after Close: %v", err)
+	}
+	defer rt2.Close()
+	if got := rt2.Keyed().Mirror(); !got.Equal(drained) {
+		t.Fatalf("reopened router diverged from the drained one:\ndrained:  %+v\nreopened: %+v", drained, got)
+	}
+}
+
+// TestRouterCrashDoesNotWait: Crash is kill -9, so unlike Close it
+// returns while a keyed place is still admitted and blocked on a
+// backend.
+func TestRouterCrashDoesNotWait(t *testing.T) {
+	cfg, g := newGatedCluster(t)
+	rt, _, err := OpenRouter(cfg)
+	if err != nil {
+		t.Fatalf("OpenRouter: %v", err)
+	}
+	placed := make(chan struct{})
+	go func() {
+		rt.PlaceKeyed(context.Background(), "k")
+		close(placed)
+	}()
+	<-g.entered
+	crashed := make(chan struct{})
+	go func() {
+		rt.Crash()
+		close(crashed)
+	}()
+	select {
+	case <-crashed:
+	case <-time.After(5 * time.Second):
+		t.Error("Crash waited for an admitted place")
+	}
+	close(g.release)
+	<-placed
+	<-crashed
 }

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/diag"
 	"repro/internal/hdrhist"
 	"repro/internal/keyed"
 	"repro/internal/obs"
@@ -66,15 +65,17 @@ type Config struct {
 
 // Router routes place/remove traffic across the backends: the cluster
 // tier's dispatch core. Construct with NewRouter; all methods are safe
-// for concurrent use; Close stops the background loops.
+// for concurrent use. Admission, drain, the keyed map (nil unless
+// Config.Keyed was set) and its store and the monitors are its
+// Lifecycle's; Close also stops the background loops, but never
+// closes the backends themselves (the proxy does not own the
+// cluster's data).
 type Router struct {
 	cfg    Config
 	ms     *Membership
 	view   *LoadView
 	policy Policy
-	km     *keyed.KeyMap // nil unless Config.Keyed was set
-	store  *keyed.Store  // nil unless Config.KeyedStore was set
-	n      int           // bins per backend
+	n      int // bins per backend
 
 	// mu serializes policy picks over the shared RNG stream (kept
 	// single so fixed seeds give reproducible routing).
@@ -101,26 +102,21 @@ type Router struct {
 	// completion, so the watchdog checks its bound against it.
 	ledger []slotLedger
 
-	obs    *obs.Recorder
-	watch  *watch.Monitor                // invariant watchdog + time series (nilable)
-	diag   atomic.Pointer[diag.Recorder] // flight recorder, bound late (nilable)
 	logger *slog.Logger
 	// pickStaleness records, per pick, how old the chosen backend's
 	// polled load was (milliseconds) — the routing tier's staleness-at-
 	// decision distribution. Picks of never-polled backends are skipped.
 	pickStaleness *hdrhist.Hist
 
-	placeLat  *hdrhist.Hist
-	removeLat *hdrhist.Hist
 	// window accumulates place latency for the current staleness
 	// window; the poll loop rotates it into lastWindow.
 	window      *hdrhist.Hist
 	lastWindow  atomic.Pointer[windowSummary]
 	windowBegan atomic.Int64 // unixnano
 
-	draining atomic.Bool
-	cancel   context.CancelFunc
-	loops    sync.WaitGroup
+	cancel context.CancelFunc
+	loops  sync.WaitGroup
+	*serve.Lifecycle
 }
 
 type windowSummary struct {
@@ -156,10 +152,6 @@ func OpenRouter(cfg Config) (*Router, *keyed.RecoveryInfo, error) {
 	if cfg.Policy == nil {
 		panic("cluster: NewRouter with nil Policy")
 	}
-	obsOpts := cfg.Obs
-	if obsOpts.Hop == "" {
-		obsOpts.Hop = "proxy"
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.Default()
@@ -172,39 +164,39 @@ func OpenRouter(cfg Config) (*Router, *keyed.RecoveryInfo, error) {
 		policy:        cfg.Policy,
 		n:             cfg.BinsPerBackend,
 		rnd:           rng.New(cfg.Seed),
-		obs:           obs.NewRecorder(obsOpts),
 		logger:        logger,
 		pickStaleness: hdrhist.New(),
-		placeLat:      hdrhist.New(),
-		removeLat:     hdrhist.New(),
 		window:        hdrhist.New(),
 	}
 	rt.ms.probeSeed = rng.Mix(cfg.Seed, 0x70726f6265)  // "probe"
 	rt.view.pollSeed = rng.Mix(cfg.Seed, 0x6c6f616470) // "loadp"
 	rt.windowBegan.Store(time.Now().UnixNano())
-	var rec *keyed.RecoveryInfo
+	var kc *keyed.Config
 	if cfg.Keyed != nil {
-		kc := *cfg.Keyed
-		kc.Bins = len(cfg.Backends)
-		if kc.Seed == 0 {
-			kc.Seed = rng.Mix(cfg.Seed, 0x6b657965642f636c)
+		c := *cfg.Keyed
+		c.Bins = len(cfg.Backends)
+		if c.Seed == 0 {
+			c.Seed = rng.Mix(cfg.Seed, 0x6b657965642f636c)
 		}
-		if cfg.KeyedStore != nil {
-			store, info, err := keyed.OpenStore(kc, *cfg.KeyedStore)
-			if err != nil {
-				return nil, nil, err
-			}
-			rt.store, rt.km, rec = store, store.M, info
-			// The recovered map may remember bins as down, but this
-			// process's membership starts every slot in rotation:
-			// reconcile (SetUp is a no-op for already-up bins). A
-			// backend that is genuinely still dead is re-evicted by
-			// probes/traffic, which journals a fresh OpDown.
-			for slot := range cfg.Backends {
-				rt.km.SetUp(slot)
-			}
-		} else {
-			rt.km = keyed.New(kc)
+		kc = &c
+	}
+	lc, rec, err := serve.NewLifecycle(serve.LifecycleConfig{
+		Hop: "proxy", Name: "router", ErrDraining: ErrDraining,
+		Obs: cfg.Obs, Watch: cfg.Watch, Sample: rt.watchSample,
+		Keyed: kc, KeyedStore: cfg.KeyedStore, Stop: rt.stopLoops,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	rt.Lifecycle = lc
+	if rec != nil {
+		// The recovered map may remember bins as down, but this
+		// process's membership starts every slot in rotation:
+		// reconcile (SetUp is a no-op for already-up bins). A backend
+		// that is genuinely still dead is re-evicted by probes/traffic,
+		// which journals a fresh OpDown.
+		for slot := range cfg.Backends {
+			rt.Keyed().SetUp(slot)
 		}
 	}
 	// A rejoining backend may have lost or served balls we never saw:
@@ -215,8 +207,9 @@ func OpenRouter(cfg Config) (*Router, *keyed.RecoveryInfo, error) {
 	// on the dead slot (the KeyMap has its own lock and never calls
 	// back into Membership, so nesting under the membership lock is
 	// safe), a rejoin only reopens the slot for future picks.
+	km := rt.Keyed()
 	rt.ms.onChange = func(slot int, up bool) {
-		if rt.km != nil && !up {
+		if km != nil && !up {
 			t0 := time.Now()
 			// resident (the dead slot's replica count) is read before
 			// SetDown from the same KeyMap the rebalance mutates; the
@@ -225,26 +218,26 @@ func OpenRouter(cfg Config) (*Router, *keyed.RecoveryInfo, error) {
 			// is a violation worth reporting the moment it happens rather
 			// than on the next watchdog cadence.
 			var resident int64
-			if st := rt.km.Stats(); slot < len(st.PerBinKeys) {
+			if st := km.Stats(); slot < len(st.PerBinKeys) {
 				resident = st.PerBinKeys[slot]
 			}
-			moved, shed := rt.km.SetDown(slot)
-			c := rt.obs.BeginAt(0, "rebalance", t0)
+			moved, shed := km.SetDown(slot)
+			c := rt.Obs().BeginAt(0, "rebalance", t0)
 			c.Attr("slot", int64(slot))
 			c.Attr("keys_moved", moved)
 			c.End(nil)
-			rt.watch.Record(watch.EventRebalance, fmt.Sprintf("slot %d down: %d key replicas moved", slot, moved),
+			rt.Watch().Record(watch.EventRebalance, fmt.Sprintf("slot %d down: %d key replicas moved", slot, moved),
 				map[string]int64{"slot": int64(slot), "keys_moved": moved, "keys_shed": shed, "resident": resident})
 			if moved > resident {
-				rt.watch.ReportViolation("keyed_rebalance_moved", moved, resident,
+				rt.Watch().ReportViolation("keyed_rebalance_moved", moved, resident,
 					map[string]int64{"slot": int64(slot)})
 			}
 		}
 		if up {
-			if rt.km != nil {
-				rt.km.SetUp(slot)
+			if km != nil {
+				km.SetUp(slot)
 			}
-			rt.watch.Record(watch.EventRejoin, fmt.Sprintf("backend %d rejoined", slot),
+			rt.Watch().Record(watch.EventRejoin, fmt.Sprintf("backend %d rejoined", slot),
 				map[string]int64{"slot": int64(slot)})
 			rt.logger.Info("cluster: backend rejoined, forcing load re-poll", "slot", slot)
 			go func() {
@@ -253,19 +246,10 @@ func OpenRouter(cfg Config) (*Router, *keyed.RecoveryInfo, error) {
 				_ = rt.view.Refresh(ctx, slot, rt.ms.Backend(slot))
 			}()
 		} else {
-			rt.watch.Record(watch.EventEviction, fmt.Sprintf("backend %d evicted", slot),
+			rt.Watch().Record(watch.EventEviction, fmt.Sprintf("backend %d evicted", slot),
 				map[string]int64{"slot": int64(slot)})
 			rt.logger.Warn("cluster: backend evicted", "slot", slot)
 		}
-	}
-
-	rt.watch = watch.New("proxy", cfg.Watch, rt.watchSample)
-	if rec != nil {
-		rt.watch.Record(watch.EventRecovery, "keyed tier recovered from store", map[string]int64{
-			"snapshot_keys":    rec.SnapshotKeys,
-			"replayed_records": rec.ReplayedRecords,
-			"replay_ms":        rec.ReplayMs,
-		})
 	}
 
 	// Seed the view so the first picks are informed (best-effort; a
@@ -290,8 +274,15 @@ func OpenRouter(cfg Config) (*Router, *keyed.RecoveryInfo, error) {
 			rt.refreshLoop(loopCtx)
 		}()
 	}
-	rt.watch.Start()
+	rt.Watch().Start()
 	return rt, rec, nil
+}
+
+// stopLoops stops the health and refresh loops: the router's part of
+// Close and Crash.
+func (rt *Router) stopLoops() {
+	rt.cancel()
+	rt.loops.Wait()
 }
 
 // refreshLoop re-polls every healthy backend's stats each staleness
@@ -335,23 +326,6 @@ func (rt *Router) BinsPerBackend() int { return rt.n }
 
 // Policy returns the routing policy's name.
 func (rt *Router) Policy() string { return rt.policy.Name() }
-
-// Keyed returns the router's KeyMap, nil when keyed routing is not
-// configured.
-func (rt *Router) Keyed() *keyed.KeyMap { return rt.km }
-
-// Durability returns the keyed tier's durability block, nil when the
-// router runs without a store.
-func (rt *Router) Durability() *keyed.DurabilityStats {
-	if rt.store == nil {
-		return nil
-	}
-	ds := rt.store.Durability()
-	return &ds
-}
-
-// Draining reports whether Close has begun.
-func (rt *Router) Draining() bool { return rt.draining.Load() }
 
 // pick runs one policy decision under the RNG lock. Alongside the
 // chosen slot it returns the probes spent and the staleness of the
@@ -420,12 +394,13 @@ func (rt *Router) Place(ctx context.Context, count int) ([]int, int64, error) {
 	if count < 1 {
 		return nil, 0, fmt.Errorf("cluster: Place count %d < 1", count)
 	}
-	if rt.draining.Load() {
-		return nil, 0, ErrDraining
+	if err := rt.Admit(ctx); err != nil {
+		return nil, 0, err
 	}
+	defer rt.Done()
 	t0 := time.Now()
 	upstream := obs.TraceFrom(ctx)
-	c := rt.obs.BeginAt(upstream, "place", t0)
+	c := rt.Obs().BeginAt(upstream, "place", t0)
 	if id := c.Trace(); id != upstream {
 		// Head-sampled here: propagate the minted id downstream so the
 		// serve hop records its spans under the same trace.
@@ -463,9 +438,7 @@ func (rt *Router) Place(ctx context.Context, count int) ([]int, int64, error) {
 			for i := range bins {
 				bins[i] += slot * rt.n
 			}
-			el := int64(time.Since(t0))
-			rt.placeLat.Record(el)
-			rt.window.Record(el)
+			rt.window.Record(int64(time.Since(t0)))
 			finish(nil)
 			return bins, samples, nil
 		}
@@ -504,15 +477,17 @@ func (rt *Router) Place(ctx context.Context, count int) ([]int, int64, error) {
 // back to anonymous Place when the router has no keyed tier or key
 // is empty.
 func (rt *Router) PlaceKeyed(ctx context.Context, key string) ([]int, int64, error) {
-	if rt.km == nil || key == "" {
+	km := rt.Keyed()
+	if km == nil || key == "" {
 		return rt.Place(ctx, 1)
 	}
-	if rt.draining.Load() {
-		return nil, 0, ErrDraining
+	if err := rt.Admit(ctx); err != nil {
+		return nil, 0, err
 	}
+	defer rt.Done()
 	t0 := time.Now()
 	upstream := obs.TraceFrom(ctx)
-	c := rt.obs.BeginAt(upstream, "place", t0)
+	c := rt.Obs().BeginAt(upstream, "place", t0)
 	if id := c.Trace(); id != upstream {
 		ctx = obs.WithTrace(ctx, id)
 	}
@@ -521,7 +496,7 @@ func (rt *Router) PlaceKeyed(ctx context.Context, key string) ([]int, int64, err
 	// Keyed decisions and their probes are accounted in the keyed
 	// stats block, not in picks/probes — mixing them would corrupt
 	// probes_per_pick, whose denominator is anonymous policy picks.
-	slot, keyProbes, hit, err := rt.km.Route(key)
+	slot, keyProbes, hit, err := km.Route(key)
 	c.Stage("probe", t0)
 	c.Attr("key_probes", int64(keyProbes))
 	if hit {
@@ -547,7 +522,7 @@ func (rt *Router) PlaceKeyed(ctx context.Context, key string) ([]int, int64, err
 	var tried []int
 	for len(tried) <= rt.ms.Size() {
 		if err := ctx.Err(); err != nil {
-			rt.km.Release(key, slot)
+			km.Release(key, slot)
 			finish(err)
 			return nil, 0, err
 		}
@@ -560,15 +535,13 @@ func (rt *Router) PlaceKeyed(ctx context.Context, key string) ([]int, int64, err
 			for i := range bins {
 				bins[i] += slot * rt.n
 			}
-			el := int64(time.Since(t0))
-			rt.placeLat.Record(el)
-			rt.window.Record(el)
+			rt.window.Record(int64(time.Since(t0)))
 			finish(nil)
 			return bins, samples, nil
 		}
 		// A dead caller is not evidence against the backend (see Place).
 		if ctx.Err() != nil {
-			rt.km.Release(key, slot)
+			km.Release(key, slot)
 			finish(ctx.Err())
 			return nil, 0, ctx.Err()
 		}
@@ -578,7 +551,7 @@ func (rt *Router) PlaceKeyed(ctx context.Context, key string) ([]int, int64, err
 			// the same spec, so failing over would only evict healthy
 			// backends and journal moves.
 			rt.ms.ReportSuccess(slot)
-			rt.km.Release(key, slot)
+			km.Release(key, slot)
 			finish(perr)
 			return nil, 0, perr
 		}
@@ -587,13 +560,13 @@ func (rt *Router) PlaceKeyed(ctx context.Context, key string) ([]int, int64, err
 		rt.failovers.Add(1)
 		rt.ms.ReportFailure(slot)
 		tried = append(tried, slot)
-		next, merr := rt.km.MoveOff(key, slot, tried)
+		next, merr := km.MoveOff(key, slot, tried)
 		if merr != nil {
 			break // no healthy bin outside the tried set remains
 		}
 		slot = next
 	}
-	rt.km.Release(key, slot)
+	km.Release(key, slot)
 	if lastErr == nil {
 		finish(ErrNoBackends)
 		return nil, 0, ErrNoBackends
@@ -640,19 +613,20 @@ func (rt *Router) Remove(ctx context.Context, bin int) error {
 // backend still fail with ErrBackendDown — honest accounting, same
 // as the anonymous path.
 func (rt *Router) RemoveKeyed(ctx context.Context, bin int, key string) error {
-	if rt.draining.Load() {
-		return ErrDraining
-	}
 	if bin < 0 || bin >= rt.N() {
 		return fmt.Errorf("cluster: bin %d outside [0,%d)", bin, rt.N())
 	}
+	if err := rt.Admit(ctx); err != nil {
+		return err
+	}
+	defer rt.Done()
 	slot, local := bin/rt.n, bin%rt.n
 	if !rt.ms.IsUp(slot) {
 		return ErrBackendDown
 	}
 	t0 := time.Now()
 	upstream := obs.TraceFrom(ctx)
-	c := rt.obs.BeginAt(upstream, "remove", t0)
+	c := rt.Obs().BeginAt(upstream, "remove", t0)
 	if id := c.Trace(); id != upstream {
 		ctx = obs.WithTrace(ctx, id)
 	}
@@ -668,9 +642,8 @@ func (rt *Router) RemoveKeyed(ctx context.Context, bin int, key string) error {
 	case err == nil:
 		rt.ms.ReportSuccess(slot)
 		rt.note(slot, -1)
-		rt.removeLat.RecordSince(t0)
-		if rt.km != nil && key != "" {
-			rt.km.Release(key, slot)
+		if km := rt.Keyed(); km != nil && key != "" {
+			km.Release(key, slot)
 		}
 	case errors.Is(err, serve.ErrEmptyBin):
 		// A well-formed answer from a healthy backend — the caller's
@@ -687,33 +660,14 @@ func (rt *Router) RemoveKeyed(ctx context.Context, bin int, key string) error {
 	return err
 }
 
-// Obs returns the router's trace recorder.
-func (rt *Router) Obs() *obs.Recorder { return rt.obs }
-
-// BindDiag attaches the flight recorder (built late by the daemon,
-// since its capture closures need the assembled stats surface) and
-// wires it to the watchdog's violation hook.
-func (rt *Router) BindDiag(rec *diag.Recorder) {
-	if rec == nil {
-		return
-	}
-	rt.diag.Store(rec)
-	rt.watch.OnViolation(rec.OnViolation)
-}
-
-// Diag returns the bound flight recorder (nil when diagnostics are
-// off).
-func (rt *Router) Diag() *diag.Recorder { return rt.diag.Load() }
-
 // PickStaleness returns the staleness-at-pick distribution snapshot
 // (milliseconds of load-view age at each routing decision).
 func (rt *Router) PickStaleness() hdrhist.Snapshot { return rt.pickStaleness.Snapshot() }
 
-// PlaceLatency returns the cumulative place-latency snapshot.
-func (rt *Router) PlaceLatency() hdrhist.Snapshot { return rt.placeLat.Snapshot() }
-
-// RemoveLatency returns the cumulative remove-latency snapshot.
-func (rt *Router) RemoveLatency() hdrhist.Snapshot { return rt.removeLat.Snapshot() }
+// PlaceLatency returns the cumulative place latency: the recorder's
+// "place" op total, so it counts failed places too and is empty when
+// Config.Obs.Disabled.
+func (rt *Router) PlaceLatency() hdrhist.Snapshot { return rt.Obs().UnionSnapshot("place") }
 
 // WindowLatency returns the last completed staleness window's place
 // latency and the window length in seconds (zero before the first
@@ -723,39 +677,4 @@ func (rt *Router) WindowLatency() (hdrhist.Snapshot, float64) {
 		return w.snap, w.secs
 	}
 	return hdrhist.Snapshot{}, 0
-}
-
-// Close stops routing: subsequent Place/Remove return ErrDraining, the
-// background loops exit, and in-flight requests run to completion
-// against their backends. With a keyed store, the drained assignment
-// table is sealed with a final compacting snapshot — a TERM/restart
-// cycle loses zero assignments; a failed seal is recorded as a DRAIN
-// event and logged at ERROR. It does not close the backends
-// themselves (the proxy does not own the cluster's data). Idempotent.
-func (rt *Router) Close() {
-	if rt.draining.CompareAndSwap(false, true) {
-		rt.watch.Record(watch.EventDrain, "router draining", nil)
-	}
-	rt.cancel()
-	rt.loops.Wait()
-	if rt.store != nil {
-		if err := rt.store.Close(); err != nil {
-			rt.watch.RecordError(watch.EventDrain, "keyed store seal failed", err)
-		}
-	}
-	rt.watch.Close()
-}
-
-// Crash stops the router WITHOUT the final snapshot or log flush —
-// the crash-simulation hook restart scenarios use as the in-proc
-// analogue of kill -9: recovery from the data directory sees only
-// what the fsync policy already made durable. Idempotent.
-func (rt *Router) Crash() {
-	rt.draining.Store(true)
-	rt.cancel()
-	rt.loops.Wait()
-	rt.watch.Close()
-	if rt.store != nil {
-		rt.store.Crash()
-	}
 }

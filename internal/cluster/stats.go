@@ -97,8 +97,8 @@ func (rt *Router) Stats() Stats {
 	if st.Picks > 0 {
 		st.ProbesPerPick = float64(st.Probes) / float64(st.Picks)
 	}
-	if rt.km != nil {
-		ks := rt.km.Stats()
+	if km := rt.Keyed(); km != nil {
+		ks := km.Stats()
 		st.Keyed = &ks
 	}
 	st.Durability = rt.Durability()
@@ -198,6 +198,3 @@ func (cs Stats) View() serve.StatsView {
 	}
 	return v
 }
-
-// StatsView is rt.Stats().View() — the flattened single-node shape.
-func (rt *Router) StatsView() serve.StatsView { return rt.Stats().View() }

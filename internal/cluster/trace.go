@@ -60,9 +60,9 @@ func (rt *Router) GatherTrace(ctx context.Context, id uint64) (sources []string,
 	var hex string // "" reads a whole ring (TraceBackend)
 	if id != 0 {
 		hex = obs.FormatTrace(id)
-		ops = rt.obs.OpsByTrace(hex)
+		ops = rt.Obs().OpsByTrace(hex)
 	} else {
-		ops = rt.obs.Ops(0)
+		ops = rt.Obs().Ops(0)
 	}
 	sources = []string{"proxy"}
 

@@ -2,12 +2,9 @@ package cluster
 
 import (
 	"repro/internal/protocol"
+	"repro/internal/serve"
 	"repro/internal/watch"
 )
-
-// Watch returns the router's invariant monitor (nil when
-// Config.Watch.Disabled).
-func (rt *Router) Watch() *watch.Monitor { return rt.watch }
 
 // watchSample assembles one watchdog sample for the cluster tier. The
 // time-series point comes from one rt.Stats() aggregation pass; the
@@ -113,20 +110,7 @@ func (rt *Router) watchSample() watch.Sample {
 			},
 		})
 	}
-	if cs.Keyed != nil && cs.Keyed.PolicyBound > 0 {
-		// Same consistent pair as the serve tier: MaxKeyLoad and
-		// PolicyBound come from one KeyMap lock hold, plus one unit of
-		// churn-residual slack.
-		s.Checks = append(s.Checks, watch.Check{
-			Invariant: "cluster_keyed_max",
-			Observed:  cs.Keyed.MaxKeyLoad,
-			Bound:     cs.Keyed.PolicyBound + 1,
-			Fields: map[string]int64{
-				"keys": cs.Keyed.Keys, "replicas": cs.Keyed.Replicas,
-				"healthy_backends": int64(cs.Keyed.Healthy),
-			},
-		})
-	}
+	s.Checks = serve.AppendKeyedMaxCheck(s.Checks, "cluster_keyed_max", "healthy_backends", cs.Keyed)
 
 	s.Point = watch.Point{
 		Balls:              cs.Balls,
@@ -137,15 +121,10 @@ func (rt *Router) watchSample() watch.Sample {
 		Gap:                cs.Gap,
 		Psi:                psi,
 		PickStalenessP99Ms: rt.pickStaleness.Snapshot().Quantile(0.99),
+		StageP99Ns:         rt.Obs().StageP99s(),
 	}
 	if cs.Keyed != nil {
 		s.Point.AffinityHitRate = cs.Keyed.AffinityHitRate
-	}
-	if sum := rt.obs.StageSummaries(); len(sum) > 0 {
-		s.Point.StageP99Ns = make(map[string]int64, len(sum))
-		for stage, v := range sum {
-			s.Point.StageP99Ns[stage] = v.P99Ns
-		}
 	}
 	return s
 }

@@ -9,6 +9,7 @@ import (
 
 	ballsbins "repro"
 	"repro/internal/keyed"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/watch"
 )
@@ -195,5 +196,35 @@ func TestWatchDrainEventOnce(t *testing.T) {
 	}
 	if !strings.Contains(rt.Watch().Events(0)[len(rt.Watch().Events(0))-1].Detail, "draining") {
 		t.Fatal("drain detail missing")
+	}
+}
+
+// TestWatchHopWithoutRecording: with trace recording disabled, each
+// tier's watchdog still names its own hop, and the router's place
+// latency, read from the recorder, is empty.
+func TestWatchHopWithoutRecording(t *testing.T) {
+	const n = 8
+	off := obs.Options{Disabled: true}
+	d := serve.NewDispatcher(serve.Config{Spec: ballsbins.Adaptive(), N: n, Obs: off})
+	t.Cleanup(d.Close)
+	rt := NewRouter(Config{
+		Backends: []Backend{&InprocBackend{D: d}}, BinsPerBackend: n,
+		Policy: policyNamed("single"), Obs: off,
+	})
+	t.Cleanup(rt.Close)
+	if _, _, err := rt.Place(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if d.Obs() != nil || rt.Obs() != nil {
+		t.Fatal("recording still on")
+	}
+	if got := d.Watch().Hop(); got != "serve" {
+		t.Errorf("dispatcher watchdog hop %q, want serve", got)
+	}
+	if got := rt.Watch().Hop(); got != "proxy" {
+		t.Errorf("router watchdog hop %q, want proxy", got)
+	}
+	if got := rt.PlaceLatency().Count; got != 0 {
+		t.Errorf("place latency counted %d places with recording off", got)
 	}
 }

@@ -17,10 +17,9 @@ type StoreOptions struct {
 	// negative disables auto-snapshots).
 	SnapshotEvery int
 	// Fsync is the append durability policy (wal.SyncAlways,
-	// wal.SyncInterval, wal.SyncNever; default interval).
+	// wal.SyncInterval, wal.SyncNever; default interval, flushed every
+	// 100ms).
 	Fsync string
-	// FsyncEvery is the interval-mode flush period (default 100ms).
-	FsyncEvery time.Duration
 }
 
 // DefaultSnapshotEvery is StoreOptions.SnapshotEvery's zero-value
@@ -73,7 +72,7 @@ func OpenStore(cfg Config, o StoreOptions) (*Store, *RecoveryInfo, error) {
 	if every == 0 {
 		every = DefaultSnapshotEvery
 	}
-	l, rec, err := wal.Open(o.Dir, wal.Options{Fsync: o.Fsync, FsyncEvery: o.FsyncEvery})
+	l, rec, err := wal.Open(o.Dir, wal.Options{Fsync: o.Fsync})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -225,11 +225,12 @@ type Config struct {
 	ServiceMean time.Duration
 	ServiceDist string
 	Seed        int64
-	// MaxOutstanding caps concurrent open-loop operations; arrivals
-	// beyond it are shed (counted in Result.Shed) rather than queued,
-	// preserving open-loop semantics under saturation. Default 16384.
-	MaxOutstanding int
 }
+
+// maxOutstanding caps concurrent open-loop operations; arrivals beyond
+// it are shed (counted in Result.Shed) rather than queued, preserving
+// open-loop semantics under saturation.
+const maxOutstanding = 16384
 
 // Result is one generator run's measurements — the per-case record of
 // the bbserve/v1 BENCH schema.
@@ -377,9 +378,6 @@ func Run(ctx context.Context, cfg Config, target cluster.Backend) (Result, error
 			return Result{}, fmt.Errorf("load: scenario %q is keyed but target %T has no keyed API",
 				cfg.Scenario.Name, target)
 		}
-	}
-	if cfg.MaxOutstanding <= 0 {
-		cfg.MaxOutstanding = 16384
 	}
 	var killed atomic.Int64
 	killed.Store(-1)
@@ -713,7 +711,7 @@ func runOpen(ctx context.Context, cfg Config, target cluster.Backend, slow *slow
 			for i := range services {
 				services[i] = smp.service()
 			}
-			if outstanding.Load() >= int64(cfg.MaxOutstanding) {
+			if outstanding.Load() >= maxOutstanding {
 				shed.Add(int64(bulk))
 				continue
 			}

@@ -431,6 +431,20 @@ func (r *Recorder) StageSummaries() map[string]StageSummary {
 	return out
 }
 
+// StageP99s maps every stage with a sample to its p99 in nanoseconds,
+// the per-stage column of both tiers' time series (nil when none).
+func (r *Recorder) StageP99s() map[string]int64 {
+	sum := r.StageSummaries()
+	if len(sum) == 0 {
+		return nil
+	}
+	out := make(map[string]int64, len(sum))
+	for stage, v := range sum {
+		out[stage] = v.P99Ns
+	}
+	return out
+}
+
 // Trace id minting: a process-unique base mixed with a counter, so
 // ids are unique across restarts without coordination and never 0.
 var (

@@ -42,7 +42,6 @@ import (
 	"time"
 
 	ballsbins "repro"
-	"repro/internal/diag"
 	"repro/internal/hdrhist"
 	"repro/internal/keyed"
 	"repro/internal/obs"
@@ -109,24 +108,14 @@ type Config struct {
 
 // Dispatcher is the serving front-end over a ShardedAllocator.
 // Construct with NewDispatcher; all methods are safe for concurrent
-// use.
+// use. Admission, drain, the keyed map and store and the monitors are
+// its Lifecycle's.
 type Dispatcher struct {
 	sa      *ballsbins.ShardedAllocator
 	cfg     Config
 	stats   *Stats
-	km      *keyed.KeyMap                 // key → shard affinity (keyed placements)
-	store   *keyed.Store                  // nil unless Config.KeyedStore was set
-	keyedOK bool                          // spec terminates under shard-pinned traffic
-	obs     *obs.Recorder                 // stage decomposition + slow-op ring (nilable)
-	watch   *watch.Monitor                // invariant watchdog + time series (nilable)
-	diag    atomic.Pointer[diag.Recorder] // flight recorder, bound late (nilable)
-	// drainMu is held shared for the whole of every admitted call and
-	// exclusively by Close once draining is set, so Close returns only
-	// after every admitted call has. (A WaitGroup would not do: its
-	// counter legally hits zero mid-drain while admitted callers keep
-	// arriving, and Add-from-zero concurrent with Wait panics.)
-	drainMu  sync.RWMutex
-	draining atomic.Bool
+	keyedOK bool // spec terminates under shard-pinned traffic
+	*Lifecycle
 }
 
 // NewDispatcher builds the sharded allocator and its keyed tier. It
@@ -167,45 +156,23 @@ func OpenDispatcher(cfg Config) (*Dispatcher, *keyed.RecoveryInfo, error) {
 		// sequences cannot correlate with placement draws.
 		kc.Seed = rng.Mix(cfg.Seed, 0x6b657965642f7372)
 	}
-	var km *keyed.KeyMap
-	var store *keyed.Store
-	var rec *keyed.RecoveryInfo
-	if cfg.KeyedStore != nil {
-		var err error
-		store, rec, err = keyed.OpenStore(kc, *cfg.KeyedStore)
-		if err != nil {
-			return nil, nil, err
-		}
-		km = store.M
-	} else {
-		km = keyed.New(kc)
+	d := &Dispatcher{cfg: cfg, stats: newStats(cfg.Shards)}
+	lc, rec, err := NewLifecycle(LifecycleConfig{
+		Hop: "serve", Name: "dispatcher", ErrDraining: ErrDraining,
+		Obs: cfg.Obs, Watch: cfg.Watch, Sample: d.watchSample,
+		Keyed: &kc, KeyedStore: cfg.KeyedStore,
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	obsOpts := cfg.Obs
-	if obsOpts.Hop == "" {
-		obsOpts.Hop = "serve"
-	}
-	d := &Dispatcher{
-		sa:    ballsbins.NewSharded(cfg.Spec, cfg.N, cfg.Shards, opts...),
-		cfg:   cfg,
-		stats: newStats(cfg.Shards),
-		km:    km,
-		store: store,
-		obs:   obs.NewRecorder(obsOpts),
-	}
+	d.Lifecycle = lc
+	d.sa = ballsbins.NewSharded(cfg.Spec, cfg.N, cfg.Shards, opts...)
 	// Threshold-family and fixed-bound specs reject keyed traffic (see
 	// ErrKeyedUnsupported); "threshold-retry" (BoundedRetry) is safe —
 	// its sample cap guarantees termination at any shard load.
 	name := d.sa.Name()
 	d.keyedOK = !(strings.HasPrefix(name, "fixed[") ||
 		(strings.HasPrefix(name, "threshold") && !strings.HasPrefix(name, "threshold-retry")))
-	d.watch = watch.New("serve", cfg.Watch, d.watchSample)
-	if rec != nil {
-		d.watch.Record(watch.EventRecovery, "keyed tier recovered from store", map[string]int64{
-			"snapshot_keys":    rec.SnapshotKeys,
-			"replayed_records": rec.ReplayedRecords,
-			"replay_ms":        rec.ReplayMs,
-		})
-	}
 	d.watch.Start()
 	return d, rec, nil
 }
@@ -231,10 +198,10 @@ func (d *Dispatcher) Name() string { return d.sa.Name() }
 // committed. The single-ball hot path: one ticket, one shard lock,
 // and one allocation (the shard's fresh stats row).
 func (d *Dispatcher) Place(ctx context.Context) (bin int, samples int64, err error) {
-	if err := d.admit(ctx); err != nil {
+	if err := d.Admit(ctx); err != nil {
 		return 0, 0, err
 	}
-	defer d.drainMu.RUnlock()
+	defer d.Done()
 	c := d.obs.Begin(obs.TraceFrom(ctx), "place")
 	var one [1]int
 	samples = d.placeChunk(d.sa.NextShard(), one[:], &c, 0)
@@ -260,10 +227,10 @@ func (d *Dispatcher) PlaceKeyed(ctx context.Context, key string) (bin int, sampl
 	if !d.keyedOK {
 		return 0, 0, ErrKeyedUnsupported
 	}
-	if err := d.admit(ctx); err != nil {
+	if err := d.Admit(ctx); err != nil {
 		return 0, 0, err
 	}
-	defer d.drainMu.RUnlock()
+	defer d.Done()
 	c := d.obs.Begin(obs.TraceFrom(ctx), "place")
 	shard, probes, hit, err := d.km.Route(key)
 	routed := c.Elapsed()
@@ -284,16 +251,6 @@ func (d *Dispatcher) PlaceKeyed(ctx context.Context, key string) (bin int, sampl
 // KeyedStats returns the keyed tier's monitoring block.
 func (d *Dispatcher) KeyedStats() keyed.Stats { return d.km.Stats() }
 
-// Durability returns the keyed tier's durability block, nil when the
-// dispatcher runs without a store.
-func (d *Dispatcher) Durability() *keyed.DurabilityStats {
-	if d.store == nil {
-		return nil
-	}
-	ds := d.store.Durability()
-	return &ds
-}
-
 // PlaceMany allocates count balls spread round-robin over the shards
 // (claiming count tickets at once) and returns their global bins in
 // assignment order — shard by shard, each shard's chunk placed under
@@ -311,10 +268,10 @@ func (d *Dispatcher) PlaceMany(ctx context.Context, count int) ([]int, int64, er
 	if count < 1 {
 		return nil, 0, fmt.Errorf("serve: PlaceMany count %d < 1", count)
 	}
-	if err := d.admit(ctx); err != nil {
+	if err := d.Admit(ctx); err != nil {
 		return nil, 0, err
 	}
-	defer d.drainMu.RUnlock()
+	defer d.Done()
 	t0 := time.Now()
 	trace := obs.TraceFrom(ctx)
 	counts := d.sa.NextShardBatch(int64(count))
@@ -389,10 +346,10 @@ func (d *Dispatcher) RemoveKeyed(ctx context.Context, bin int, key string) error
 	if bin < 0 || bin >= d.cfg.N {
 		return fmt.Errorf("serve: bin %d outside [0,%d)", bin, d.cfg.N)
 	}
-	if err := d.admit(ctx); err != nil {
+	if err := d.Admit(ctx); err != nil {
 		return err
 	}
-	defer d.drainMu.RUnlock()
+	defer d.Done()
 	c := d.obs.Begin(obs.TraceFrom(ctx), "remove")
 	shard := d.sa.ShardOf(bin)
 	err := d.run(shard, &c, 0, func(a *ballsbins.Allocator, base int) error {
@@ -407,47 +364,6 @@ func (d *Dispatcher) RemoveKeyed(ctx context.Context, bin int, key string) error
 		d.km.Release(key, shard)
 	}
 	return err
-}
-
-// admit takes the shared drain lock for the caller's whole call (the
-// caller releases it on return) unless the dispatcher is draining or
-// ctx is already done. Close sets draining before taking the lock
-// exclusively, so either we see the flag and back out, or Close waits
-// for our call to return.
-func (d *Dispatcher) admit(ctx context.Context) error {
-	d.drainMu.RLock()
-	if d.draining.Load() {
-		d.drainMu.RUnlock()
-		return ErrDraining
-	}
-	if err := ctx.Err(); err != nil {
-		d.drainMu.RUnlock()
-		return err
-	}
-	return nil
-}
-
-// Draining reports whether Close has begun.
-func (d *Dispatcher) Draining() bool { return d.draining.Load() }
-
-// Close drains the dispatcher: new calls are refused with
-// ErrDraining, and Close waits for every already-admitted call to
-// return. With a keyed store, the drained state is then sealed with a
-// final compacting snapshot — a TERM/restart cycle loses zero
-// assignments. A failed seal is recorded as a DRAIN event and logged
-// at ERROR. Close blocks until the drain completes and is idempotent.
-func (d *Dispatcher) Close() {
-	if d.draining.CompareAndSwap(false, true) {
-		d.watch.Record(watch.EventDrain, "dispatcher draining", nil)
-	}
-	d.drainMu.Lock() // every admitted call has returned
-	d.drainMu.Unlock()
-	if d.store != nil {
-		if err := d.store.Close(); err != nil {
-			d.watch.RecordError(watch.EventDrain, "keyed store seal failed", err)
-		}
-	}
-	d.watch.Close()
 }
 
 // placeChunk places len(bins) balls on shard s under one lock
@@ -496,22 +412,3 @@ func (d *Dispatcher) run(s int, c *obs.Capture, queued int64, op func(a *ballsbi
 // obs op totals, "place" and "remove", read in one pass, so each op
 // records its latency once; it is empty when Config.Obs.Disabled.
 func (d *Dispatcher) Latency() hdrhist.Snapshot { return d.obs.UnionSnapshot("place", "remove") }
-
-// Obs returns the dispatcher's observability recorder (nil when
-// Config.Obs.Disabled).
-func (d *Dispatcher) Obs() *obs.Recorder { return d.obs }
-
-// BindDiag attaches the flight recorder (built late by the daemon,
-// since its capture closures need the assembled stats surface) and
-// wires it to the watchdog's violation hook.
-func (d *Dispatcher) BindDiag(rec *diag.Recorder) {
-	if rec == nil {
-		return
-	}
-	d.diag.Store(rec)
-	d.watch.OnViolation(rec.OnViolation)
-}
-
-// Diag returns the bound flight recorder (nil when diagnostics are
-// off).
-func (d *Dispatcher) Diag() *diag.Recorder { return d.diag.Load() }

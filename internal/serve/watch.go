@@ -14,10 +14,6 @@ import (
 // adaptive family is armed for live max-load checks.
 func adaptiveFamily(name string) bool { return strings.HasPrefix(name, "adaptive") }
 
-// Watch returns the dispatcher's invariant monitor (nil when
-// Config.Watch.Disabled).
-func (d *Dispatcher) Watch() *watch.Monitor { return d.watch }
-
 // watchSample assembles one watchdog sample for the serve tier. Every
 // check reads from a consistency domain that cannot tear mid-op:
 //
@@ -32,13 +28,9 @@ func (d *Dispatcher) Watch() *watch.Monitor { return d.watch }
 //     lock-all: placements are monotone, so a later read only loosens
 //     the bound, never fabricates a breach).
 //
-//   - serve_keyed_max evaluates the keyed tier's block, assembled
-//     entirely under the KeyMap mutex; the policy bound is computed
-//     under that same hold (keyed.Stats.PolicyBound), so observed and
-//     bound describe one instant. One unit of slack covers churn
-//     residuals (a key assigned at a high replica count legitimately
-//     outlives the count's decline — the same slack the keyed churn
-//     tests allow).
+//   - serve_keyed_max is both tiers' keyed check (AppendKeyedMaxCheck)
+//     over the keyed tier's block, assembled entirely under the KeyMap
+//     mutex.
 func (d *Dispatcher) watchSample() watch.Sample {
 	var s watch.Sample
 	adaptive := adaptiveFamily(d.sa.Name())
@@ -105,17 +97,7 @@ func (d *Dispatcher) watchSample() watch.Sample {
 			Fields:    map[string]int64{"balls": balls, "placed": placed},
 		})
 	}
-	if ks.PolicyBound > 0 {
-		s.Checks = append(s.Checks, watch.Check{
-			Invariant: "serve_keyed_max",
-			Observed:  ks.MaxKeyLoad,
-			Bound:     ks.PolicyBound + 1,
-			Fields: map[string]int64{
-				"keys": ks.Keys, "replicas": ks.Replicas,
-				"healthy_shards": int64(ks.Healthy),
-			},
-		})
-	}
+	s.Checks = AppendKeyedMaxCheck(s.Checks, "serve_keyed_max", "healthy_shards", &ks)
 
 	s.Point = watch.Point{
 		Balls:           balls,
@@ -126,12 +108,7 @@ func (d *Dispatcher) watchSample() watch.Sample {
 		Gap:             metrics.Gap,
 		Psi:             metrics.Psi,
 		AffinityHitRate: ks.AffinityHitRate,
-	}
-	if sum := d.obs.StageSummaries(); len(sum) > 0 {
-		s.Point.StageP99Ns = make(map[string]int64, len(sum))
-		for stage, v := range sum {
-			s.Point.StageP99Ns[stage] = v.P99Ns
-		}
+		StageP99Ns:      d.obs.StageP99s(),
 	}
 	return s
 }

@@ -89,10 +89,10 @@ type Options struct {
 	// Fsync is the append durability policy: SyncAlways, SyncInterval
 	// or SyncNever (default SyncInterval).
 	Fsync string
-	// FsyncEvery is the background flush period for SyncInterval
-	// (default 100ms).
-	FsyncEvery time.Duration
 }
+
+// fsyncEvery is the background flush period for SyncInterval.
+const fsyncEvery = 100 * time.Millisecond
 
 // Record is one recovered log entry.
 type Record struct {
@@ -174,9 +174,6 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	case SyncAlways, SyncInterval, SyncNever:
 	default:
 		return nil, nil, fmt.Errorf("wal: unknown fsync policy %q", opts.Fsync)
-	}
-	if opts.FsyncEvery <= 0 {
-		opts.FsyncEvery = 100 * time.Millisecond
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
@@ -446,7 +443,7 @@ func (l *Log) Sync() error {
 
 func (l *Log) flushLoop() {
 	defer close(l.doneC)
-	t := time.NewTicker(l.opts.FsyncEvery)
+	t := time.NewTicker(fsyncEvery)
 	defer t.Stop()
 	for {
 		select {

@@ -33,39 +33,30 @@ type ClientOptions struct {
 	// Conns is the connection-pool size (default 1: the headline
 	// configuration — one pipelined, coalescing connection).
 	Conns int
-	// DialTimeout bounds connection establishment (default
-	// netutil.DefaultDialTimeout's value, 3s — spelled literally here
-	// to keep this package import-free).
-	DialTimeout time.Duration
-	// SendQueue is the per-connection submit channel depth (default
-	// 4096). Full queue blocks callers — natural backpressure.
-	SendQueue int
-	// MaxInflight bounds outstanding requests per connection
-	// (default 8192).
-	MaxInflight int
-	// MaxBatch caps request frames coalesced into one socket write
-	// (default 256).
-	MaxBatch int
 }
 
 func (o ClientOptions) withDefaults() ClientOptions {
 	if o.Conns <= 0 {
 		o.Conns = 1
 	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 3 * time.Second
-	}
-	if o.SendQueue <= 0 {
-		o.SendQueue = 4096
-	}
-	if o.MaxInflight <= 0 {
-		o.MaxInflight = 8192
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 256
-	}
 	return o
 }
+
+// Fixed limits of every client connection.
+const (
+	// clientDialTimeout bounds connection establishment
+	// (netutil.DefaultDialTimeout's value, spelled literally here to
+	// keep this package import-free).
+	clientDialTimeout = 3 * time.Second
+	// clientSendQueue is the submit channel depth. A full queue blocks
+	// callers: natural backpressure.
+	clientSendQueue = 4096
+	// clientMaxInflight bounds outstanding requests.
+	clientMaxInflight = 8192
+	// clientMaxBatch caps request frames coalesced into one socket
+	// write.
+	clientMaxBatch = 256
+)
 
 // ClientStats snapshots a client's transport-efficiency counters: the
 // coalescing factor (requests per socket write) and raw socket bytes.
@@ -213,7 +204,7 @@ func (c *Client) Close() error {
 
 // dial opens and handshakes one connection.
 func (c *Client) dial() (*clientConn, error) {
-	nc, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	nc, err := net.DialTimeout("tcp", c.addr, clientDialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -223,14 +214,14 @@ func (c *Client) dial() (*clientConn, error) {
 	cc := &clientConn{
 		c:       c,
 		nc:      nc,
-		sendq:   make(chan *call, c.opts.SendQueue),
+		sendq:   make(chan *call, clientSendQueue),
 		deadc:   make(chan struct{}),
-		tokens:  make(chan struct{}, c.opts.MaxInflight),
+		tokens:  make(chan struct{}, clientMaxInflight),
 		pending: make(map[uint64]*call),
 	}
 	// Handshake synchronously before the loops start: one HELLO frame
 	// out, one reply in.
-	nc.SetDeadline(time.Now().Add(c.opts.DialTimeout))
+	nc.SetDeadline(time.Now().Add(clientDialTimeout))
 	hreq := AppendRequest(nil, Request{Type: MsgHello, ID: 0, Version: Version})
 	if _, err := nc.Write(AppendFrame(nil, hreq)); err != nil {
 		nc.Close()
@@ -504,7 +495,7 @@ func (cc *clientConn) sendLoop() {
 		buf = AppendFrame(buf[:0], ca.req)
 		n := 1
 	fill:
-		for n < cc.c.opts.MaxBatch {
+		for n < clientMaxBatch {
 			select {
 			case ca2 := <-cc.sendq:
 				buf = AppendFrame(buf, ca2.req)

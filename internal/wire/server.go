@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"runtime/debug"
 	"sync"
 
 	"repro/internal/obs"
@@ -345,7 +346,20 @@ func (c *conn) send(payload []byte) {
 
 // handle executes one request and appends its encoded reply payload to
 // dst. A PLACE's bins are appended straight after the reply header.
-func (s *Server) handle(ctx context.Context, req Request, dst []byte) []byte {
+// It runs every request, on a worker or inline on the reader, so a
+// handler that panics is recovered here, as net/http recovers one: the
+// request is answered CodeInternal, the panic is logged at ERROR with
+// its stack, and the connection keeps serving.
+func (s *Server) handle(ctx context.Context, req Request, dst []byte) (reply []byte) {
+	n := len(dst)
+	defer func() {
+		if p := recover(); p != nil {
+			s.c.errorReplies.Add(1)
+			s.opts.Logger.Error("wire: handler panicked",
+				"type", req.Type, "id", req.ID, "panic", p, "stack", string(debug.Stack()))
+			reply = errBody(AppendReply(dst[:n], req.ID, CodeInternal, nil), fmt.Sprintf("handler panic: %v", p))
+		}
+	}()
 	var (
 		body    []byte
 		bins    []int

@@ -1,9 +1,12 @@
 package wire
 
 import (
+	"bytes"
 	"context"
+	"log/slog"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -222,6 +225,83 @@ func roundTrip(tb testing.TB, c *Client) func() {
 		if err := c.Remove(ctx, bins[0], ""); err != nil {
 			tb.Fatal(err)
 		}
+	}
+}
+
+// panicHandler is testHandler with a PLACE of 13 balls that panics on
+// a worker, and a first STATS that panics inline on the reader.
+type panicHandler struct {
+	*testHandler
+	statsPanicked atomic.Bool
+}
+
+func (h *panicHandler) Place(ctx context.Context, count int) ([]int, int64, error) {
+	if count == 13 {
+		panic("place of 13")
+	}
+	return h.testHandler.Place(ctx, count)
+}
+
+func (h *panicHandler) StatsJSON(ctx context.Context) ([]byte, error) {
+	if h.statsPanicked.CompareAndSwap(false, true) {
+		panic("first stats")
+	}
+	return h.testHandler.StatsJSON(ctx)
+}
+
+// lockedBuffer is a bytes.Buffer the server's logger and the test may
+// share.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestServerSurvivesHandlerPanic: a handler panic, on a worker (PLACE)
+// or inline on the reader (STATS), costs only its own request, which
+// is answered CodeInternal and logged at ERROR with the stack. The
+// next request on the same connection is served.
+func TestServerSurvivesHandlerPanic(t *testing.T) {
+	h := &panicHandler{testHandler: newTestHandler(64)}
+	var logs lockedBuffer
+	srv, addr := startServer(t, h, ServerOptions{Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	c, err := Dial(addr, ClientOptions{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	if _, _, err := c.Place(ctx, 13); ErrCode(err) != CodeInternal || !strings.Contains(err.Error(), "place of 13") {
+		t.Fatalf("panicking PLACE answered %v, want CodeInternal", err)
+	}
+	if bins, _, err := c.Place(ctx, 2); err != nil || len(bins) != 2 {
+		t.Fatalf("PLACE after a panic = %v, %v", bins, err)
+	}
+	if _, err := c.StatsJSON(ctx); ErrCode(err) != CodeInternal {
+		t.Fatalf("panicking STATS answered %v, want CodeInternal", err)
+	}
+	if body, err := c.StatsJSON(ctx); err != nil || !strings.Contains(string(body), `"placed":2`) {
+		t.Fatalf("STATS after a panic = %s, %v", body, err)
+	}
+	if st := srv.Stats(); st.ConnsTotal != 1 || st.ErrorReplies != 2 {
+		t.Fatalf("conns opened %d, error replies %d; want 1 and 2", st.ConnsTotal, st.ErrorReplies)
+	}
+	out := logs.String()
+	if strings.Count(out, "level=ERROR msg=\"wire: handler panicked\"") != 2 || !strings.Contains(out, "runtime/debug.Stack") {
+		t.Fatalf("panics not logged at ERROR with their stacks:\n%s", out)
 	}
 }
 
