@@ -274,7 +274,8 @@ func (d *Dispatcher) PlaceMany(ctx context.Context, count int) ([]int, int64, er
 	defer d.Done()
 	t0 := time.Now()
 	trace := obs.TraceFrom(ctx)
-	counts := d.sa.NextShardBatch(int64(count))
+	var tickets [64]int64 // up to 64 shards, the counts stay on the stack
+	counts := d.sa.NextShardBatch(int64(count), tickets[:0])
 	bins := make([]int, count)
 	var samples int64
 	var helpers *fanOut // allocated only by a bulk with a large chunk

@@ -48,14 +48,9 @@ const (
 	// (netutil.DefaultDialTimeout's value, spelled literally here to
 	// keep this package import-free).
 	clientDialTimeout = 3 * time.Second
-	// clientSendQueue is the submit channel depth. A full queue blocks
-	// callers: natural backpressure.
-	clientSendQueue = 4096
-	// clientMaxInflight bounds outstanding requests.
+	// clientMaxInflight bounds outstanding requests, and so the frames
+	// that can wait in the pending buffer behind a write.
 	clientMaxInflight = 8192
-	// clientMaxBatch caps request frames coalesced into one socket
-	// write.
-	clientMaxBatch = 256
 )
 
 // ClientStats snapshots a client's transport-efficiency counters: the
@@ -70,11 +65,22 @@ type ClientStats struct {
 	BytesPerOp       float64 `json:"bytes_per_op"`
 }
 
-// Client is a coalescing wire-protocol connection pool. Concurrent
-// callers enqueue onto a per-connection send loop that packs every
-// pending request into one write per flush; a demux loop matches
-// replies to waiting callers by request ID, so a single connection
-// carries arbitrarily many in-flight requests out of order.
+// Client is a pipelined, coalescing wire-protocol connection pool.
+// A caller encodes its request frame straight into its connection's
+// pending buffer, and the first caller to find no write in progress
+// writes everything pending in one socket write, so requests that
+// arrive during a write share the next one. A read loop per connection
+// decodes each reply into one reused buffer and fills in the call
+// waiting under its request ID, so one connection carries many
+// requests in flight, answered out of order. Calls come from a pool: a
+// round trip allocates only the bins Place returns, the copy of a
+// STATS or TRACE body, or an *Error.
+//
+// Every caller returns when its ctx is done, with one exception: the
+// caller that is writing the pending buffer stays in a blocked socket
+// write past its ctx, until the write completes or Close ends it.
+// Callers whose frames wait behind that write still return on their
+// ctx.
 type Client struct {
 	addr string
 	opts ClientOptions
@@ -93,29 +99,47 @@ type Client struct {
 	rr     atomic.Uint64
 }
 
+// call is one request in flight. Whoever takes a call out of its
+// connection's pending map owns it next: the read loop or fail fills
+// in its result and signals done once, and abandon returns it to
+// callPool. A call goes back to the pool only when no other goroutine
+// can reach it: after its caller has read the reply, or after abandon
+// has taken it out of pending.
 type call struct {
 	id   uint64
-	req  []byte
-	done chan struct{}
-	code Code
-	body []byte
-	err  error
+	typ  MsgType       // what was sent, which says how to decode the reply
+	done chan struct{} // buffer 1: the one signal of each use never blocks
+	result
 }
+
+// result is a decoded reply, or the error that ended the call.
+type result struct {
+	bins    []int // PLACE, PLACE_KEYED
+	samples int64
+	body    []byte // STATS, TRACE
+	err     error  // *Error for a non-OK code
+}
+
+var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
 
 type clientConn struct {
 	c         *Client
 	nc        net.Conn
-	sendq     chan *call
 	deadc     chan struct{}
 	tokens    chan struct{}
 	helloInfo Hello
 	// version is the negotiated protocol version for this connection
 	// (min of both peers); trace ids are only sent at ≥ 2.
 	version int
+
 	mu      sync.Mutex
 	pending map[uint64]*call
 	nextID  uint64
 	dead    bool
+	out     []byte // request frames not yet written
+	frames  int64  // frames in out
+	spare   []byte // the buffer last written, reused as the next out
+	writing bool   // a caller is writing, and writes out too
 }
 
 // Dial connects to a wire server at addr (host:port), performs the
@@ -214,7 +238,6 @@ func (c *Client) dial() (*clientConn, error) {
 	cc := &clientConn{
 		c:       c,
 		nc:      nc,
-		sendq:   make(chan *call, clientSendQueue),
 		deadc:   make(chan struct{}),
 		tokens:  make(chan struct{}, clientMaxInflight),
 		pending: make(map[uint64]*call),
@@ -222,8 +245,7 @@ func (c *Client) dial() (*clientConn, error) {
 	// Handshake synchronously before the loops start: one HELLO frame
 	// out, one reply in.
 	nc.SetDeadline(time.Now().Add(clientDialTimeout))
-	hreq := AppendRequest(nil, Request{Type: MsgHello, ID: 0, Version: Version})
-	if _, err := nc.Write(AppendFrame(nil, hreq)); err != nil {
+	if _, err := nc.Write(appendRequestFrame(nil, Request{Type: MsgHello, ID: 0, Version: Version})); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("wire: handshake write: %w", err)
 	}
@@ -257,7 +279,6 @@ func (c *Client) dial() (*clientConn, error) {
 	cc.version = hello.Version
 	cc.helloInfo = hello
 	nc.SetDeadline(time.Time{})
-	go cc.sendLoop()
 	go cc.readLoop()
 	return cc, nil
 }
@@ -303,98 +324,65 @@ func (c *Client) conn() (*clientConn, error) {
 	return ncc, nil
 }
 
-// roundTrip submits one request and waits for its reply.
-func (c *Client) roundTrip(ctx context.Context, req Request) (Reply, error) {
+// roundTrip sends req on a pooled connection and returns its reply as
+// the read loop decoded it.
+func (c *Client) roundTrip(ctx context.Context, req Request) result {
 	cc, err := c.conn()
 	if err != nil {
-		return Reply{}, err
+		return result{err: err}
 	}
 	if req.Type == MsgTrace && cc.version < 3 {
 		// TRACE does not exist below protocol 3; an old server would
 		// drop the whole connection on the unknown type.
-		return Reply{}, ErrTraceUnsupported
+		return result{err: ErrTraceUnsupported}
 	}
-	// Inflight token: bounds pending map growth; released when the
-	// call completes (reply, failure, or abandoned-then-replied).
-	select {
-	case cc.tokens <- struct{}{}:
-	case <-cc.deadc:
-		return Reply{}, errConnDead
-	case <-ctx.Done():
-		return Reply{}, ctx.Err()
-	}
-	ca := &call{done: make(chan struct{})}
-	cc.mu.Lock()
-	if cc.dead {
-		cc.mu.Unlock()
-		<-cc.tokens
-		return Reply{}, errConnDead
-	}
-	cc.nextID++
-	ca.id = cc.nextID
-	cc.pending[ca.id] = ca
-	cc.mu.Unlock()
-	req.ID = ca.id
 	if cc.version < 2 {
 		// A v1 peer rejects trailing bytes; the trace id stays local.
 		req.Trace = 0
 	}
-	ca.req = AppendRequest(nil, req)
-
+	// Inflight token: bounds the pending map and buffer; released by
+	// whoever takes the call out of pending.
 	select {
-	case cc.sendq <- ca:
-		c.requests.Add(1)
+	case cc.tokens <- struct{}{}:
 	case <-cc.deadc:
-		return Reply{}, errConnDead
+		return result{err: errConnDead}
 	case <-ctx.Done():
-		cc.abandon(ca)
-		return Reply{}, ctx.Err()
+		return result{err: ctx.Err()}
+	}
+	ca := callPool.Get().(*call)
+	ca.typ = req.Type
+	if !cc.send(ca, req) {
+		<-cc.tokens
+		callPool.Put(ca)
+		return result{err: errConnDead}
 	}
 	select {
 	case <-ca.done:
-		if ca.err != nil {
-			return Reply{}, ca.err
-		}
-		return Reply{ID: ca.id, Code: ca.code, Body: ca.body}, nil
+		r := ca.result
+		ca.result = result{}
+		callPool.Put(ca)
+		return r
 	case <-ctx.Done():
 		// The request may already be on the wire; its outcome is
 		// ambiguous (same as cancelling an HTTP request mid-flight).
-		// The demux drops the late reply when it arrives.
+		// The read loop drops the late reply when it arrives.
 		cc.abandon(ca)
-		return Reply{}, ctx.Err()
+		return result{err: ctx.Err()}
 	}
-}
-
-// op runs a round trip and maps non-OK codes to *Error.
-func (c *Client) op(ctx context.Context, req Request) ([]byte, error) {
-	rep, err := c.roundTrip(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	if rep.Code != CodeOK {
-		return nil, &Error{Code: rep.Code, Msg: string(rep.Body)}
-	}
-	return rep.Body, nil
 }
 
 // Place places count balls in one request and returns their bins and
 // the probes spent. A ctx trace id (obs.WithTrace) rides along on
 // connections negotiated at protocol ≥ 2.
 func (c *Client) Place(ctx context.Context, count int) ([]int, int64, error) {
-	body, err := c.op(ctx, Request{Type: MsgPlace, Count: count, Trace: obs.TraceFrom(ctx)})
-	if err != nil {
-		return nil, 0, err
-	}
-	return ParsePlaceBody(body)
+	r := c.roundTrip(ctx, Request{Type: MsgPlace, Count: count, Trace: obs.TraceFrom(ctx)})
+	return r.bins, r.samples, r.err
 }
 
 // PlaceKeyed places one ball under a routing key.
 func (c *Client) PlaceKeyed(ctx context.Context, key string) ([]int, int64, error) {
-	body, err := c.op(ctx, Request{Type: MsgPlaceKeyed, Key: key, Trace: obs.TraceFrom(ctx)})
-	if err != nil {
-		return nil, 0, err
-	}
-	return ParsePlaceBody(body)
+	r := c.roundTrip(ctx, Request{Type: MsgPlaceKeyed, Key: key, Trace: obs.TraceFrom(ctx)})
+	return r.bins, r.samples, r.err
 }
 
 // Remove deletes one ball from bin; a non-empty key routes the removal
@@ -404,13 +392,13 @@ func (c *Client) Remove(ctx context.Context, bin int, key string) error {
 	if key != "" {
 		t = MsgRemoveKeyed
 	}
-	_, err := c.op(ctx, Request{Type: t, Bin: bin, Key: key, Trace: obs.TraceFrom(ctx)})
-	return err
+	return c.roundTrip(ctx, Request{Type: t, Bin: bin, Key: key, Trace: obs.TraceFrom(ctx)}).err
 }
 
 // StatsJSON fetches the server's /v1/stats document over the wire.
 func (c *Client) StatsJSON(ctx context.Context) ([]byte, error) {
-	return c.op(ctx, Request{Type: MsgStats})
+	r := c.roundTrip(ctx, Request{Type: MsgStats})
+	return r.body, r.err
 }
 
 // TraceJSON fetches the server's retained ops for one trace id (the
@@ -418,14 +406,14 @@ func (c *Client) StatsJSON(ctx context.Context) ([]byte, error) {
 // below protocol 3 it returns ErrTraceUnsupported without sending
 // anything; callers fall back to the HTTP endpoint.
 func (c *Client) TraceJSON(ctx context.Context, id uint64) ([]byte, error) {
-	return c.op(ctx, Request{Type: MsgTrace, Query: id})
+	r := c.roundTrip(ctx, Request{Type: MsgTrace, Query: id})
+	return r.body, r.err
 }
 
 // Ping checks liveness; a draining server answers CodeDraining, so
 // Ping matches HTTP /healthz semantics.
 func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.op(ctx, Request{Type: MsgPing})
-	return err
+	return c.roundTrip(ctx, Request{Type: MsgPing}).err
 }
 
 func (cc *clientConn) isDead() bool {
@@ -434,33 +422,82 @@ func (cc *clientConn) isDead() bool {
 	return cc.dead
 }
 
-// abandon drops an outstanding call after caller cancellation. The
-// token is released by whoever removes the call from pending — here,
-// or complete via the demux/fail paths — exactly once per call; a late
-// reply for an abandoned ID is dropped without touching tokens.
-func (cc *clientConn) abandon(ca *call) {
+// send registers ca under a fresh request ID and encodes req as a
+// frame at the end of the pending buffer. Unless another caller is
+// already writing, it then writes everything pending, one socket write
+// per round, until nothing is left. The mutex is never held across a
+// write, so requests that arrive during one share the next. send
+// reports false, with ca unregistered, if the connection is dead; once
+// it returns true, ca is pending, and a write error fails it with the
+// connection.
+func (cc *clientConn) send(ca *call, req Request) bool {
 	cc.mu.Lock()
-	if _, ok := cc.pending[ca.id]; ok {
-		delete(cc.pending, ca.id)
+	if cc.dead {
 		cc.mu.Unlock()
-		<-cc.tokens
-		return
+		return false
 	}
+	cc.nextID++
+	ca.id = cc.nextID
+	cc.pending[ca.id] = ca
+	req.ID = ca.id
+	cc.out = appendRequestFrame(cc.out, req)
+	cc.frames++
+	cc.c.requests.Add(1)
+	if cc.writing {
+		cc.mu.Unlock()
+		return true
+	}
+	cc.writing = true
+	for cc.frames > 0 {
+		buf, n := cc.out, cc.frames
+		cc.out, cc.frames = cc.spare[:0], 0
+		cc.mu.Unlock()
+		// Counted before the write, so the stats never trail a reply a
+		// caller already holds.
+		cc.c.writes.Add(1)
+		cc.c.framesW.Add(n)
+		cc.c.bytesOut.Add(int64(len(buf)))
+		_, err := cc.nc.Write(buf)
+		cc.mu.Lock()
+		if err != nil {
+			cc.writing = false
+			cc.mu.Unlock()
+			cc.fail(errConnDead)
+			return true
+		}
+		cc.spare = buf
+	}
+	cc.writing = false
 	cc.mu.Unlock()
+	return true
 }
 
-// complete finishes a call and releases its token.
-func (cc *clientConn) complete(ca *call, rep Reply, err error) {
-	ca.code = rep.Code
-	ca.body = rep.Body // aliases a per-frame buffer; never reused
-	ca.err = err
-	close(ca.done)
+// abandon takes a cancelled call out of pending, releases its token
+// and returns it to the pool: its frame was copied into the pending
+// buffer, so nothing else can reach it. A call the read loop or fail
+// took first is left to the garbage collector; its signal lands in
+// done's buffer, where nobody reads it.
+func (cc *clientConn) abandon(ca *call) {
+	cc.mu.Lock()
+	_, ok := cc.pending[ca.id]
+	delete(cc.pending, ca.id)
+	cc.mu.Unlock()
+	if ok {
+		<-cc.tokens
+		callPool.Put(ca)
+	}
+}
+
+// complete signals ca's caller and releases its token. Only the
+// goroutine that took ca out of pending calls it, once.
+func (cc *clientConn) complete(ca *call) {
+	ca.done <- struct{}{}
 	<-cc.tokens
 }
 
 // fail marks the connection dead, closes it, and fails every
-// outstanding call. Queued-but-unsent calls are failed too (they are
-// in pending from submission). Safe to call multiple times.
+// outstanding call, written or still in the pending buffer. Safe to
+// call multiple times.
 func (cc *clientConn) fail(err error) {
 	cc.mu.Lock()
 	if cc.dead {
@@ -477,54 +514,26 @@ func (cc *clientConn) fail(err error) {
 	close(cc.deadc)
 	cc.nc.Close()
 	for _, ca := range stranded {
-		cc.complete(ca, Reply{}, err)
+		ca.err = err
+		cc.complete(ca)
 	}
 }
 
-// sendLoop is the coalescing writer: block for one call, drain
-// everything else queued, frame the lot, one write.
-func (cc *clientConn) sendLoop() {
-	var buf []byte
-	for {
-		var ca *call
-		select {
-		case ca = <-cc.sendq:
-		case <-cc.deadc:
-			return
-		}
-		buf = AppendFrame(buf[:0], ca.req)
-		n := 1
-	fill:
-		for n < clientMaxBatch {
-			select {
-			case ca2 := <-cc.sendq:
-				buf = AppendFrame(buf, ca2.req)
-				n++
-			default:
-				break fill
-			}
-		}
-		if _, err := cc.nc.Write(buf); err != nil {
-			cc.fail(errConnDead)
-			return
-		}
-		cc.c.writes.Add(1)
-		cc.c.framesW.Add(int64(n))
-		cc.c.bytesOut.Add(int64(len(buf)))
-	}
-}
-
-// readLoop is the demux: match each reply frame's ID to its waiting
-// caller. Unknown IDs are abandoned calls; their late replies are
-// dropped (and their tokens released).
+// readLoop is the demux. Every reply frame decodes into one reused
+// buffer, and the call waiting under the reply's ID gets its result
+// filled in before it is signalled. A reply whose ID is not pending
+// belongs to an abandoned call and is dropped (abandon released its
+// token).
 func (cc *clientConn) readLoop() {
 	br := bufio.NewReaderSize(cc.nc, 64<<10)
+	var frame []byte
 	for {
-		payload, err := ReadFrame(br)
+		payload, err := readFrame(br, frame)
 		if err != nil {
 			cc.fail(errConnDead)
 			return
 		}
+		frame = payload
 		cc.c.bytesIn.Add(int64(len(payload)) + frameHeader)
 		rep, err := ParseReply(payload)
 		if err != nil {
@@ -536,9 +545,25 @@ func (cc *clientConn) readLoop() {
 		delete(cc.pending, rep.ID)
 		cc.mu.Unlock()
 		if ok {
-			cc.complete(ca, rep, nil)
+			ca.decode(rep)
+			cc.complete(ca)
 		}
-		// Unknown ID: late reply for an abandoned call — drop it (its
-		// token was already released by abandon).
+	}
+}
+
+// decode fills in ca's result from its reply, copying only what must
+// outlive the frame buffer: PLACE bins into a fresh slice, an error
+// message into an *Error, a STATS or TRACE body. A successful REMOVE
+// or PING copies nothing.
+func (ca *call) decode(rep Reply) {
+	if rep.Code != CodeOK {
+		ca.err = &Error{Code: rep.Code, Msg: string(rep.Body)}
+		return
+	}
+	switch ca.typ {
+	case MsgPlace, MsgPlaceKeyed:
+		ca.bins, ca.samples, ca.err = ParsePlaceBody(rep.Body)
+	case MsgStats, MsgTrace:
+		ca.body = append([]byte(nil), rep.Body...)
 	}
 }

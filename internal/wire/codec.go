@@ -27,6 +27,19 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// appendRequestFrame encodes req as one frame at the end of dst with
+// no payload buffer of its own: it reserves the header, appends the
+// payload after it, then fills in the payload's length and CRC.
+func appendRequestFrame(dst []byte, req Request) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeader)...)
+	dst = AppendRequest(dst, req)
+	payload := dst[start+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst
+}
+
 // ReadFrame reads one frame from r and returns its payload. Errors
 // other than a clean io.EOF at a frame boundary mean the stream is
 // unusable. The returned slice is freshly allocated (safe to retain).

@@ -2,27 +2,84 @@ package wire
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
+
+// hammerHandler is testHandler answering every traced PLACE with the
+// caller's trace id as its samples, and keeping each one's bins, so a
+// caller can check that the reply it got is its own. A PLACE whose
+// caller registered a cancel func under its trace id has that ctx
+// cancelled once its balls are placed, before the reply is written:
+// the caller gives up while its reply is in flight.
+type hammerHandler struct {
+	*testHandler
+	mu      sync.Mutex
+	bins    map[uint64][]int
+	cancels map[uint64]context.CancelFunc
+}
+
+func newHammerHandler(n int) *hammerHandler {
+	return &hammerHandler{
+		testHandler: newTestHandler(n),
+		bins:        make(map[uint64][]int),
+		cancels:     make(map[uint64]context.CancelFunc),
+	}
+}
+
+func (h *hammerHandler) Place(ctx context.Context, count int) ([]int, int64, error) {
+	id := obs.TraceFrom(ctx)
+	bins, samples, err := h.testHandler.Place(ctx, count)
+	if err != nil || id == 0 {
+		return bins, samples, err
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.bins[id] = bins
+	if cancel, ok := h.cancels[id]; ok {
+		cancel()
+	}
+	return bins, int64(id), nil
+}
+
+// cancelOnPlace has the handler cancel the caller of trace id.
+func (h *hammerHandler) cancelOnPlace(id uint64, cancel context.CancelFunc) {
+	h.mu.Lock()
+	h.cancels[id] = cancel
+	h.mu.Unlock()
+}
+
+// placed returns the bins the handler placed for trace id.
+func (h *hammerHandler) placed(id uint64) []int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.bins[id]
+}
 
 // TestPipeliningHammer is the -race workout for the coalescing client:
 // many concurrent callers pipeline varied-size placements (and removes)
 // over a small connection pool while the server's connections are
-// repeatedly force-killed mid-stream. It asserts
+// repeatedly force-killed mid-stream, and some callers give up while
+// their reply is in flight, so their pooled calls are reused while a
+// late reply for them may still arrive. It asserts
 //
-//   - per-request reply matching: caller i always gets exactly the
-//     number of bins it asked for (a demux mix-up would hand a caller
-//     some other request's reply body);
+//   - per-request reply matching: every successful Place gets exactly
+//     its own bins and samples (a demux or pool mix-up would hand a
+//     caller some other request's reply);
 //   - book bounds under ambiguity: every ball the client saw confirmed
 //     is on the server, and the server holds at most confirmed +
-//     ambiguous (calls that errored after possibly reaching the wire);
+//     ambiguous (calls that errored or were cancelled after possibly
+//     reaching the wire);
 //   - exact accounting once the faults stop: a quiesced sequential
 //     phase must move the server's books by precisely its op count.
 func TestPipeliningHammer(t *testing.T) {
-	h := newTestHandler(256)
+	h := newHammerHandler(256)
 	srv, addr := startServer(t, h, ServerOptions{})
 	c, err := Dial(addr, ClientOptions{Conns: 2})
 	if err != nil {
@@ -31,14 +88,16 @@ func TestPipeliningHammer(t *testing.T) {
 	defer c.Close()
 
 	const (
-		workers = 16
-		iters   = 200
+		workers    = 16
+		cancellers = 4 // of the workers, these give up on every place in flight
+		iters      = 200
 	)
 	var (
 		okBalls     atomic.Int64 // balls confirmed placed
 		lostBalls   atomic.Int64 // balls from errored placements (ambiguous)
 		okRemoves   atomic.Int64
 		lostRemoves atomic.Int64
+		cancelled   atomic.Int64 // places that returned their cancelled ctx's error
 		wg          sync.WaitGroup
 		stopKills   = make(chan struct{})
 		killsDone   = make(chan struct{})
@@ -64,21 +123,30 @@ func TestPipeliningHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				count := (w+i)%3 + 1
+				id := uint64(w+1)<<32 | uint64(i+1)
 				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				bins, samples, err := c.Place(ctx, count)
+				if w < cancellers {
+					h.cancelOnPlace(id, cancel)
+				}
+				bins, samples, err := c.Place(obs.WithTrace(ctx, id), count)
 				cancel()
 				if err != nil {
-					// errConnDead / redial races: the outcome is
-					// ambiguous, the server may hold these balls.
+					// errConnDead / redial races, or a cancel while the
+					// reply was in flight: the outcome is ambiguous, the
+					// server may hold these balls.
+					if errors.Is(err, context.Canceled) {
+						cancelled.Add(1)
+					}
 					lostBalls.Add(int64(count))
 					continue
 				}
-				if len(bins) != count {
-					t.Errorf("worker %d iter %d: asked for %d bins, got %d — reply demux mismatch", w, i, count, len(bins))
+				if len(bins) != count || samples != int64(id) {
+					t.Errorf("worker %d iter %d: asked for %d bins under trace %#x, got %d bins and samples %#x — reply mix-up",
+						w, i, count, id, len(bins), samples)
 					return
 				}
-				if samples != int64(count) {
-					t.Errorf("worker %d iter %d: samples = %d, want %d", w, i, samples, count)
+				if want := h.placed(id); !slices.Equal(bins, want) {
+					t.Errorf("worker %d iter %d: got bins %v, the server placed %v", w, i, bins, want)
 					return
 				}
 				okBalls.Add(int64(count))
@@ -150,6 +218,9 @@ func TestPipeliningHammer(t *testing.T) {
 	}
 	if c.Stats().Redials == 0 {
 		t.Fatal("hammer never exercised a redial — fault injection did not land")
+	}
+	if cancelled.Load() == 0 {
+		t.Fatal("no place was cancelled while its reply was in flight")
 	}
 }
 

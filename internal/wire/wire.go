@@ -36,9 +36,13 @@
 // write in progress writes everything pending in one socket write, so
 // replies that arrive during a write share the next one.
 //
-// The client coalesces requests too: concurrent callers enqueue onto a
-// per-connection send loop that drains the queue into a single
-// write/syscall per flush. The measured
+// The client writes the same way: a caller encodes its request frame
+// straight into its connection's pending buffer, and the first caller
+// to find no write in progress writes everything pending in one socket
+// write. A read loop per connection decodes every reply into one
+// reused buffer and fills in the waiting call, which comes from a
+// pool, before signalling it; a round trip allocates only what it
+// returns to its caller, such as PLACE's bins. The measured
 // requests-per-write factor is exported as the client's coalescing
 // factor, and the server's replies-per-write as batched_per_write.
 package wire

@@ -182,6 +182,13 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 		if got != want {
 			t.Fatalf("round trip %v: got %+v, want %+v", want.Type, got, want)
 		}
+		// The client frames a request in place, after the frames
+		// already pending: the same bytes as framing its payload.
+		inPlace := appendRequestFrame([]byte("pending"), want)
+		framed := AppendFrame([]byte("pending"), AppendRequest(nil, want))
+		if !bytes.Equal(inPlace, framed) {
+			t.Fatalf("%v framed in place = %x, want %x", want.Type, inPlace, framed)
+		}
 	}
 }
 

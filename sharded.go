@@ -171,25 +171,30 @@ func (sa *ShardedAllocator) NextShard() int {
 	return int((sa.next.Add(1) - 1) % uint64(len(sa.shards)))
 }
 
-// NextShardBatch claims k round-robin tickets and reports how many of
-// the k arrivals belong on each shard (counts[i] balls to shard i),
-// exactly as PlaceBatch would spread them. Safe for concurrent use.
-func (sa *ShardedAllocator) NextShardBatch(k int64) []int64 {
+// NextShardBatch claims k round-robin tickets and appends to dst how
+// many of the k arrivals belong on each shard (one count per shard, in
+// shard order), exactly as PlaceBatch would spread them. Callers pass
+// a reused or stack-backed dst to claim a bulk without allocating.
+// Safe for concurrent use.
+func (sa *ShardedAllocator) NextShardBatch(k int64, dst []int64) []int64 {
 	p := int64(len(sa.shards))
-	counts := make([]int64, p)
 	if k <= 0 {
-		return counts
+		for range p {
+			dst = append(dst, 0)
+		}
+		return dst
 	}
 	start := int64((sa.next.Add(uint64(k)) - uint64(k)) % uint64(p))
 	base := k / p
 	rem := k % p
-	for i := range counts {
-		counts[i] = base
-		if (int64(i)-start+p)%p < rem {
-			counts[i]++
+	for i := range p {
+		n := base
+		if (i-start+p)%p < rem {
+			n++
 		}
+		dst = append(dst, n)
 	}
-	return counts
+	return dst
 }
 
 // Place allocates one ball on the next shard in round-robin order and
@@ -217,7 +222,8 @@ func (sa *ShardedAllocator) PlaceBatch(k int64) int64 {
 	// Claim k tickets: each ball goes to the shard the round-robin
 	// cursor would have visited next, so mixed Place/PlaceBatch
 	// traffic keeps shard counts within one.
-	counts := sa.NextShardBatch(k)
+	var tickets [64]int64 // up to 64 shards, the counts stay on the stack
+	counts := sa.NextShardBatch(k, tickets[:0])
 	var total int64
 	for i, sh := range sa.shards {
 		if counts[i] == 0 {
