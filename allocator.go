@@ -89,7 +89,10 @@ func (a *Allocator) Removed() int64 { return a.sess.Removed() }
 func (a *Allocator) Samples() int64 { return a.sess.Samples() }
 
 // Place allocates one ball and returns the chosen bin together with
-// the number of random bin choices it consumed.
+// the number of random bin choices it consumed. A spec with a fixed
+// bound (Threshold, FixedThreshold) panics, under either engine, once
+// every bin is at its acceptance level; protocol.Fits tells a caller
+// beforehand whether a place can be taken.
 func (a *Allocator) Place() (bin int, samples int64) { return a.sess.Step() }
 
 // PlaceBatch allocates k balls without reporting their individual bins

@@ -3,6 +3,7 @@ package ballsbins
 import (
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/dist"
@@ -308,6 +309,39 @@ func TestNewPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestPlaceAtCapacityPanics: FixedThreshold(1) over 4 bins takes four
+// balls, and the fifth Place panics with the rejection loop's message
+// on both engines. Each engine runs on its own goroutine against a
+// deadline, so a rejection loop without an exit fails the test instead
+// of hanging it.
+func TestPlaceAtCapacityPanics(t *testing.T) {
+	for _, e := range []Engine{EngineFast, EngineNaive} {
+		placed := make(chan int, 1)
+		got := make(chan any, 1)
+		go func() {
+			a := New(FixedThreshold(1), 4, WithSeed(1), WithEngine(e))
+			defer func() {
+				placed <- int(a.Balls())
+				got <- recover()
+			}()
+			for range 5 {
+				a.Place()
+			}
+		}()
+		select {
+		case p := <-got:
+			if n := <-placed; n != 4 {
+				t.Errorf("%s: %d balls placed before the panic, want 4", e, n)
+			}
+			if p != "protocol: rejection sampling with no acceptable bin" {
+				t.Errorf("%s: fifth Place recovered %v", e, p)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: fifth Place still running after 5s", e)
+		}
 	}
 }
 

@@ -25,15 +25,15 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"net/url"
 	"os"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/diag"
 	"repro/internal/obs"
 )
@@ -112,16 +112,13 @@ func analyzeLive(base string) *diag.Report {
 	if err != nil || u.Scheme == "" {
 		fatalf("invalid -url %q", base)
 	}
-	client := &http.Client{Timeout: 5 * time.Second}
+	hb := cluster.NewHTTPBackend(base)
 	get := func(path string) []byte {
-		resp, err := client.Get(base + path)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		data, err := hb.GetRaw(ctx, path)
 		if err != nil {
 			fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			fatalf("GET %s: status %d", path, resp.StatusCode)
 		}
 		return data
 	}

@@ -127,10 +127,7 @@
 // bound, and a rejoining bin moves nothing at all, in the paper's
 // no-reallocation spirit. bbload's keyed scenarios (Zipf key
 // popularity, hot-key flash, key churn, membership kill) measure the
-// tier end to end; see the README's Keyed tier section. Keyed
-// placement at the serve tier requires a fully online spec (the
-// threshold family's per-shard horizon split assumes round-robin
-// evenness, so bbserved refuses ?key= under threshold/fixed specs).
+// tier end to end; see the README's Keyed tier section.
 //
 // The keyed assignment is durable: with -data-dir set, bbserved and
 // bbproxy journal every structural mutation to a CRC-checked

@@ -14,9 +14,10 @@ import (
 )
 
 // TestWatchArming pins which invariants the proxy watchdog arms after
-// one tick, and their bounds and fields: the cross-backend check only under the
-// adaptive routing policy with anonymous traffic and no fallback pick,
-// the keyed check under every keyed policy that defends a bound.
+// one tick, and their bounds and fields: the cross-backend check under
+// every routing policy whose Rule has a Bound, with anonymous traffic
+// and no fallback pick, the keyed check under every keyed policy that
+// defends a bound.
 func TestWatchArming(t *testing.T) {
 	const k, n, horizon = 3, 64, 300
 	for _, tc := range []struct {
@@ -26,9 +27,9 @@ func TestWatchArming(t *testing.T) {
 		{"single", ""},
 		{"greedy", ""},
 		{"adaptive", "cluster_backend_max 73/124 map[balls:203 bulk_slack:56 healthy:3 horizon:203]"},
-		{"threshold", ""},
+		{"threshold", "cluster_backend_max 92/156 map[balls:203 bulk_slack:56 healthy:3 horizon:203]"},
 		{"boundedretry", ""},
-		{"fixed", ""},
+		{"fixed", "cluster_backend_max 92/145 map[balls:203 bulk_slack:56 healthy:3 horizon:203]"},
 		{"keyed[hash]", ""},
 		{"keyed[greedy]", ""},
 		{"keyed[adaptive]", "cluster_keyed_max 11/12 map[healthy_backends:3 keys:30 replicas:30]"},

@@ -31,8 +31,8 @@ func codeErr(c wire.Code, err error) error {
 		return serve.ErrEmptyBin
 	case wire.CodeDraining:
 		return serve.ErrDraining
-	case wire.CodeKeyedUnsupported:
-		return serve.ErrKeyedUnsupported
+	case wire.CodeFull:
+		return serve.ErrFull
 	case wire.CodeBackendDown:
 		return ErrBackendDown
 	case wire.CodeNoBackends:
@@ -245,14 +245,17 @@ func (b *HTTPBackend) call(ctx context.Context, method, path string) ([]byte, er
 }
 
 // answerErr maps a non-200 answer onto the error the other transports
-// return for it (see codeErr): 409 is the empty bin; a 503 is one of
-// several refusals, which its message names — a drain (either tier's,
-// or /healthz's "draining"), or a proxy's "no healthy backends" or
-// "backend down". Any other answer, such as a recovering daemon's 503,
-// becomes an error naming the request.
+// return for it (see codeErr): 409 is the empty bin, 507 a full
+// shard; a 503 is one of several refusals, which its message names — a
+// drain (either tier's, or /healthz's "draining"), or a proxy's "no
+// healthy backends" or "backend down". Any other answer, such as a
+// recovering daemon's 503, becomes an error naming the request.
 func (b *HTTPBackend) answerErr(method, path string, status int, body []byte) error {
-	if status == http.StatusConflict {
+	switch status {
+	case http.StatusConflict:
 		return serve.ErrEmptyBin
+	case http.StatusInsufficientStorage:
+		return serve.ErrFull
 	}
 	msg := strings.TrimSpace(string(body)) // /healthz answers plain text
 	var e struct {
@@ -274,9 +277,15 @@ func (b *HTTPBackend) answerErr(method, path string, status int, body []byte) er
 	return fmt.Errorf("cluster: %s %s%s: status %d: %s", method, b.base, path, status, msg)
 }
 
+// GetRaw returns the body of GET path as the daemon served it; any
+// answer but a 200 is the error answerErr maps it to.
+func (b *HTTPBackend) GetRaw(ctx context.Context, path string) ([]byte, error) {
+	return b.call(ctx, http.MethodGet, path)
+}
+
 // get reads the JSON document at path into v.
 func (b *HTTPBackend) get(ctx context.Context, path string, v any) error {
-	body, err := b.call(ctx, http.MethodGet, path)
+	body, err := b.GetRaw(ctx, path)
 	if err != nil {
 		return err
 	}
@@ -296,21 +305,14 @@ func (b *HTTPBackend) checkBins(ctx context.Context) error {
 	return err
 }
 
-// place posts a place request and returns its bins. A keyed place's
-// key is well formed, so its 400 is the daemon refusing keyed traffic
-// itself: the wire's keyed-unsupported code.
-func (b *HTTPBackend) place(ctx context.Context, path string, keyed bool) ([]int, int64, error) {
+// place posts a place request and returns its bins.
+func (b *HTTPBackend) place(ctx context.Context, path string) ([]int, int64, error) {
 	if err := b.checkBins(ctx); err != nil {
 		return nil, 0, err
 	}
-	status, body, err := b.do(ctx, http.MethodPost, path)
-	switch {
-	case err != nil:
+	body, err := b.call(ctx, http.MethodPost, path)
+	if err != nil {
 		return nil, 0, err
-	case status == http.StatusBadRequest && keyed:
-		return nil, 0, serve.ErrKeyedUnsupported
-	case status != http.StatusOK:
-		return nil, 0, b.answerErr(http.MethodPost, path, status, body)
 	}
 	var pr serve.PlaceResponse
 	if err := json.Unmarshal(body, &pr); err != nil {
@@ -326,9 +328,9 @@ func (b *HTTPBackend) place(ctx context.Context, path string, keyed bool) ([]int
 // Place implements Backend via POST /v1/place.
 func (b *HTTPBackend) Place(ctx context.Context, count int) ([]int, int64, error) {
 	if count != 1 {
-		return b.place(ctx, "/v1/place?count="+strconv.Itoa(count), false)
+		return b.place(ctx, "/v1/place?count="+strconv.Itoa(count))
 	}
-	return b.place(ctx, "/v1/place", false)
+	return b.place(ctx, "/v1/place")
 }
 
 // Remove implements Backend via POST /v1/remove; the 409 conflict is
@@ -339,7 +341,7 @@ func (b *HTTPBackend) Remove(ctx context.Context, bin int) error {
 
 // PlaceKey implements KeyedBackend via POST /v1/place?key=.
 func (b *HTTPBackend) PlaceKey(ctx context.Context, key string) ([]int, int64, error) {
-	return b.place(ctx, "/v1/place?key="+url.QueryEscape(key), true)
+	return b.place(ctx, "/v1/place?key="+url.QueryEscape(key))
 }
 
 // RemoveKey implements KeyedBackend via POST /v1/remove?bin=&key=.

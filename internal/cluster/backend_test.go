@@ -77,11 +77,11 @@ func TestClientErrorParity(t *testing.T) {
 	}{
 		{d, serve.ErrDraining, serve.ErrDraining},
 		{d, serve.ErrEmptyBin, serve.ErrEmptyBin},
-		{d, serve.ErrKeyedUnsupported, serve.ErrKeyedUnsupported},
+		{d, serve.ErrFull, serve.ErrFull},
 		{rt, ErrDraining, serve.ErrDraining},
 		{rt, ErrNoBackends, ErrNoBackends},
 		{rt, ErrBackendDown, ErrBackendDown},
-		{rt, serve.ErrKeyedUnsupported, serve.ErrKeyedUnsupported},
+		{rt, serve.ErrFull, serve.ErrFull},
 	} {
 		for _, transport := range []string{"inproc", "http", "wire"} {
 			b := reachTier(t, transport, errTier{tc.tier, tc.err}, "b").(KeyedBackend)

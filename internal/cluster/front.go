@@ -92,8 +92,8 @@ func (rt *Router) ErrCode(err error) wire.Code {
 		return wire.CodeBackendDown
 	case errors.Is(err, serve.ErrEmptyBin):
 		return wire.CodeEmptyBin
-	case errors.Is(err, serve.ErrKeyedUnsupported):
-		return wire.CodeKeyedUnsupported
+	case errors.Is(err, serve.ErrFull):
+		return wire.CodeFull
 	}
 	return wire.CodeInternal
 }

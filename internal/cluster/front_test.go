@@ -55,30 +55,34 @@ func reachTier(t *testing.T, transport string, tier serve.Tier, label string) Ba
 	return wb
 }
 
-// thresholdDispatchers returns k dispatchers whose spec cannot serve
-// keyed traffic.
-func thresholdDispatchers(t *testing.T, k int) []*serve.Dispatcher {
+// fullDispatchers returns k threshold dispatchers filled to capacity:
+// each shard's horizon is 50 balls over 32 bins, so every bin holds
+// ⌈50/32⌉+1 = 3 balls, 192 in all.
+func fullDispatchers(t *testing.T, k int) []*serve.Dispatcher {
 	t.Helper()
 	ds := make([]*serve.Dispatcher, k)
 	for i := range ds {
 		ds[i] = serve.NewDispatcher(serve.Config{
-			Spec: ballsbins.Threshold(), N: 64, Shards: 2, Seed: uint64(i + 1), Horizon: 1000,
+			Spec: ballsbins.Threshold(), N: 64, Shards: 2, Seed: uint64(i + 1), Horizon: 100,
 		})
 		t.Cleanup(ds[i].Close)
+		if _, _, err := ds[i].PlaceMany(context.Background(), 192); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return ds
 }
 
-// TestKeyedUnsupportedKeepsBackends: backends whose spec refuses keyed
-// traffic answer every keyed place with serve.ErrKeyedUnsupported. The
-// refusal comes from healthy backends, so no backend is evicted and
-// anonymous traffic keeps flowing, on every transport.
-func TestKeyedUnsupportedKeepsBackends(t *testing.T) {
+// TestFullKeepsBackends: backends at capacity answer every keyed and
+// anonymous place with serve.ErrFull. The refusal comes from healthy
+// backends, so no backend is evicted, no place fails over, no key
+// moves and no key keeps a ref, on every transport.
+func TestFullKeepsBackends(t *testing.T) {
 	for _, transport := range []string{"inproc", "http", "wire"} {
 		t.Run(transport, func(t *testing.T) {
 			const k = 3
 			rt := NewRouter(Config{
-				Backends:       serveOver(t, transport, thresholdDispatchers(t, k)),
+				Backends:       serveOver(t, transport, fullDispatchers(t, k)),
 				BinsPerBackend: 64,
 				Policy:         policyNamed("single"),
 				Seed:           7,
@@ -88,28 +92,37 @@ func TestKeyedUnsupportedKeepsBackends(t *testing.T) {
 			defer rt.Close()
 			ctx := context.Background()
 			for i := 0; i < 10; i++ {
-				_, _, err := rt.PlaceKeyed(ctx, fmt.Sprintf("k%d", i%4))
-				if !errors.Is(err, serve.ErrKeyedUnsupported) {
-					t.Fatalf("keyed place %d: err %v, want ErrKeyedUnsupported", i, err)
+				if _, _, err := rt.PlaceKeyed(ctx, fmt.Sprintf("k%d", i%4)); !errors.Is(err, serve.ErrFull) {
+					t.Fatalf("keyed place %d: err %v, want ErrFull", i, err)
+				}
+				if _, _, err := rt.Place(ctx, 1); !errors.Is(err, serve.ErrFull) {
+					t.Fatalf("place %d: err %v, want ErrFull", i, err)
 				}
 			}
 			// The proxy's front end answers the refusal like bbserved:
-			// 400 over HTTP, keyed-unsupported over the wire.
+			// 507 over HTTP, CodeFull over the wire.
 			h := serve.NewHandler(rt, serve.Info{N: rt.N()})
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/place?key=k0", nil))
-			if rec.Code != http.StatusBadRequest {
-				t.Fatalf("proxy HTTP keyed place: status %d, want 400", rec.Code)
+			for _, path := range []string{"/v1/place?key=k0", "/v1/place"} {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, nil))
+				if rec.Code != http.StatusInsufficientStorage {
+					t.Fatalf("proxy HTTP %s: status %d, want 507", path, rec.Code)
+				}
 			}
-			if _, _, err := h.PlaceKeyed(ctx, "k0"); wire.ErrCode(err) != wire.CodeKeyedUnsupported {
-				t.Fatalf("proxy wire keyed place: %v, want keyed-unsupported", err)
+			if _, _, err := h.PlaceKeyed(ctx, "k0"); wire.ErrCode(err) != wire.CodeFull {
+				t.Fatalf("proxy wire keyed place: %v, want full", err)
 			}
-			if st := rt.Stats(); st.Healthy != k || st.Evictions != 0 || st.Failovers != 0 {
-				t.Fatalf("after refused keyed places: healthy %d evictions %d failovers %d, want %d/0/0",
+			if _, _, err := h.Place(ctx, 1); wire.ErrCode(err) != wire.CodeFull {
+				t.Fatalf("proxy wire place: %v, want full", err)
+			}
+			st := rt.Stats()
+			if st.Healthy != k || st.Evictions != 0 || st.Failovers != 0 {
+				t.Fatalf("after refused places: healthy %d evictions %d failovers %d, want %d/0/0",
 					st.Healthy, st.Evictions, st.Failovers, k)
 			}
-			if _, _, err := rt.Place(ctx, 1); err != nil {
-				t.Fatalf("anonymous place after refused keyed places: %v", err)
+			if st.Keyed.MovedKeys != 0 || st.Keyed.LiveBalls != 0 {
+				t.Fatalf("after refused keyed places: moved_keys %d live_balls %d, want 0/0",
+					st.Keyed.MovedKeys, st.Keyed.LiveBalls)
 			}
 		})
 	}
@@ -134,12 +147,12 @@ func (e errTier) RemoveKeyed(context.Context, int, string) error { return e.err 
 // wire.Code table documents for the code the wire adapter sends.
 func TestFrontStatusMatchesWireCode(t *testing.T) {
 	codeStatus := map[wire.Code]int{
-		wire.CodeEmptyBin:         http.StatusConflict,
-		wire.CodeDraining:         http.StatusServiceUnavailable,
-		wire.CodeKeyedUnsupported: http.StatusBadRequest,
-		wire.CodeBadRequest:       http.StatusBadRequest,
-		wire.CodeBackendDown:      http.StatusServiceUnavailable,
-		wire.CodeNoBackends:       http.StatusServiceUnavailable,
+		wire.CodeEmptyBin:    http.StatusConflict,
+		wire.CodeDraining:    http.StatusServiceUnavailable,
+		wire.CodeFull:        http.StatusInsufficientStorage,
+		wire.CodeBadRequest:  http.StatusBadRequest,
+		wire.CodeBackendDown: http.StatusServiceUnavailable,
+		wire.CodeNoBackends:  http.StatusServiceUnavailable,
 	}
 	d := serve.NewDispatcher(serve.Config{Spec: ballsbins.Adaptive(), N: 64, Shards: 2, Seed: 1})
 	t.Cleanup(d.Close)
@@ -152,17 +165,17 @@ func TestFrontStatusMatchesWireCode(t *testing.T) {
 		errs     map[error]wire.Code
 	}{
 		{"serve", d, http.StatusInternalServerError, map[error]wire.Code{
-			serve.ErrDraining:         wire.CodeDraining,
-			serve.ErrEmptyBin:         wire.CodeEmptyBin,
-			serve.ErrKeyedUnsupported: wire.CodeKeyedUnsupported,
-			boom:                      wire.CodeInternal,
+			serve.ErrDraining: wire.CodeDraining,
+			serve.ErrEmptyBin: wire.CodeEmptyBin,
+			serve.ErrFull:     wire.CodeFull,
+			boom:              wire.CodeInternal,
 		}},
 		{"proxy", rt, http.StatusBadGateway, map[error]wire.Code{
-			ErrDraining:               wire.CodeDraining,
-			serve.ErrEmptyBin:         wire.CodeEmptyBin,
-			serve.ErrKeyedUnsupported: wire.CodeKeyedUnsupported,
-			ErrNoBackends:             wire.CodeNoBackends,
-			ErrBackendDown:            wire.CodeBackendDown,
+			ErrDraining:       wire.CodeDraining,
+			serve.ErrEmptyBin: wire.CodeEmptyBin,
+			serve.ErrFull:     wire.CodeFull,
+			ErrNoBackends:     wire.CodeNoBackends,
+			ErrBackendDown:    wire.CodeBackendDown,
 			fmt.Errorf("cluster: place failed on every healthy backend: %w", boom): wire.CodeInternal,
 		}},
 	}

@@ -389,7 +389,8 @@ func (rt *Router) noteStaleness(slot int) int64 {
 // the chosen backend errors the request fails over to another healthy
 // backend (the error is reported to Membership, so a dead backend is
 // evicted by its own traffic); Place fails only when every healthy
-// backend has been tried.
+// backend has been tried, or with the chosen backend's ErrFull, which
+// is a healthy answer and never fails over.
 func (rt *Router) Place(ctx context.Context, count int) ([]int, int64, error) {
 	if count < 1 {
 		return nil, 0, fmt.Errorf("cluster: Place count %d < 1", count)
@@ -450,6 +451,14 @@ func (rt *Router) Place(ctx context.Context, count int) ([]int, int64, error) {
 			finish(ctx.Err())
 			return nil, 0, ctx.Err()
 		}
+		if errors.Is(err, serve.ErrFull) {
+			// A healthy backend's answer (like ErrEmptyBin on remove):
+			// its spec's bound leaves no room. Failing over would only
+			// evict healthy backends.
+			rt.ms.ReportSuccess(slot)
+			finish(err)
+			return nil, 0, err
+		}
 		lastErr = err
 		failovers++
 		rt.failovers.Add(1)
@@ -472,10 +481,11 @@ func (rt *Router) Place(ctx context.Context, count int) ([]int, int64, error) {
 // set. When the assigned backend errors, the key's replica is moved
 // (one deterministic re-probe of its own sequence, counted in
 // moved_keys) and the placement retries there — like Place, keyed
-// placements fail only when every healthy candidate has been tried,
-// so a backend death costs zero client-visible place errors. Falls
-// back to anonymous Place when the router has no keyed tier or key
-// is empty.
+// placements fail only when every healthy candidate has been tried
+// (or with ErrFull, as Place does, releasing the key's ref and moving
+// no key), so a backend death costs zero client-visible place errors.
+// Falls back to anonymous Place when the router has no keyed tier or
+// key is empty.
 func (rt *Router) PlaceKeyed(ctx context.Context, key string) ([]int, int64, error) {
 	km := rt.Keyed()
 	if km == nil || key == "" {
@@ -545,11 +555,9 @@ func (rt *Router) PlaceKeyed(ctx context.Context, key string) ([]int, int64, err
 			finish(ctx.Err())
 			return nil, 0, ctx.Err()
 		}
-		if errors.Is(perr, serve.ErrKeyedUnsupported) {
-			// A healthy backend's answer (like ErrEmptyBin on remove):
-			// its spec cannot serve keyed traffic. Every backend runs
-			// the same spec, so failing over would only evict healthy
-			// backends and journal moves.
+		if errors.Is(perr, serve.ErrFull) {
+			// A healthy backend's answer (see Place): release the ref
+			// and keep the key where it is.
 			rt.ms.ReportSuccess(slot)
 			km.Release(key, slot)
 			finish(perr)

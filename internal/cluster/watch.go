@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"repro/internal/protocol"
 	"repro/internal/serve"
 	"repro/internal/watch"
 )
@@ -26,9 +25,10 @@ import (
 //     observed, never lower it.
 //
 //   - Bulk slack. One accepted pick lands the whole bulk on the chosen
-//     backend; acceptance admitted the backend before the bulk, so the
-//     provable form is ⌈i/K⌉+maxBulk (exactly the paper's +1 when
-//     every pick carries one ball). The slack here is 2·maxBulk: the
+//     backend; acceptance admitted the backend below the policy's
+//     Bound before the bulk, so the provable form is
+//     Bound(K, i)−1+maxBulk (the paper's ⌈i/K⌉+1 exactly when every
+//     pick carries one ball). The slack here is 2·maxBulk: the
 //     acceptance test itself runs against the stale view, whose error
 //     around a refresh is bounded by the in-flight bulk it double- or
 //     under-counts.
@@ -47,10 +47,11 @@ import (
 //     disarmed once any pick has fallen back (cs.Fallbacks counts
 //     them in /v1/stats).
 //
-// It is also armed only for the pure adaptive policy with no keyed
-// traffic: keyed routing pins balls to backends by key popularity
-// (bounded per key, not per pick), so the anonymous-pick evenness the
-// bound rests on does not apply.
+// It is also armed only for a policy whose Rule has a Bound (adaptive,
+// threshold[m], fixed[<b]) and with no keyed traffic: keyed routing
+// pins balls to backends by key popularity (bounded per key, not per
+// pick), so the anonymous-pick evenness the bound rests on does not
+// apply.
 func (rt *Router) watchSample() watch.Sample {
 	cs := rt.Stats()
 	var s watch.Sample
@@ -74,7 +75,7 @@ func (rt *Router) watchSample() watch.Sample {
 	}
 
 	keyedTraffic := cs.Keyed != nil && cs.Keyed.AffinityHits+cs.Keyed.AffinityMisses > 0
-	if cs.Policy == "adaptive" && !keyedTraffic && cs.Healthy > 0 && cs.Evictions == 0 && cs.Fallbacks == 0 {
+	if _, ok := rt.policy.Bound(cs.Healthy, 0); ok && !keyedTraffic && cs.Evictions == 0 && cs.Fallbacks == 0 {
 		// Ledger read order matters: per-slot placed before removed (a
 		// torn read under-states the live count), and the horizon pass
 		// after the observed pass (concurrent placements can only raise
@@ -100,10 +101,11 @@ func (rt *Router) watchSample() watch.Sample {
 			maxBulk = 1
 		}
 		slack := 2 * maxBulk
+		bound, _ := rt.policy.Bound(cs.Healthy, horizon)
 		s.Checks = append(s.Checks, watch.Check{
 			Invariant: "cluster_backend_max",
 			Observed:  observed,
-			Bound:     protocol.CeilDiv(horizon, int64(cs.Healthy)) + slack,
+			Bound:     bound - 1 + slack,
 			Fields: map[string]int64{
 				"balls": cs.Balls, "horizon": horizon,
 				"healthy": int64(cs.Healthy), "bulk_slack": slack,

@@ -93,11 +93,23 @@ func TestWatchEvictionRebalanceRejoinEvents(t *testing.T) {
 	}
 }
 
-// TestWatchClusterBoundHolds drives anonymous traffic under the
-// adaptive routing policy and asserts the cross-backend bound check is
-// armed and holding on every manual tick.
+// TestWatchClusterBoundHolds drives anonymous bulks under each routing
+// policy whose Rule has a Bound and asserts the cross-backend bound
+// check is armed and holding on every manual tick. The 1,000 balls fit
+// threshold[1000] and fixed[<400] over 3 backends, so no pick falls
+// back.
 func TestWatchClusterBoundHolds(t *testing.T) {
-	rt, _ := newWatchedCluster(t, 3, policyNamed("adaptive"), nil)
+	for _, name := range []string{"adaptive", "threshold", "fixed"} {
+		pol, err := PolicyByName(name, 2, 2, 400, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(pol.Name(), func(t *testing.T) { watchClusterBoundHolds(t, pol) })
+	}
+}
+
+func watchClusterBoundHolds(t *testing.T, pol Policy) {
+	rt, _ := newWatchedCluster(t, 3, pol, nil)
 	ctx := context.Background()
 	for i := 0; i < 40; i++ {
 		if _, _, err := rt.Place(ctx, 25); err != nil {
@@ -118,7 +130,7 @@ func TestWatchClusterBoundHolds(t *testing.T) {
 		}
 	}
 	if !armed {
-		t.Fatal("cluster_backend_max not armed under adaptive policy")
+		t.Fatalf("cluster_backend_max not armed under %s", pol.Name())
 	}
 	pts := rt.Watch().Series(0)
 	// Balls is the load-view estimate (polled + local delta), so it can

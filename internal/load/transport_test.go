@@ -199,12 +199,16 @@ func TestTransportEquivalence(t *testing.T) {
 					t.Errorf("%s: place on a drained daemon: %v, want ErrDraining", transport, err)
 				}
 
-				// A daemon whose spec cannot serve keyed traffic refuses a
-				// keyed place with serve.ErrKeyedUnsupported.
+				// A threshold daemon refuses a keyed place past its key's
+				// shard's capacity with serve.ErrFull.
 				tier, _ = tc.mk(t, ballsbins.Threshold())
 				kt := reach(t, transport, tier).(cluster.KeyedBackend)
-				if _, _, err := kt.PlaceKey(ctx, "k"); !errors.Is(err, serve.ErrKeyedUnsupported) {
-					t.Errorf("%s: keyed place on a threshold daemon: %v, want ErrKeyedUnsupported", transport, err)
+				_, _, err = kt.PlaceKey(ctx, "k")
+				for i := 0; err == nil && i < 4000; i++ {
+					_, _, err = kt.PlaceKey(ctx, "k")
+				}
+				if !errors.Is(err, serve.ErrFull) {
+					t.Errorf("%s: keyed place on a full threshold daemon: %v, want ErrFull", transport, err)
 				}
 			}
 		})

@@ -27,19 +27,16 @@ func (a *Adaptive) Name() string { return "adaptive" }
 // online.
 func (a *Adaptive) Reset(n int, _ int64) { a.n = int64(n) }
 
-// Place implements Protocol. The acceptance test load < i/n + 1 is
-// evaluated in exact integer arithmetic as n·(load−1) < i.
+// Rule implements Ruled: the paper's rule is the adaptive Rule.
+func (a *Adaptive) Rule() Rule { return AdaptiveRule() }
+
+// level is ball i's acceptance level: load < i/n + 1 is
+// load < ⌈i/n⌉ + 1 in integers.
+func (a *Adaptive) level(i int64) int { return int(CeilDiv(i, a.n)) + 1 }
+
+// Place implements Protocol.
 func (a *Adaptive) Place(v *loadvec.Vector, r *rng.Rand, i int64) int64 {
-	n := v.N()
-	var samples int64
-	for {
-		j := r.Intn(n)
-		samples++
-		if a.n*int64(v.Load(j)-1) < i {
-			v.Increment(j)
-			return samples
-		}
-	}
+	return placeUnder(v, r, a.level(i))
 }
 
 // AdaptiveNoSlack is the ablation discussed in Section 2 of the paper:
@@ -60,19 +57,17 @@ func (a *AdaptiveNoSlack) Name() string { return "adaptive-noslack" }
 // Reset implements Protocol.
 func (a *AdaptiveNoSlack) Reset(n int, _ int64) { a.n = int64(n) }
 
-// Place implements Protocol. The acceptance test load < i/n is
-// n·load < i in integer arithmetic. Every stage τ ends with all bins
-// at exactly load τ, so acceptance is always eventually possible and
-// the run terminates.
+// Rule implements Ruled: its test is stricter than the adaptive Rule's,
+// so it defends that bound.
+func (a *AdaptiveNoSlack) Rule() Rule { return AdaptiveRule() }
+
+// level is ball i's acceptance level: load < i/n is
+// load < ⌊(i−1)/n⌋ + 1 in integers. The i−1 balls placed so far
+// average below i/n, so a bin below the level always exists and the
+// run terminates, under removals too.
+func (a *AdaptiveNoSlack) level(i int64) int { return int((i-1)/a.n) + 1 }
+
+// Place implements Protocol.
 func (a *AdaptiveNoSlack) Place(v *loadvec.Vector, r *rng.Rand, i int64) int64 {
-	n := v.N()
-	var samples int64
-	for {
-		j := r.Intn(n)
-		samples++
-		if a.n*int64(v.Load(j)) < i {
-			v.Increment(j)
-			return samples
-		}
-	}
+	return placeUnder(v, r, a.level(i))
 }

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/loadvec"
@@ -136,14 +135,6 @@ func RunWithObserverEngine(p Protocol, n int, m int64, r *rng.Rand, e Engine, ob
 	return Outcome{Vector: v, Samples: s.Samples()}
 }
 
-// f32cap clamps a bound to the int32 load domain.
-func f32cap(b int) int {
-	if b > math.MaxInt32 {
-		return math.MaxInt32
-	}
-	return b
-}
-
 // sampleBelow draws the outcome of "sample bins u.a.r. until one of
 // the cb acceptable bins (out of n) is hit": the number of samples s
 // (Geometric with p = cb/n) and the rank of the accepted bin (uniform
@@ -154,11 +145,11 @@ func f32cap(b int) int {
 // the cost stays O(1) regardless of the rejection rate. Both branches
 // produce exactly the (Geometric, independent uniform) pair of the
 // naive loop, so the choice of branch — a deterministic function of
-// (cb, n) — never changes the distribution. It panics if cb <= 0
-// (where the naive loop would spin forever).
+// (cb, n) — never changes the distribution. It panics if cb <= 0, as
+// the naive loop does.
 func sampleBelow(r *rng.Rand, cb, n int64) (s, rank int64) {
 	if cb <= 0 {
-		panic("protocol: rejection sampling with no acceptable bin")
+		panic(errNoAcceptable)
 	}
 	if 4*cb >= n {
 		for {
@@ -187,51 +178,47 @@ func placeBelowHist(h *loadvec.Hist, r *rng.Rand, T int) int64 {
 	return s
 }
 
-// PlaceFast implements FastPlacer. The acceptance bound load < i/n + 1
-// equals load < ⌈i/n⌉ + 1 in integers.
+// PlaceFast implements FastPlacer.
 func (a *Adaptive) PlaceFast(v *loadvec.Vector, r *rng.Rand, i int64) int64 {
-	return placeBelow(v, r, int(CeilDiv(i, a.n))+1)
+	return placeBelow(v, r, a.level(i))
 }
 
 // PlaceHist implements HistPlacer.
 func (a *Adaptive) PlaceHist(h *loadvec.Hist, r *rng.Rand, i int64) int64 {
-	return placeBelowHist(h, r, int(CeilDiv(i, a.n))+1)
+	return placeBelowHist(h, r, a.level(i))
 }
 
-// PlaceFast implements FastPlacer. The acceptance bound load < i/n
-// equals load < ⌊(i−1)/n⌋ + 1 in integers. A bin below the bound
-// always exists (the i−1 balls placed so far average below i/n), so
-// even the ablation's coupon-collector tail costs O(1) per ball here —
-// its Θ(m log n) allocation time shows up only in the Samples
-// statistic, no longer in wall-clock time.
+// PlaceFast implements FastPlacer. Even the ablation's
+// coupon-collector tail costs O(1) per ball here — its Θ(m log n)
+// allocation time shows up only in the Samples statistic, no longer in
+// wall-clock time.
 func (a *AdaptiveNoSlack) PlaceFast(v *loadvec.Vector, r *rng.Rand, i int64) int64 {
-	return placeBelow(v, r, int((i-1)/a.n)+1)
+	return placeBelow(v, r, a.level(i))
 }
 
 // PlaceHist implements HistPlacer.
 func (a *AdaptiveNoSlack) PlaceHist(h *loadvec.Hist, r *rng.Rand, i int64) int64 {
-	return placeBelowHist(h, r, int((i-1)/a.n)+1)
-}
-
-// PlaceFast implements FastPlacer. The acceptance bound load < m/n + 1
-// equals load < ⌈m/n⌉ + 1 in integers.
-func (t *Threshold) PlaceFast(v *loadvec.Vector, r *rng.Rand, _ int64) int64 {
-	return placeBelow(v, r, int(CeilDiv(t.m, t.n))+1)
-}
-
-// PlaceHist implements HistPlacer.
-func (t *Threshold) PlaceHist(h *loadvec.Hist, r *rng.Rand, _ int64) int64 {
-	return placeBelowHist(h, r, int(CeilDiv(t.m, t.n))+1)
+	return placeBelowHist(h, r, a.level(i))
 }
 
 // PlaceFast implements FastPlacer.
-func (f *FixedThreshold) PlaceFast(v *loadvec.Vector, r *rng.Rand, _ int64) int64 {
-	return placeBelow(v, r, f.Bound)
+func (t *Threshold) PlaceFast(v *loadvec.Vector, r *rng.Rand, i int64) int64 {
+	return placeBelow(v, r, t.level(i))
 }
 
 // PlaceHist implements HistPlacer.
-func (f *FixedThreshold) PlaceHist(h *loadvec.Hist, r *rng.Rand, _ int64) int64 {
-	return placeBelowHist(h, r, f.Bound)
+func (t *Threshold) PlaceHist(h *loadvec.Hist, r *rng.Rand, i int64) int64 {
+	return placeBelowHist(h, r, t.level(i))
+}
+
+// PlaceFast implements FastPlacer.
+func (f *FixedThreshold) PlaceFast(v *loadvec.Vector, r *rng.Rand, i int64) int64 {
+	return placeBelow(v, r, f.level(i))
+}
+
+// PlaceHist implements HistPlacer.
+func (f *FixedThreshold) PlaceHist(h *loadvec.Hist, r *rng.Rand, i int64) int64 {
+	return placeBelowHist(h, r, f.level(i))
 }
 
 // PlaceFast implements FastPlacer. Single choice is already O(1); the

@@ -97,4 +97,24 @@ func MaxLoadBound(n int, m int64) int64 {
 	return CeilDiv(m, int64(n)) + 1
 }
 
+// errNoAcceptable is the panic of a rejection loop run with every bin
+// at or above its acceptance level, under either engine.
+const errNoAcceptable = "protocol: rejection sampling with no acceptable bin"
+
+// placeUnder is the naive loop every rejection protocol shares: sample
+// bins u.a.r. until one has load below the protocol's level T and
+// place the ball there. When no bin is below T, where the loop would
+// spin forever, it panics without drawing (v.CountBelow is O(1)).
+func placeUnder(v *loadvec.Vector, r *rng.Rand, T int) int64 {
+	if v.CountBelow(T) == 0 {
+		panic(errNoAcceptable)
+	}
+	for samples := int64(1); ; samples++ {
+		if j := r.Intn(v.N()); v.Load(j) < T {
+			v.Increment(j)
+			return samples
+		}
+	}
+}
+
 func formatD(base string, d int) string { return fmt.Sprintf("%s[%d]", base, d) }

@@ -13,27 +13,34 @@ func Accepts(k int, load, i int64) bool { return int64(k)*(load-1) < i }
 // least-loaded fallback takes over.
 func ProbeCap(k int) int { return max(4*k, 8) }
 
-// Rule is one of the protocols' acceptance rules as a serving tier's
-// placement policy. The bins are the tier's k healthy backends
-// (internal/cluster) or bins (internal/keyed), a bin's load is the
-// tier's view of its count, and a protocol retry is one more probe.
-// A pick probes up to MaxProbes uniform bins, takes the first that
-// Accept admits, and otherwise falls back to the least loaded bin it
-// probed: the BoundedRetry construction, so that a pick terminates
-// even when a stale view claims every bin is full.
+// Rule is one of the protocols' acceptance rules, stated once for
+// every tier that places by it. In a routing tier the bins are the
+// tier's k healthy backends (internal/cluster) or bins
+// (internal/keyed), a bin's load is the tier's view of its count, and
+// a protocol retry is one more probe. A pick probes up to MaxProbes
+// uniform bins, takes the first that Accept admits, and otherwise
+// falls back to the least loaded bin it probed: the BoundedRetry
+// construction, so that a pick terminates even when a stale view
+// claims every bin is full. The engine protocols that defend a bound
+// are Ruled: their Rule states it, and a serving tier refuses a place
+// that would not Fit.
 //
-//	rule          cluster name        keyed name       accepts a bin when   probes    Bound
-//	────────────  ──────────────────  ───────────────  ───────────────────  ────────  ───────
-//	first probe   single              hash             always               1         none
-//	greedy[d]     greedy[d]           greedy[d]        never: least of d    d         none
-//	adaptive      adaptive            adaptive         k·(load−1) < i       ProbeCap  ⌈i/k⌉+1
-//	threshold[m]  threshold[m]        threshold[m]     k·(load−1) < m       ProbeCap  ⌈m/k⌉+1
-//	retry[R]      threshold-retry[R]  boundedretry[R]  k·(load−1) < i       R         none
-//	fixed[<b]     fixed[<b]           —                load < b             ProbeCap  b
+//	rule          cluster name        keyed name       engine specs (Ruled)     accepts a bin when   probes    Bound
+//	────────────  ──────────────────  ───────────────  ───────────────────────  ───────────────────  ────────  ───────
+//	first probe   single              hash             —                        always               1         none
+//	greedy[d]     greedy[d]           greedy[d]        —                        never: least of d    d         none
+//	adaptive      adaptive            adaptive         adaptive, -noslack,      k·(load−1) < i       ProbeCap  ⌈i/k⌉+1
+//	                                                   -stale[B], -lag[L]
+//	threshold[m]  threshold[m]        threshold[m]     threshold                k·(load−1) < m       ProbeCap  ⌈m/k⌉+1
+//	retry[R]      threshold-retry[R]  boundedretry[R]  —                        k·(load−1) < i       R         none
+//	fixed[<b]     fixed[<b]           —                fixed[<b]                load < b             ProbeCap  b
 //
 // i is the tier's live count including the ball being placed, so no
-// horizon is needed and departures lower the bound. The retry rule
-// tests that live count; the engine's BoundedRetry tests the horizon m.
+// horizon is needed and departures lower the bound. The adaptive
+// variants' own tests are the adaptive one or stricter. The retry rule
+// tests that live count, the engine's BoundedRetry tests the horizon m,
+// and neither defends a bound, so threshold-retry[R] is not Ruled; nor
+// are single, greedy, left, memory and (1+β).
 // A rule that refuses even an empty bin (greedy) takes the least
 // loaded of its probes by design; for every other rule that outcome is
 // a fallback, and the chosen bin never passed the test.
@@ -53,6 +60,30 @@ type Rule interface {
 	// probe, greedy), and for retry, whose fallback may legitimately
 	// exceed the adaptive bound.
 	Bound(k int, i int64) (bound int64, ok bool)
+}
+
+// Ruled is implemented by the engine protocols that defend a bound:
+// no placement of theirs leaves a bin above Rule's Bound.
+type Ruled interface {
+	Rule() Rule
+}
+
+// BoundOf is r.Bound(k, i), with ok false for a nil rule: a tier
+// whose spec is not Ruled defends no bound.
+func BoundOf(r Rule, k int, i int64) (bound int64, ok bool) {
+	if r == nil {
+		return 0, false
+	}
+	return r.Bound(k, i)
+}
+
+// Fits reports whether more balls can join k bins holding balls under
+// r: k·Bound(k, balls+more) − balls ≥ more. It is exact, because no
+// bin ever exceeds Bound, so the room left below it is k·Bound − balls.
+// It is true for a nil rule and for a rule with no Bound.
+func Fits(r Rule, k int, balls, more int64) bool {
+	b, ok := BoundOf(r, k, balls+more)
+	return !ok || int64(k)*b-balls >= more
 }
 
 // ruleKind selects a rule's acceptance test.

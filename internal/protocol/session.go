@@ -61,6 +61,16 @@ type HorizonRequirer interface {
 	RequiresHorizon()
 }
 
+// Rule returns the acceptance rule the session's protocol defends, or
+// nil when it defends none (see Ruled). A threshold protocol's rule
+// carries the session's horizon.
+func (s *Session) Rule() Rule {
+	if r, ok := s.p.(Ruled); ok {
+		return r.Rule()
+	}
+	return nil
+}
+
 // RequiresHorizon marks Threshold's acceptance bound m/n + 1 as
 // horizon-dependent.
 func (t *Threshold) RequiresHorizon() {}
@@ -185,26 +195,19 @@ func (s *Session) stepBatchHist(k int64) int64 {
 	end := h.Balls() + k
 	var total int64
 	switch q := s.p.(type) {
-	case *Adaptive:
-		// Balls (s−1)·n+1 … s·n share the threshold ⌈i/n⌉+1 = s+1.
-		for placed := h.Balls(); placed < end; {
-			stage := placed/q.n + 1
-			count := min(stage*q.n, end) - placed
-			total += h.PlaceBelowBatch(r, count, int(stage)+1)
-			placed += count
-		}
-	case *AdaptiveNoSlack:
-		// Balls c·n+1 … (c+1)·n share the threshold ⌊(i−1)/n⌋+1 = c+1.
-		for placed := h.Balls(); placed < end; {
-			c := placed / q.n
-			count := min((c+1)*q.n, end) - placed
-			total += h.PlaceBelowBatch(r, count, int(c)+1)
-			placed += count
-		}
 	case *Threshold:
-		total = h.PlaceBelowBatch(r, k, int(CeilDiv(q.m, q.n))+1)
+		total = h.PlaceBelowBatch(r, k, q.level(0))
 	case *FixedThreshold:
-		total = h.PlaceBelowBatch(r, k, f32cap(q.Bound))
+		total = h.PlaceBelowBatch(r, k, q.level(0))
+	case interface{ level(int64) int }:
+		// Adaptive and AdaptiveNoSlack: balls s·n+1 … (s+1)·n share
+		// one level.
+		n := int64(h.N())
+		for placed := h.Balls(); placed < end; {
+			count := min((placed/n+1)*n, end) - placed
+			total += h.PlaceBelowBatch(r, count, q.level(placed+1))
+			placed += count
+		}
 	case *SingleChoice:
 		total = h.PlaceBelowBatch(r, k, math.MaxInt32)
 	default:

@@ -61,20 +61,19 @@ func (s *StaleAdaptive) Reset(n int, _ int64) {
 	s.n = int64(n)
 }
 
-// Place implements Protocol. The stale count for ball i is the last
-// synchronization point ((i-1)/B)*B + 1.
+// Rule implements Ruled: the stale count never exceeds the true one,
+// so the protocol defends the adaptive Rule's bound.
+func (s *StaleAdaptive) Rule() Rule { return AdaptiveRule() }
+
+// level is ball i's acceptance level: the adaptive level ⌈c/n⌉ + 1 of
+// the stale count c, the last synchronization point ((i-1)/B)*B + 1 =
+// i − (i−1) mod B.
+func (s *StaleAdaptive) level(i int64) int { return int(CeilDiv(i-(i-1)%s.syncEvery, s.n)) + 1 }
+
+// Place implements Protocol. It has no fast path: one would change the
+// fast engine's stream for this protocol.
 func (s *StaleAdaptive) Place(v *loadvec.Vector, r *rng.Rand, i int64) int64 {
-	known := ((i-1)/s.syncEvery)*s.syncEvery + 1
-	n := v.N()
-	var samples int64
-	for {
-		j := r.Intn(n)
-		samples++
-		if s.n*int64(v.Load(j)-1) < known {
-			v.Increment(j)
-			return samples
-		}
-	}
+	return placeUnder(v, r, s.level(i))
 }
 
 // LaggedAdaptive is the adaptive protocol with a counter that runs a
@@ -111,20 +110,15 @@ func (l *LaggedAdaptive) Reset(n int, _ int64) {
 	l.n = int64(n)
 }
 
-// Place implements Protocol.
+// Rule implements Ruled: the lagged count never exceeds the true
+// one, so the protocol defends the adaptive Rule's bound.
+func (l *LaggedAdaptive) Rule() Rule { return AdaptiveRule() }
+
+// level is ball i's acceptance level: the adaptive level ⌈c/n⌉ + 1 of
+// the lagged count c = max(1, i−Lag).
+func (l *LaggedAdaptive) level(i int64) int { return int(CeilDiv(max(1, i-l.lag), l.n)) + 1 }
+
+// Place implements Protocol. Like StaleAdaptive it has no fast path.
 func (l *LaggedAdaptive) Place(v *loadvec.Vector, r *rng.Rand, i int64) int64 {
-	known := i - l.lag
-	if known < 1 {
-		known = 1
-	}
-	n := v.N()
-	var samples int64
-	for {
-		j := r.Intn(n)
-		samples++
-		if l.n*int64(v.Load(j)-1) < known {
-			v.Increment(j)
-			return samples
-		}
-	}
+	return placeUnder(v, r, l.level(i))
 }

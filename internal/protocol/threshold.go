@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/loadvec"
 	"repro/internal/rng"
@@ -31,27 +32,24 @@ func (t *Threshold) Reset(n int, m int64) {
 	t.m = m
 }
 
-// Place implements Protocol. The acceptance test
-// load < m/n + 1 is evaluated in exact integer arithmetic as
-// n·(load−1) < m.
-func (t *Threshold) Place(v *loadvec.Vector, r *rng.Rand, _ int64) int64 {
-	n := v.N()
-	var samples int64
-	for {
-		j := r.Intn(n)
-		samples++
-		if t.n*int64(v.Load(j)-1) < t.m {
-			v.Increment(j)
-			return samples
-		}
-	}
+// Rule implements Ruled: the threshold Rule with the Reset horizon.
+func (t *Threshold) Rule() Rule { return ThresholdRule(t.m) }
+
+// level is every ball's acceptance level: load < m/n + 1 is
+// load < ⌈m/n⌉ + 1 in integers.
+func (t *Threshold) level(int64) int { return int(CeilDiv(t.m, t.n)) + 1 }
+
+// Place implements Protocol.
+func (t *Threshold) Place(v *loadvec.Vector, r *rng.Rand, i int64) int64 {
+	return placeUnder(v, r, t.level(i))
 }
 
 // FixedThreshold accepts any bin with load strictly below Bound,
 // sampling until it finds one. It generalizes Threshold to arbitrary
 // constant bounds and is the building block for capacity experiments.
-// The caller must ensure the bound is feasible (n·Bound ≥ m), otherwise
-// Place loops forever; Reset panics on infeasible bounds as a guard.
+// The caller must ensure the bound is feasible (n·Bound ≥ m): Reset
+// panics on an infeasible horizon, and Place panics once every bin is
+// at the bound.
 type FixedThreshold struct {
 	Bound int
 }
@@ -77,16 +75,14 @@ func (f *FixedThreshold) Reset(n int, m int64) {
 	}
 }
 
+// Rule implements Ruled: the fixed Rule with the same bound.
+func (f *FixedThreshold) Rule() Rule { return FixedRule(int64(f.Bound)) }
+
+// level is every ball's acceptance level: the bound, clamped to the
+// int32 load domain.
+func (f *FixedThreshold) level(int64) int { return min(f.Bound, math.MaxInt32) }
+
 // Place implements Protocol.
-func (f *FixedThreshold) Place(v *loadvec.Vector, r *rng.Rand, _ int64) int64 {
-	n := v.N()
-	var samples int64
-	for {
-		j := r.Intn(n)
-		samples++
-		if v.Load(j) < f.Bound {
-			v.Increment(j)
-			return samples
-		}
-	}
+func (f *FixedThreshold) Place(v *loadvec.Vector, r *rng.Rand, i int64) int64 {
+	return placeUnder(v, r, f.level(i))
 }

@@ -25,10 +25,11 @@ func armed(m *watch.Monitor) string {
 
 // TestWatchArming pins which invariants the serve watchdog arms for
 // each spec, with and without keyed traffic, and the bounds it checks
-// them against: the adaptive family arms the per-shard and global
-// max-load checks (the global one only while all traffic is
-// anonymous), every spec keeps the books and keyed checks, and the
-// threshold and fixed specs refuse keyed traffic.
+// them against: every spec whose rule has a Bound (the adaptive
+// family, threshold, fixed) arms the per-shard and global max-load
+// checks (the global one only while all traffic is anonymous), every
+// spec keeps the books and keyed checks, and no keyed place is refused
+// with ErrFull below capacity.
 func TestWatchArming(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -46,17 +47,17 @@ func TestWatchArming(t *testing.T) {
 		{"adaptive-noslack", ballsbins.AdaptiveNoSlack(), true, false,
 			"serve_shard_max 4/5, serve_books 0/0, serve_keyed_max 21/22"},
 		{"threshold", ballsbins.Threshold(), false, false,
-			"serve_books 0/0, serve_keyed_max 0/2"},
-		{"threshold", ballsbins.Threshold(), true, true,
-			"serve_books 0/0, serve_keyed_max 0/2"},
+			"serve_shard_max 7/8, serve_books 0/0, serve_global_max 7/8, serve_keyed_max 0/2"},
+		{"threshold", ballsbins.Threshold(), true, false,
+			"serve_shard_max 8/8, serve_books 0/0, serve_keyed_max 21/22"},
 		{"greedy[2]", ballsbins.Greedy(2), false, false,
 			"serve_books 0/0, serve_keyed_max 0/2"},
 		{"greedy[2]", ballsbins.Greedy(2), true, false,
 			"serve_books 0/0, serve_keyed_max 21/22"},
 		{"fixed[<8]", ballsbins.FixedThreshold(8), false, false,
-			"serve_books 0/0, serve_keyed_max 0/2"},
-		{"fixed[<8]", ballsbins.FixedThreshold(8), true, true,
-			"serve_books 0/0, serve_keyed_max 0/2"},
+			"serve_shard_max 7/8, serve_books 0/0, serve_global_max 7/8, serve_keyed_max 0/2"},
+		{"fixed[<8]", ballsbins.FixedThreshold(8), true, false,
+			"serve_shard_max 8/8, serve_books 0/0, serve_keyed_max 21/22"},
 	} {
 		t.Run(fmt.Sprintf("%s/keyed=%v", tc.name, tc.keyed), func(t *testing.T) {
 			d := NewDispatcher(Config{
@@ -74,7 +75,7 @@ func TestWatchArming(t *testing.T) {
 			if tc.keyed {
 				for i := 0; i < 120; i++ {
 					_, _, err := d.PlaceKeyed(ctx, fmt.Sprintf("k%d", i%40))
-					if errors.Is(err, ErrKeyedUnsupported) {
+					if errors.Is(err, ErrFull) {
 						refused = true
 						break
 					}

@@ -29,14 +29,18 @@
 // a caller that got a bin really owns a ball, a caller that got an
 // error knows nothing happened, and the per-shard evenness of the
 // ticket cursor (which the sharded max-load bound is built on) can
-// never be skewed by abandoned operations.
+// never be skewed by abandoned operations. A place refused past
+// admission with ErrFull, because the spec's rule leaves its shard too
+// little room, placed nothing. Its spent ticket is harmless: only
+// rules whose bound ignores ticket evenness (threshold's per-shard
+// horizon, fixed[<b]'s b) ever refuse.
 package serve
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,6 +49,7 @@ import (
 	"repro/internal/hdrhist"
 	"repro/internal/keyed"
 	"repro/internal/obs"
+	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/watch"
 )
@@ -58,16 +63,12 @@ var ErrDraining = errors.New("serve: dispatcher draining")
 // balls at execution time.
 var ErrEmptyBin = errors.New("serve: remove from empty bin")
 
-// ErrKeyedUnsupported is returned by PlaceKeyed for specs whose
-// termination relies on round-robin shard evenness: the threshold
-// family splits its horizon per shard as ceil(m/P) and FixedThreshold
-// carries an absolute bound, so pinning a popular key's balls to one
-// shard could push that shard past its acceptance bound and spin its
-// placement loop forever under the shard lock. Keyed traffic needs a
-// fully online spec (the adaptive family, greedy, single, ...), whose
-// acceptance bound tracks the shard's own load.
-var ErrKeyedUnsupported = errors.New(
-	"serve: spec cannot serve keyed traffic (shard-pinned placement would break its per-shard acceptance bound); use an online spec such as adaptive")
+// ErrFull is returned by a place the spec's rule cannot take: the
+// shard it was ticketed or keyed to has too little room below the
+// rule's bound (⌈m/P⌉ split over the shard's bins for threshold, b for
+// fixed[<b]). Nothing was placed; a remove frees room. Specs whose
+// bound tracks the live count (the adaptive family) never refuse.
+var ErrFull = errors.New("serve: shard full (the spec's bound leaves no room for the place)")
 
 // fanOutChunk is the smallest bulk chunk (balls ticketed to one shard
 // by one PlaceMany) that runs on a helper goroutine instead of the
@@ -111,10 +112,10 @@ type Config struct {
 // use. Admission, drain, the keyed map and store and the monitors are
 // its Lifecycle's.
 type Dispatcher struct {
-	sa      *ballsbins.ShardedAllocator
-	cfg     Config
-	stats   *Stats
-	keyedOK bool // spec terminates under shard-pinned traffic
+	sa    *ballsbins.ShardedAllocator
+	rule  protocol.Rule // the spec's rule, nil when it defends no bound
+	cfg   Config
+	stats *Stats
 	*Lifecycle
 }
 
@@ -167,12 +168,7 @@ func OpenDispatcher(cfg Config) (*Dispatcher, *keyed.RecoveryInfo, error) {
 	}
 	d.Lifecycle = lc
 	d.sa = ballsbins.NewSharded(cfg.Spec, cfg.N, cfg.Shards, opts...)
-	// Threshold-family and fixed-bound specs reject keyed traffic (see
-	// ErrKeyedUnsupported); "threshold-retry" (BoundedRetry) is safe —
-	// its sample cap guarantees termination at any shard load.
-	name := d.sa.Name()
-	d.keyedOK = !(strings.HasPrefix(name, "fixed[") ||
-		(strings.HasPrefix(name, "threshold") && !strings.HasPrefix(name, "threshold-retry")))
+	d.rule = d.sa.Rule()
 	d.watch.Start()
 	return d, rec, nil
 }
@@ -195,7 +191,8 @@ func (d *Dispatcher) Name() string { return d.sa.Name() }
 // Place allocates one ball and returns its global bin together with
 // the number of random bin choices consumed. ctx is checked at
 // admission only: a nil error past that point means the placement is
-// committed. The single-ball hot path: one ticket, one shard lock,
+// committed. ErrFull means the ticketed shard had no room and nothing
+// was placed. The single-ball hot path: one ticket, one shard lock,
 // and one allocation (the shard's fresh stats row).
 func (d *Dispatcher) Place(ctx context.Context) (bin int, samples int64, err error) {
 	if err := d.Admit(ctx); err != nil {
@@ -204,8 +201,8 @@ func (d *Dispatcher) Place(ctx context.Context) (bin int, samples int64, err err
 	defer d.Done()
 	c := d.obs.Begin(obs.TraceFrom(ctx), "place")
 	var one [1]int
-	samples = d.placeChunk(d.sa.NextShard(), one[:], &c, 0)
-	return one[0], samples, nil
+	samples, err = d.placeChunk(d.sa.NextShard(), one[:], &c, 0)
+	return one[0], samples, err
 }
 
 // PlaceKeyed allocates one ball for key. Instead of claiming a
@@ -217,15 +214,13 @@ func (d *Dispatcher) Place(ctx context.Context) (bin int, samples int64, err err
 // counts by key popularity — bounded at the key level by the keyed
 // policy, and at the traffic level by hot-key splitting — rather
 // than obeying the round-robin evenness of anonymous placements.
-// Admission and commit semantics are exactly Place's. The op is timed
-// from admission, so its route is a "probe" span ahead of queue and
-// apply, and the three sum exactly to the op total.
+// Admission and commit semantics are exactly Place's; a place refused
+// with ErrFull releases the key's ref. The op is timed from admission,
+// so its route is a "probe" span ahead of queue and apply, and the
+// three sum exactly to the op total.
 func (d *Dispatcher) PlaceKeyed(ctx context.Context, key string) (bin int, samples int64, err error) {
 	if key == "" {
 		return d.Place(ctx)
-	}
-	if !d.keyedOK {
-		return 0, 0, ErrKeyedUnsupported
 	}
 	if err := d.Admit(ctx); err != nil {
 		return 0, 0, err
@@ -244,7 +239,10 @@ func (d *Dispatcher) PlaceKeyed(ctx context.Context, key string) (bin int, sampl
 		return 0, 0, err // unreachable: serve shards never leave rotation
 	}
 	var one [1]int
-	samples = d.placeChunk(shard, one[:], &c, routed)
+	if samples, err = d.placeChunk(shard, one[:], &c, routed); err != nil {
+		d.km.Release(key, shard)
+		return 0, 0, err
+	}
 	return one[0], samples, nil
 }
 
@@ -263,7 +261,10 @@ func (d *Dispatcher) KeyedStats() keyed.Stats { return d.km.Stats() }
 // once every ball is placed. (Aborting mid-bulk would leave already-
 // claimed tickets without balls, skewing the per-shard evenness the
 // max-load bound is built on — so there is deliberately no early
-// exit.)
+// exit.) The one exception is a chunk the spec's rule refuses: then
+// every chunk that did place is taken back and PlaceMany returns
+// ErrFull, having placed nothing. Only rules whose bound ignores
+// ticket evenness ever refuse, so the spent tickets are harmless.
 func (d *Dispatcher) PlaceMany(ctx context.Context, count int) ([]int, int64, error) {
 	if count < 1 {
 		return nil, 0, fmt.Errorf("serve: PlaceMany count %d < 1", count)
@@ -298,6 +299,9 @@ func (d *Dispatcher) PlaceMany(ctx context.Context, count int) ([]int, int64, er
 	if helpers != nil {
 		samples += helpers.wait()
 	}
+	if d.takeBack(counts, bins) {
+		return nil, 0, ErrFull
+	}
 	return bins, samples, nil
 }
 
@@ -323,11 +327,39 @@ func (f *fanOut) wait() int64 {
 
 // placeBulkChunk places one PlaceMany chunk on shard s. Each chunk
 // gets its own capture, sharing the bulk's trace id — a traced bulk
-// shows how its chunks fanned out.
+// shows how its chunks fanned out. A refused chunk places nothing and
+// sets its first bin to -1.
 func (d *Dispatcher) placeBulkChunk(s int, chunk []int, bulk int, trace uint64, t0 time.Time) int64 {
 	c := d.obs.BeginAt(trace, "place", t0)
 	c.Attr("bulk", int64(bulk))
-	return d.placeChunk(s, chunk, &c, 0)
+	samples, err := d.placeChunk(s, chunk, &c, 0)
+	if err != nil {
+		chunk[0] = -1
+	}
+	return samples
+}
+
+// takeBack reports whether a chunk of the bulk was refused and, if so,
+// removes the balls of every chunk that did place, each under its
+// shard's lock, so the bulk leaves every shard's balls as it found
+// them.
+func (d *Dispatcher) takeBack(counts []int64, bins []int) bool {
+	if !slices.Contains(bins, -1) {
+		return false
+	}
+	for s, n := range counts {
+		chunk := bins[:n]
+		bins = bins[n:]
+		if n > 0 && chunk[0] >= 0 {
+			d.sa.WithShardLocked(s, func(a *ballsbins.Allocator, base int) {
+				for _, b := range chunk {
+					a.Remove(b - base)
+				}
+				d.stats.publish(s, a)
+			})
+		}
+	}
+	return true
 }
 
 // Remove takes one ball out of global bin. It returns ErrEmptyBin if
@@ -369,10 +401,14 @@ func (d *Dispatcher) RemoveKeyed(ctx context.Context, bin int, key string) error
 
 // placeChunk places len(bins) balls on shard s under one lock
 // acquisition, writing their global bins, and returns the samples
-// consumed. queued is when the op started waiting for the lock, as an
-// offset from c's begin time.
-func (d *Dispatcher) placeChunk(s int, bins []int, c *obs.Capture, queued int64) (samples int64) {
-	d.run(s, c, queued, func(a *ballsbins.Allocator, base int) error {
+// consumed. When the spec's rule leaves the shard too little room it
+// places none and returns ErrFull. queued is when the op started
+// waiting for the lock, as an offset from c's begin time.
+func (d *Dispatcher) placeChunk(s int, bins []int, c *obs.Capture, queued int64) (samples int64, err error) {
+	err = d.run(s, c, queued, func(a *ballsbins.Allocator, base int) error {
+		if !protocol.Fits(d.rule, a.N(), a.Balls(), int64(len(bins))) {
+			return ErrFull
+		}
 		for i := range bins {
 			local, smp := a.Place()
 			bins[i] = base + local
@@ -380,7 +416,7 @@ func (d *Dispatcher) placeChunk(s int, bins []int, c *obs.Capture, queued int64)
 		}
 		return nil
 	})
-	return samples
+	return samples, err
 }
 
 // run applies op to shard s under the shard lock and publishes the

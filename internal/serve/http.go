@@ -176,7 +176,7 @@ type Handler struct {
 
 // NewHandler builds the front end over a tier:
 //
-//	POST /v1/place[?count=k]  place 1 (default) or k balls
+//	POST /v1/place[?count=k]  place 1 (default) or k balls (507 when full)
 //	POST /v1/place?key=K      keyed placement (bulk + key is a 400)
 //	POST /v1/remove?bin=i[&key=K]  remove one ball from global bin i
 //	GET  /v1/stats            the tier's stats document
@@ -255,7 +255,9 @@ func (h *Handler) status(c wire.Code) int {
 		return http.StatusConflict
 	case wire.CodeDraining, wire.CodeBackendDown, wire.CodeNoBackends:
 		return http.StatusServiceUnavailable
-	case wire.CodeKeyedUnsupported, wire.CodeBadRequest:
+	case wire.CodeFull:
+		return http.StatusInsufficientStorage
+	case wire.CodeBadRequest:
 		return http.StatusBadRequest
 	}
 	return h.t.InternalStatus()

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -124,19 +125,21 @@ func TestHTTPKeyedPlaceRemoveRoundTrip(t *testing.T) {
 	}
 }
 
-// TestKeyedRefusedForThresholdFamily: shard-pinned placement would
-// break the threshold family's per-shard horizon split (a pinned
-// shard past its bound spins the combiner forever), so PlaceKeyed
-// refuses those specs outright — and the HTTP layer surfaces it as a
-// 400, not a hang.
+// TestKeyedRefusedForThresholdFamily: a keyed place on a threshold or
+// fixed shard at capacity is refused with ErrFull, placing nothing —
+// and the HTTP layer surfaces it as a 507, not a hang or a panic.
 func TestKeyedRefusedForThresholdFamily(t *testing.T) {
 	for _, spec := range []ballsbins.Spec{
 		ballsbins.Threshold(),
 		ballsbins.FixedThreshold(4),
 	} {
 		d := NewDispatcher(Config{Spec: spec, N: 64, Shards: 2, Seed: 1, Horizon: 128})
-		if _, _, err := d.PlaceKeyed(context.Background(), "k"); err != ErrKeyedUnsupported {
-			t.Fatalf("%s: PlaceKeyed err = %v, want ErrKeyedUnsupported", spec.Name(), err)
+		var err error
+		for i := 0; err == nil && i < 1000; i++ {
+			_, _, err = d.PlaceKeyed(context.Background(), "k")
+		}
+		if !errors.Is(err, ErrFull) {
+			t.Fatalf("%s: PlaceKeyed err = %v, want ErrFull", spec.Name(), err)
 		}
 		srv := httptest.NewServer(NewHandler(d, Info{Protocol: spec.Name(), N: 64}))
 		resp, err := http.Post(srv.URL+"/v1/place?key=k", "", nil)
@@ -144,8 +147,8 @@ func TestKeyedRefusedForThresholdFamily(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: keyed place status %d, want 400", spec.Name(), resp.StatusCode)
+		if resp.StatusCode != http.StatusInsufficientStorage {
+			t.Fatalf("%s: keyed place status %d, want 507", spec.Name(), resp.StatusCode)
 		}
 		srv.Close()
 		d.Close()

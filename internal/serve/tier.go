@@ -44,8 +44,8 @@ func (d *Dispatcher) ErrCode(err error) wire.Code {
 	switch {
 	case errors.Is(err, ErrDraining):
 		return wire.CodeDraining
-	case errors.Is(err, ErrKeyedUnsupported):
-		return wire.CodeKeyedUnsupported
+	case errors.Is(err, ErrFull):
+		return wire.CodeFull
 	case errors.Is(err, ErrEmptyBin):
 		return wire.CodeEmptyBin
 	}

@@ -1,21 +1,14 @@
 package serve
 
 import (
-	"strings"
-
 	"repro/internal/protocol"
 	"repro/internal/watch"
 )
 
-// adaptiveFamily reports whether the spec's acceptance rule gives the
-// paper's deterministic max-load bound ("adaptive", "adaptive-noslack"
-// — the ⌈m/n⌉+1 family). Greedy/single/memory have no hard bound, and
-// the threshold family's bound is already a fixed horizon; only the
-// adaptive family is armed for live max-load checks.
-func adaptiveFamily(name string) bool { return strings.HasPrefix(name, "adaptive") }
-
-// watchSample assembles one watchdog sample for the serve tier. Every
-// check reads from a consistency domain that cannot tear mid-op:
+// watchSample assembles one watchdog sample for the serve tier. The
+// max-load checks are armed when the spec's rule has a Bound (the
+// adaptive family, threshold, fixed[<b]). Every check reads from a
+// consistency domain that cannot tear mid-op:
 //
 //   - serve_shard_max and serve_books evaluate each shard's published
 //     stats row — an immutable post-op observation taken under the
@@ -33,7 +26,6 @@ func adaptiveFamily(name string) bool { return strings.HasPrefix(name, "adaptive
 //     mutex.
 func (d *Dispatcher) watchSample() watch.Sample {
 	var s watch.Sample
-	adaptive := adaptiveFamily(d.sa.Name())
 
 	// Per-shard checks from the post-op rows. The worst shard
 	// carries the serve_shard_max check; books aggregate exactly.
@@ -52,20 +44,18 @@ func (d *Dispatcher) watchSample() watch.Sample {
 			}
 			booksSkew += skew
 		}
-		if adaptive {
-			bins := d.sa.ShardSize(shard)
-			bound := protocol.MaxLoadBound(bins, row.Placed)
-			if worst.Fields == nil || int64(row.MaxLoad)-bound > worst.Observed-worst.Bound {
-				worst.Observed = int64(row.MaxLoad)
-				worst.Bound = bound
-				worst.Fields = map[string]int64{
-					"shard": int64(shard), "balls": row.Balls,
-					"placed": row.Placed, "bins": int64(bins),
-				}
+		bins := d.sa.ShardSize(shard)
+		bound, ok := protocol.BoundOf(d.rule, bins, row.Placed)
+		if ok && (worst.Fields == nil || int64(row.MaxLoad)-bound > worst.Observed-worst.Bound) {
+			worst.Observed = int64(row.MaxLoad)
+			worst.Bound = bound
+			worst.Fields = map[string]int64{
+				"shard": int64(shard), "balls": row.Balls,
+				"placed": row.Placed, "bins": int64(bins),
 			}
 		}
 	}
-	if adaptive && worst.Fields != nil {
+	if worst.Fields != nil {
 		s.Checks = append(s.Checks, worst)
 	}
 	s.Checks = append(s.Checks, watch.Check{
@@ -82,14 +72,14 @@ func (d *Dispatcher) watchSample() watch.Sample {
 	metrics, balls := d.sa.MetricsWithBalls()
 	ks := d.km.Stats()
 	keyedTraffic := ks.AffinityHits+ks.AffinityMisses > 0
-	if adaptive && !keyedTraffic {
-		// The sharded bound ⌈⌈m/P⌉/⌊n/P⌋⌉+1 is built on round-robin
-		// ticket evenness; keyed traffic pins balls to shards by key
-		// popularity instead, so the global form is armed only while
-		// all traffic is anonymous (the per-shard form above stays
-		// armed either way — shard-local acceptance is unconditional).
-		placed := d.sa.Placed() // monotone: read-after only loosens
-		bound := protocol.MaxLoadBound(d.cfg.N/d.cfg.Shards, protocol.CeilDiv(placed, int64(d.cfg.Shards)))
+	placed := d.sa.Placed() // monotone: read-after only loosens
+	if bound, ok := protocol.BoundOf(d.rule, d.cfg.N/d.cfg.Shards, protocol.CeilDiv(placed, int64(d.cfg.Shards))); ok && !keyedTraffic {
+		// The sharded bound, Bound(⌊n/P⌋, ⌈m/P⌉), is built on
+		// round-robin ticket evenness; keyed traffic pins balls to
+		// shards by key popularity instead, so the global form is armed
+		// only while all traffic is anonymous (the per-shard form above
+		// stays armed either way — shard-local acceptance is
+		// unconditional).
 		s.Checks = append(s.Checks, watch.Check{
 			Invariant: "serve_global_max",
 			Observed:  int64(metrics.MaxLoad),

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -20,14 +21,15 @@ import (
 // determinism. NewDispatcher starts the collector; the fast cadence
 // here just means it also runs, harmlessly, alongside manual ticks
 // (Tick is serialized internally).
-func newWatchedDispatcher(t *testing.T, n, shards int) *Dispatcher {
+func newWatchedDispatcher(t *testing.T, spec ballsbins.Spec, n, shards int, horizon int64) *Dispatcher {
 	t.Helper()
 	d := NewDispatcher(Config{
-		Spec:   ballsbins.Adaptive(),
-		N:      n,
-		Shards: shards,
-		Seed:   1,
-		Watch:  watch.Options{Cadence: time.Millisecond},
+		Spec:    spec,
+		N:       n,
+		Shards:  shards,
+		Seed:    1,
+		Horizon: horizon,
+		Watch:   watch.Options{Cadence: time.Millisecond},
 	})
 	t.Cleanup(d.Close)
 	return d
@@ -38,10 +40,22 @@ func newWatchedDispatcher(t *testing.T, n, shards int) *Dispatcher {
 // and assert that no invariant ever appears violated. The checks read
 // post-batch shard rows and the lock-all metrics path, so a mid-batch
 // read must be structurally impossible — any phantom here is a torn
-// snapshot.
+// snapshot. Every spec whose rule arms the max-load checks runs: the
+// stale and lagged counters under removals, and threshold and fixed,
+// whose places are refused with ErrFull once the churn reaches
+// capacity.
 func TestWatchNoPhantomViolations(t *testing.T) {
+	for _, spec := range []ballsbins.Spec{
+		ballsbins.Adaptive(), ballsbins.StaleAdaptive(8), ballsbins.LaggedAdaptive(4),
+		ballsbins.Threshold(), ballsbins.FixedThreshold(8),
+	} {
+		t.Run(spec.Name(), func(t *testing.T) { watchNoPhantomViolations(t, spec) })
+	}
+}
+
+func watchNoPhantomViolations(t *testing.T, spec ballsbins.Spec) {
 	const n, shards = 128, 4
-	d := newWatchedDispatcher(t, n, shards)
+	d := newWatchedDispatcher(t, spec, n, shards, 1000)
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -70,6 +84,9 @@ func TestWatchNoPhantomViolations(t *testing.T) {
 					continue
 				}
 				bin, _, err := d.Place(ctx)
+				if errors.Is(err, ErrFull) {
+					continue
+				}
 				if err != nil {
 					return
 				}

@@ -22,7 +22,7 @@
 // may reply out of order (requests on one connection run concurrently,
 // so a slow bulk PLACE does not head-of-line-block a PING behind it)
 // and the client demuxes replies back to waiting callers by ID. Typed
-// error codes (CodeEmptyBin, CodeKeyedUnsupported, ...) map 1:1 onto
+// error codes (CodeEmptyBin, CodeFull, ...) map 1:1 onto
 // the HTTP tier's status semantics so both transports are
 // interchangeable at equal correctness.
 //
@@ -137,14 +137,15 @@ func (t MsgType) String() string {
 type Code uint8
 
 const (
-	CodeOK               Code = 0
-	CodeEmptyBin         Code = 1 // HTTP 409: remove from an empty bin
-	CodeDraining         Code = 2 // HTTP 503: server is draining
-	CodeKeyedUnsupported Code = 3 // HTTP 400: engine has no keyed tier
-	CodeBadRequest       Code = 4 // HTTP 400: malformed count/bin/key
-	CodeBackendDown      Code = 5 // HTTP 503: proxy lost the backend mid-flight
-	CodeNoBackends       Code = 6 // HTTP 503: proxy has no live backends
-	CodeInternal         Code = 7 // HTTP 502/500: anything else
+	CodeOK          Code = 0
+	CodeEmptyBin    Code = 1 // HTTP 409: remove from an empty bin
+	CodeDraining    Code = 2 // HTTP 503: server is draining
+	CodeBadRequest  Code = 4 // HTTP 400: malformed count/bin/key
+	CodeBackendDown Code = 5 // HTTP 503: proxy lost the backend mid-flight
+	CodeNoBackends  Code = 6 // HTTP 503: proxy has no live backends
+	CodeInternal    Code = 7 // HTTP 502/500: anything else
+	CodeFull        Code = 8 // HTTP 507: the spec's bound leaves no room
+	// Code 3 (keyed-unsupported) is retired: never reuse it.
 )
 
 // String names the code for diagnostics.
@@ -156,8 +157,6 @@ func (c Code) String() string {
 		return "empty-bin"
 	case CodeDraining:
 		return "draining"
-	case CodeKeyedUnsupported:
-		return "keyed-unsupported"
 	case CodeBadRequest:
 		return "bad-request"
 	case CodeBackendDown:
@@ -166,6 +165,8 @@ func (c Code) String() string {
 		return "no-backends"
 	case CodeInternal:
 		return "internal"
+	case CodeFull:
+		return "full"
 	}
 	return fmt.Sprintf("Code(%d)", uint8(c))
 }

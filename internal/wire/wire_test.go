@@ -58,8 +58,8 @@ func (h *testHandler) Place(ctx context.Context, count int) ([]int, int64, error
 }
 
 func (h *testHandler) PlaceKeyed(ctx context.Context, key string) ([]int, int64, error) {
-	if key == "unsupported" {
-		return nil, 0, &Error{Code: CodeKeyedUnsupported, Msg: "no keyed tier"}
+	if key == "full" {
+		return nil, 0, &Error{Code: CodeFull, Msg: "no room"}
 	}
 	f := fnv.New32a()
 	f.Write([]byte(key))
@@ -265,8 +265,8 @@ func TestClientServerOps(t *testing.T) {
 	if err := c.Remove(ctx, empty, ""); ErrCode(err) != CodeEmptyBin {
 		t.Fatalf("empty bin: err = %v, want CodeEmptyBin", err)
 	}
-	if _, _, err := c.PlaceKeyed(ctx, "unsupported"); ErrCode(err) != CodeKeyedUnsupported {
-		t.Fatalf("keyed unsupported: err = %v", err)
+	if _, _, err := c.PlaceKeyed(ctx, "full"); ErrCode(err) != CodeFull {
+		t.Fatalf("full: err = %v", err)
 	}
 	if err := c.Remove(ctx, 1<<20, ""); ErrCode(err) != CodeBadRequest {
 		t.Fatalf("out-of-range bin: err = %v", err)

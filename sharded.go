@@ -111,6 +111,12 @@ func NewSharded(s Spec, n, shards int, opts ...Option) *ShardedAllocator {
 // Name returns the protocol's identifier.
 func (sa *ShardedAllocator) Name() string { return sa.shards[0].a.Name() }
 
+// Rule returns the acceptance rule the spec defends, or nil for a
+// spec that defends none. Every shard runs it over its own bins with
+// its share of the horizon, so protocol.Fits(Rule(), ShardSize(i),
+// balls, more) tells whether shard i can take more balls.
+func (sa *ShardedAllocator) Rule() protocol.Rule { return sa.shards[0].a.sess.Rule() }
+
 // N returns the total number of bins.
 func (sa *ShardedAllocator) N() int { return sa.n }
 
