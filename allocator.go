@@ -101,6 +101,8 @@ func (a *Allocator) Place() (bin int, samples int64) { return a.sess.Step() }
 // this through the fused O(1)-per-ball histogram hot loop; once bin
 // identities have been observed (Place, Remove, Loads, Load) it
 // continues on the per-ball bucket-index fast path. k <= 0 is a no-op.
+// A batch that does not fit below a Threshold or FixedThreshold bound
+// panics, under either engine, before placing any of its balls.
 func (a *Allocator) PlaceBatch(k int64) int64 { return a.sess.StepBatch(k) }
 
 // Remove takes one ball out of bin i — a departure. It panics if bin i

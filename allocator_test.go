@@ -313,34 +313,47 @@ func TestNewPanics(t *testing.T) {
 }
 
 // TestPlaceAtCapacityPanics: FixedThreshold(1) over 4 bins takes four
-// balls, and the fifth Place panics with the rejection loop's message
-// on both engines. Each engine runs on its own goroutine against a
-// deadline, so a rejection loop without an exit fails the test instead
-// of hanging it.
+// balls, and the place past them panics with the rejection loop's
+// message on both engines: a fifth Place, or a batch that does not
+// fit, which places none of its balls. Each run is on its own
+// goroutine against a deadline, so a rejection loop without an exit
+// fails the test instead of hanging it.
 func TestPlaceAtCapacityPanics(t *testing.T) {
-	for _, e := range []Engine{EngineFast, EngineNaive} {
-		placed := make(chan int, 1)
-		got := make(chan any, 1)
-		go func() {
-			a := New(FixedThreshold(1), 4, WithSeed(1), WithEngine(e))
-			defer func() {
-				placed <- int(a.Balls())
-				got <- recover()
-			}()
+	for _, tc := range []struct {
+		name  string
+		place func(a *Allocator)
+		balls int64 // placed before the refused place
+	}{
+		{"fifth Place", func(a *Allocator) {
 			for range 5 {
 				a.Place()
 			}
-		}()
-		select {
-		case p := <-got:
-			if n := <-placed; n != 4 {
-				t.Errorf("%s: %d balls placed before the panic, want 4", e, n)
+		}, 4},
+		{"PlaceBatch(5)", func(a *Allocator) { a.PlaceBatch(5) }, 0},
+		{"PlaceBatch(2) then PlaceBatch(3)", func(a *Allocator) { a.PlaceBatch(2); a.PlaceBatch(3) }, 2},
+	} {
+		for _, e := range []Engine{EngineFast, EngineNaive} {
+			books := make(chan [3]int64, 1)
+			got := make(chan any, 1)
+			go func() {
+				a := New(FixedThreshold(1), 4, WithSeed(1), WithEngine(e))
+				defer func() {
+					books <- [3]int64{a.Balls(), a.Placed(), a.Removed()}
+					got <- recover()
+				}()
+				tc.place(a)
+			}()
+			select {
+			case p := <-got:
+				if b := <-books; b != [3]int64{tc.balls, tc.balls, 0} {
+					t.Errorf("%s, %s: balls, placed, removed %v after the panic, want %d, %d, 0", tc.name, e, b, tc.balls, tc.balls)
+				}
+				if p != "protocol: rejection sampling with no acceptable bin" {
+					t.Errorf("%s, %s: recovered %v", tc.name, e, p)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s, %s: still running after 5s", tc.name, e)
 			}
-			if p != "protocol: rejection sampling with no acceptable bin" {
-				t.Errorf("%s: fifth Place recovered %v", e, p)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s: fifth Place still running after 5s", e)
 		}
 	}
 }

@@ -149,11 +149,12 @@
 // connections carrying length-prefixed CRC-32-guarded frames (the
 // WAL's framing idiom), request IDs for out-of-order pipelining, and
 // batch coalescing on both ends of the socket — concurrent callers'
-// requests are packed into one write/syscall per flush. Typed error
-// codes map 1:1 onto the HTTP status semantics, the STATS message
-// returns the exact /v1/stats document, and bbproxy transparently
-// dials backends over wire when they advertise a listener (HTTP
-// remains the fallback; failover is transport-agnostic). bbload
+// requests are packed into one write/syscall per flush. Every refusal
+// carries its typed code (one table in internal/wire gives each code
+// its HTTP status), the STATS message returns the exact /v1/stats
+// document, and bbproxy transparently dials backends over wire when
+// they advertise a listener (HTTP remains the fallback; failover is
+// transport-agnostic). bbload
 // -transport wire drives every scenario over it and stamps the
 // coalescing factor and bytes/op into the bench records; see the
 // README's Wire protocol section.

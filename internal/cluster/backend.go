@@ -21,26 +21,6 @@ import (
 	"repro/internal/wire"
 )
 
-// codeErr maps a daemon's typed answer onto the error every transport
-// returns for it, so callers match errors.Is(err, serve.ErrDraining)
-// and the like whatever carried the answer. Any other code returns err
-// unchanged.
-func codeErr(c wire.Code, err error) error {
-	switch c {
-	case wire.CodeEmptyBin:
-		return serve.ErrEmptyBin
-	case wire.CodeDraining:
-		return serve.ErrDraining
-	case wire.CodeFull:
-		return serve.ErrFull
-	case wire.CodeBackendDown:
-		return ErrBackendDown
-	case wire.CodeNoBackends:
-		return ErrNoBackends
-	}
-	return err
-}
-
 // InprocBackend reaches a serve.Tier in process — a dispatch core, or
 // a whole router — with the same answers the tier's front end gives
 // over HTTP and wire. It lets the routing comparison run honestly on
@@ -84,20 +64,11 @@ func (b *InprocBackend) Name() string {
 	return "inproc"
 }
 
-// tierErr maps a tier's error the way its front end does (Tier.ErrCode).
-func tierErr(t serve.Tier, err error) error {
-	if err == nil {
-		return nil
-	}
-	return codeErr(t.ErrCode(err), err)
-}
-
 // Place implements Backend.
 func (b *InprocBackend) Place(ctx context.Context, count int) ([]int, int64, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	bins, samples, err := b.D.PlaceBalls(ctx, "", count)
-	return bins, samples, tierErr(b.D, err)
+	return b.D.PlaceBalls(ctx, "", count)
 }
 
 // Remove implements Backend.
@@ -109,15 +80,14 @@ func (b *InprocBackend) Remove(ctx context.Context, bin int) error {
 func (b *InprocBackend) PlaceKey(ctx context.Context, key string) ([]int, int64, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	bins, samples, err := b.D.PlaceBalls(ctx, key, 1)
-	return bins, samples, tierErr(b.D, err)
+	return b.D.PlaceBalls(ctx, key, 1)
 }
 
 // RemoveKey implements KeyedBackend.
 func (b *InprocBackend) RemoveKey(ctx context.Context, bin int, key string) error {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return tierErr(b.D, b.D.RemoveKeyed(ctx, bin, key))
+	return b.D.RemoveKeyed(ctx, bin, key)
 }
 
 // Stats implements Backend.
@@ -244,35 +214,19 @@ func (b *HTTPBackend) call(ctx context.Context, method, path string) ([]byte, er
 	return nil, b.answerErr(method, path, status, body)
 }
 
-// answerErr maps a non-200 answer onto the error the other transports
-// return for it (see codeErr): 409 is the empty bin, 507 a full
-// shard; a 503 is one of several refusals, which its message names — a
-// drain (either tier's, or /healthz's "draining"), or a proxy's "no
-// healthy backends" or "backend down". Any other answer, such as a
-// recovering daemon's 503, becomes an error naming the request.
+// answerErr turns a non-200 answer into an error. A refusal body
+// (serve.ErrorResponse) carries its code, so it decodes into the typed
+// answer the other transports return. Any other answer, such as
+// /healthz's plain text or a recovering daemon's 503, becomes an error
+// naming the request.
 func (b *HTTPBackend) answerErr(method, path string, status int, body []byte) error {
-	switch status {
-	case http.StatusConflict:
-		return serve.ErrEmptyBin
-	case http.StatusInsufficientStorage:
-		return serve.ErrFull
-	}
 	msg := strings.TrimSpace(string(body)) // /healthz answers plain text
-	var e struct {
-		Error string `json:"error"`
-	}
+	var e serve.ErrorResponse
 	if json.Unmarshal(body, &e) == nil {
-		msg = e.Error
-	}
-	if status == http.StatusServiceUnavailable {
-		switch msg {
-		case serve.ErrDraining.Error(), ErrDraining.Error(), "draining":
-			return serve.ErrDraining
-		case ErrNoBackends.Error():
-			return ErrNoBackends
-		case ErrBackendDown.Error():
-			return ErrBackendDown
+		if e.Code != wire.CodeOK {
+			return &wire.Error{Code: e.Code, Msg: e.Error}
 		}
+		msg = e.Error
 	}
 	return fmt.Errorf("cluster: %s %s%s: status %d: %s", method, b.base, path, status, msg)
 }
@@ -333,8 +287,7 @@ func (b *HTTPBackend) Place(ctx context.Context, count int) ([]int, int64, error
 	return b.place(ctx, "/v1/place")
 }
 
-// Remove implements Backend via POST /v1/remove; the 409 conflict is
-// serve.ErrEmptyBin.
+// Remove implements Backend via POST /v1/remove.
 func (b *HTTPBackend) Remove(ctx context.Context, bin int) error {
 	return b.RemoveKey(ctx, bin, "")
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -65,29 +66,67 @@ func TestBinCountAgreement(t *testing.T) {
 }
 
 // TestClientErrorParity: every refusal either tier's front end
-// answers reaches the client as the same sentinel over every
-// transport — the proxy's no-backends and backend-down included.
+// answers reaches the client as the same answer over every
+// transport — the proxy's no-backends and backend-down included — and
+// HTTP answers it with its code's status.
 func TestClientErrorParity(t *testing.T) {
 	d := serve.NewDispatcher(serve.Config{Spec: ballsbins.Adaptive(), N: 64, Shards: 2, Seed: 1})
 	t.Cleanup(d.Close)
 	rt, _ := newInprocCluster(t, 2, 32, policyNamed("single"), 1)
+	// A proxy whose backends all drain: a place fails over every one
+	// and answers with their refusal. FailAfter keeps them in rotation
+	// for every transport.
+	var down []Backend
+	for i := range 2 {
+		bd := serve.NewDispatcher(serve.Config{Spec: ballsbins.Adaptive(), N: 32, Shards: 1, Seed: uint64(i)})
+		bd.Close()
+		down = append(down, &InprocBackend{D: bd})
+	}
+	drained := NewRouter(Config{Backends: down, BinsPerBackend: 32, Policy: policyNamed("single"), Seed: 1, FailAfter: 1 << 20})
+	t.Cleanup(drained.Close)
+
+	ctx := context.Background()
+	// Each op by its HTTP request; both tiers serve 64 bins.
+	ops := map[string]func(b Backend) error{
+		"/v1/place?key=k":   func(b Backend) error { _, _, err := b.(KeyedBackend).PlaceKey(ctx, "k"); return err },
+		"/v1/place":         func(b Backend) error { _, _, err := b.Place(ctx, 1); return err },
+		"/v1/place?count=0": func(b Backend) error { _, _, err := b.Place(ctx, 0); return err },
+		"/v1/remove?bin=64": func(b Backend) error { return b.Remove(ctx, 64) },
+	}
+	badRequest := &wire.Error{Code: wire.CodeBadRequest}
 	for _, tc := range []struct {
-		tier      serve.Tier
-		err, want error
+		tier serve.Tier
+		err  error // the refusal errTier answers with; nil asks the tier
+		op   string
+		want error
 	}{
-		{d, serve.ErrDraining, serve.ErrDraining},
-		{d, serve.ErrEmptyBin, serve.ErrEmptyBin},
-		{d, serve.ErrFull, serve.ErrFull},
-		{rt, ErrDraining, serve.ErrDraining},
-		{rt, ErrNoBackends, ErrNoBackends},
-		{rt, ErrBackendDown, ErrBackendDown},
-		{rt, serve.ErrFull, serve.ErrFull},
+		{d, serve.ErrDraining, "/v1/place?key=k", serve.ErrDraining},
+		{d, serve.ErrEmptyBin, "/v1/place?key=k", serve.ErrEmptyBin},
+		{d, serve.ErrFull, "/v1/place?key=k", serve.ErrFull},
+		{rt, ErrDraining, "/v1/place?key=k", serve.ErrDraining},
+		{rt, ErrNoBackends, "/v1/place?key=k", ErrNoBackends},
+		{rt, ErrBackendDown, "/v1/place?key=k", ErrBackendDown},
+		{rt, serve.ErrFull, "/v1/place?key=k", serve.ErrFull},
+		{d, nil, "/v1/remove?bin=64", badRequest},
+		{d, nil, "/v1/place?count=0", badRequest},
+		{rt, nil, "/v1/remove?bin=64", badRequest},
+		{rt, nil, "/v1/place?count=0", badRequest},
+		{drained, nil, "/v1/place", serve.ErrDraining},
 	} {
+		tier := tc.tier
+		if tc.err != nil {
+			tier = errTier{tc.tier, tc.err}
+		}
 		for _, transport := range []string{"inproc", "http", "wire"} {
-			b := reachTier(t, transport, errTier{tc.tier, tc.err}, "b").(KeyedBackend)
-			if _, _, err := b.PlaceKey(context.Background(), "k"); !errors.Is(err, tc.want) {
-				t.Errorf("%T refusing with %q over %s: %v, want %v", tc.tier, tc.err, transport, err, tc.want)
+			b := reachTier(t, transport, tier, "b")
+			if err := ops[tc.op](b); !errors.Is(err, tc.want) {
+				t.Errorf("%T answering %s over %s: %v, want %v", tc.tier, tc.op, transport, err, tc.want)
 			}
+		}
+		rec := httptest.NewRecorder()
+		serve.NewHandler(tier, serve.Info{N: tier.N()}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.op, nil))
+		if want := wire.ErrCode(tc.want).Status(0); rec.Code != want {
+			t.Errorf("%T answering %s over HTTP: status %d, want %d", tc.tier, tc.op, rec.Code, want)
 		}
 	}
 }

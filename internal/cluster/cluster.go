@@ -46,31 +46,33 @@ package cluster
 
 import (
 	"context"
-	"errors"
 
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
-// Errors returned by the Router.
+// Errors returned by the Router: typed answers (*wire.Error), like the
+// dispatcher's, so each carries its code to every client.
 var (
 	// ErrNoBackends means no healthy backend was available to route to.
-	ErrNoBackends = errors.New("cluster: no healthy backends")
+	ErrNoBackends error = &wire.Error{Code: wire.CodeNoBackends, Msg: "cluster: no healthy backends"}
 	// ErrDraining is returned once Close has begun.
-	ErrDraining = errors.New("cluster: router draining")
+	ErrDraining error = &wire.Error{Code: wire.CodeDraining, Msg: "cluster: router draining"}
 	// ErrBackendDown is returned by Remove when the backend owning the
 	// target bin is currently evicted (the ball is unreachable until the
 	// backend rejoins).
-	ErrBackendDown = errors.New("cluster: backend down")
+	ErrBackendDown error = &wire.Error{Code: wire.CodeBackendDown, Msg: "cluster: backend down"}
 )
 
 // Backend is one daemon as a client reaches it: the router's view of
 // a routable serving node, and the client behind bbload and bbtop.
 // Implementations must be safe for concurrent use. The three
-// implementations answer alike (same bins, same sentinel errors):
-// InprocBackend (a serve.Tier in process, used for single-machine
-// routing experiments, bbload's in-process targets and CI),
-// HTTPBackend (a remote daemon over HTTP) and WireBackend (the same
-// over the binary protocol).
+// implementations answer alike (same bins, same codes: each returns
+// the answer its transport carried, and errors.Is matches a typed
+// answer by code): InprocBackend (a serve.Tier in process, used for
+// single-machine routing experiments, bbload's in-process targets and
+// CI), HTTPBackend (a remote daemon over HTTP) and WireBackend (the
+// same over the binary protocol).
 type Backend interface {
 	// Name identifies the backend in stats and metrics (e.g. its URL).
 	Name() string
@@ -82,7 +84,8 @@ type Backend interface {
 	// Stats reports the backend's serving stats view (the LoadView
 	// refresh source).
 	Stats(ctx context.Context) (serve.StatsView, error)
-	// Health reports nil when the backend is serving.
+	// Health reports nil when the backend is serving. Its error is
+	// only a verdict: membership reads whether it is nil.
 	Health(ctx context.Context) error
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -78,24 +77,6 @@ func (rt *Router) Ready() error {
 		return ErrNoBackends
 	}
 	return nil
-}
-
-// ErrCode implements serve.Tier for the routing errors and the
-// backends' sentinel errors the router passes through.
-func (rt *Router) ErrCode(err error) wire.Code {
-	switch {
-	case errors.Is(err, ErrDraining):
-		return wire.CodeDraining
-	case errors.Is(err, ErrNoBackends):
-		return wire.CodeNoBackends
-	case errors.Is(err, ErrBackendDown):
-		return wire.CodeBackendDown
-	case errors.Is(err, serve.ErrEmptyBin):
-		return wire.CodeEmptyBin
-	case errors.Is(err, serve.ErrFull):
-		return wire.CodeFull
-	}
-	return wire.CodeInternal
 }
 
 // InternalStatus implements serve.Tier: any other failure came from

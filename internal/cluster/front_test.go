@@ -129,7 +129,7 @@ func TestFullKeepsBackends(t *testing.T) {
 }
 
 // errTier makes a real tier fail PlaceBalls and RemoveKeyed with err,
-// so the front end's mapping runs on that tier's own ErrCode and
+// so the front end answers err's code with that tier's own
 // InternalStatus.
 type errTier struct {
 	serve.Tier

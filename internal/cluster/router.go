@@ -15,6 +15,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/serve"
 	"repro/internal/watch"
+	"repro/internal/wire"
 )
 
 // Config describes a Router.
@@ -393,7 +394,7 @@ func (rt *Router) noteStaleness(slot int) int64 {
 // is a healthy answer and never fails over.
 func (rt *Router) Place(ctx context.Context, count int) ([]int, int64, error) {
 	if count < 1 {
-		return nil, 0, fmt.Errorf("cluster: Place count %d < 1", count)
+		return nil, 0, &wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("cluster: Place count %d < 1", count)}
 	}
 	if err := rt.Admit(ctx); err != nil {
 		return nil, 0, err
@@ -622,7 +623,7 @@ func (rt *Router) Remove(ctx context.Context, bin int) error {
 // as the anonymous path.
 func (rt *Router) RemoveKeyed(ctx context.Context, bin int, key string) error {
 	if bin < 0 || bin >= rt.N() {
-		return fmt.Errorf("cluster: bin %d outside [0,%d)", bin, rt.N())
+		return &wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("cluster: bin %d outside [0,%d)", bin, rt.N())}
 	}
 	if err := rt.Admit(ctx); err != nil {
 		return err

@@ -102,7 +102,6 @@ func (rt *Router) Stats() Stats {
 		st.Keyed = &ks
 	}
 	st.Durability = rt.Durability()
-	minLoad := math.MaxInt
 	for slot := 0; slot < rt.ms.Size(); slot++ {
 		row := BackendRow{
 			Slot:  slot,
@@ -134,21 +133,13 @@ func (rt *Router) Stats() Stats {
 		if row.Balls < st.MinBackendBalls {
 			st.MinBackendBalls = row.Balls
 		}
-		if row.MaxLoad > st.MaxLoad {
-			st.MaxLoad = row.MaxLoad
-		}
-		if row.AgeMs >= 0 && row.MinLoad < minLoad {
-			minLoad = row.MinLoad
-		}
 	}
 	if st.Healthy == 0 {
 		st.MinBackendBalls = 0
 	}
 	st.BackendGap = st.MaxBackendBalls - st.MinBackendBalls
-	if minLoad == math.MaxInt {
-		minLoad = 0
-	}
-	st.Gap = st.MaxLoad - minLoad
+	v := st.View()
+	st.MaxLoad, st.Gap = v.MaxLoad, v.Gap
 	return st
 }
 

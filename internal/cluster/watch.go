@@ -6,12 +6,12 @@ import (
 )
 
 // watchSample assembles one watchdog sample for the cluster tier. The
-// time-series point comes from one rt.Stats() aggregation pass; the
-// cross-backend bound check reads the router's own ledger instead —
-// the LoadView's polled+delta estimate has transient double- and
-// under-count windows around refreshes (a Note landing after a poll
-// already captured the bulk is counted twice until the next refresh),
-// which would fabricate violations.
+// time-series point comes from one rt.Stats() aggregation pass and its
+// View; the cross-backend bound check reads the router's own ledger
+// instead — the LoadView's polled+delta estimate has transient double-
+// and under-count windows around refreshes (a Note landing after a
+// poll already captured the bulk is counted twice until the next
+// refresh), which would fabricate violations.
 //
 // The cross-backend bound needs care on four axes:
 //
@@ -56,24 +56,6 @@ func (rt *Router) watchSample() watch.Sample {
 	cs := rt.Stats()
 	var s watch.Sample
 
-	var placed, removed int64
-	var minLoad = -1
-	var psi float64
-	for _, row := range cs.Rows {
-		if !row.Up {
-			continue
-		}
-		placed += row.Placed
-		removed += row.Removed
-		psi += row.Psi
-		if row.AgeMs >= 0 && (minLoad < 0 || row.MinLoad < minLoad) {
-			minLoad = row.MinLoad
-		}
-	}
-	if minLoad < 0 {
-		minLoad = 0
-	}
-
 	keyedTraffic := cs.Keyed != nil && cs.Keyed.AffinityHits+cs.Keyed.AffinityMisses > 0
 	if _, ok := rt.policy.Bound(cs.Healthy, 0); ok && !keyedTraffic && cs.Evictions == 0 && cs.Fallbacks == 0 {
 		// Ledger read order matters: per-slot placed before removed (a
@@ -114,14 +96,15 @@ func (rt *Router) watchSample() watch.Sample {
 	}
 	s.Checks = serve.AppendKeyedMaxCheck(s.Checks, "cluster_keyed_max", "healthy_backends", cs.Keyed)
 
+	v := cs.View()
 	s.Point = watch.Point{
-		Balls:              cs.Balls,
-		Placed:             placed,
-		Removed:            removed,
-		MaxLoad:            cs.MaxLoad,
-		MinLoad:            minLoad,
-		Gap:                cs.Gap,
-		Psi:                psi,
+		Balls:              v.Balls,
+		Placed:             v.Placed,
+		Removed:            v.Removed,
+		MaxLoad:            v.MaxLoad,
+		MinLoad:            v.MinLoad,
+		Gap:                v.Gap,
+		Psi:                v.Psi,
 		PickStalenessP99Ms: rt.pickStaleness.Snapshot().Quantile(0.99),
 		StageP99Ns:         rt.Obs().StageP99s(),
 	}

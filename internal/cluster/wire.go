@@ -14,8 +14,8 @@ import (
 
 // WireBackend drives a bbserved or bbproxy over the binary protocol
 // when the daemon advertises a wire listener. Its answers are
-// HTTPBackend's — wire codes map back onto the same sentinel errors —
-// so failover and eviction behave the same on either transport. The
+// HTTPBackend's — the same typed answers with the same codes — so
+// failover and eviction behave the same on either transport. The
 // HTTP backend it is built over carries what the protocol does not:
 // whole-ring trace reads and the watchdog's time series.
 type WireBackend struct {
@@ -48,35 +48,24 @@ func NewWireBackend(hb *HTTPBackend, wireAddr string, wantN int) (*WireBackend, 
 // logs name the backend the same on either transport.
 func (b *WireBackend) Name() string { return b.hb.Name() }
 
-// wireErr maps typed wire errors back onto the sentinel errors the
-// router's failover logic matches on.
-func wireErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	return codeErr(wire.ErrCode(err), err)
-}
-
 // Place implements Backend.
 func (b *WireBackend) Place(ctx context.Context, count int) ([]int, int64, error) {
-	bins, samples, err := b.wc.Place(ctx, count)
-	return bins, samples, wireErr(err)
+	return b.wc.Place(ctx, count)
 }
 
 // Remove implements Backend.
 func (b *WireBackend) Remove(ctx context.Context, bin int) error {
-	return wireErr(b.wc.Remove(ctx, bin, ""))
+	return b.wc.Remove(ctx, bin, "")
 }
 
 // PlaceKey implements KeyedBackend.
 func (b *WireBackend) PlaceKey(ctx context.Context, key string) ([]int, int64, error) {
-	bins, samples, err := b.wc.PlaceKeyed(ctx, key)
-	return bins, samples, wireErr(err)
+	return b.wc.PlaceKeyed(ctx, key)
 }
 
 // RemoveKey implements KeyedBackend.
 func (b *WireBackend) RemoveKey(ctx context.Context, bin int, key string) error {
-	return wireErr(b.wc.Remove(ctx, bin, key))
+	return b.wc.Remove(ctx, bin, key)
 }
 
 // Stats implements Backend.
@@ -90,7 +79,7 @@ func (b *WireBackend) Stats(ctx context.Context) (serve.StatsView, error) {
 func (b *WireBackend) StatsDoc(ctx context.Context) (StatsResponse, error) {
 	body, err := b.wc.StatsJSON(ctx)
 	if err != nil {
-		return StatsResponse{}, wireErr(err)
+		return StatsResponse{}, err
 	}
 	var sr StatsResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
@@ -114,9 +103,7 @@ func (b *WireBackend) Transport() TransportStats {
 
 // Health implements Backend via wire PING, which reports draining just
 // like GET /healthz.
-func (b *WireBackend) Health(ctx context.Context) error {
-	return wireErr(b.wc.Ping(ctx))
-}
+func (b *WireBackend) Health(ctx context.Context) error { return b.wc.Ping(ctx) }
 
 // ReadTrace implements TraceBackend. An exact-id lookup rides the wire
 // TRACE message when the connection negotiated protocol ≥ 3; a v2
@@ -133,7 +120,7 @@ func (b *WireBackend) ReadTrace(ctx context.Context, id string) ([]*obs.Op, erro
 			return tr.Ops, nil
 		}
 		if !errors.Is(err, wire.ErrTraceUnsupported) {
-			return nil, wireErr(err)
+			return nil, err
 		}
 	}
 	return b.hb.ReadTrace(ctx, id)

@@ -157,9 +157,21 @@ func (s *Session) Step() (bin int, samples int64) {
 // fused Hist.PlaceBelowBatch hot loop (one call per span of balls
 // sharing an acceptance threshold); otherwise the balls are stepped
 // one at a time on the vector. k <= 0 is a no-op.
+//
+// A rejection protocol's batch must fit below the level of its last
+// ball: n·level(balls+k) − balls ≥ k. The test is exact for threshold
+// and fixed[<b], whose level is constant, and always passes for the
+// adaptive family. A batch that does not fit panics, under either
+// engine, before placing anything.
 func (s *Session) StepBatch(k int64) int64 {
 	if k <= 0 {
 		return 0
+	}
+	if q, ok := s.p.(interface{ level(int64) int }); ok {
+		n, balls := int64(s.N()), s.Balls()
+		if n*int64(q.level(balls+k))-balls < k {
+			panic(errNoAcceptable)
+		}
 	}
 	var total int64
 	if s.h != nil {

@@ -3,9 +3,11 @@
 // callers' operations to a ShardedAllocator, a lock-free stats
 // pipeline for monitoring reads, and the front end both daemons
 // share. Handler serves any Tier — this package's Dispatcher or
-// cluster's Router — over HTTP and the wire protocol, with one error
-// mapping: the tier maps an error to its wire.Code, and the HTTP
-// status follows from the code.
+// cluster's Router — over HTTP and the wire protocol. Every refusal is
+// a typed answer, a *wire.Error that carries its code: the wire server
+// sends the code, HTTP answers with the code's status and the body
+// {"error": msg, "code": name}, and each client hands back the same
+// answer, so errors.Is matches it on every transport.
 //
 // # Dispatch core
 //
@@ -38,8 +40,6 @@ package serve
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -52,23 +52,30 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/watch"
+	"repro/internal/wire"
 )
 
-// ErrDraining is returned by Place/Remove once Close has begun: the
-// dispatcher no longer admits new calls (it is waiting out the ones
-// already admitted).
-var ErrDraining = errors.New("serve: dispatcher draining")
+// The dispatcher's refusals are typed answers (*wire.Error): each
+// carries its wire code, which every transport hands to the client
+// unchanged and from which HTTP takes its status.
+var (
+	// ErrDraining is returned by Place/Remove once Close has begun:
+	// the dispatcher no longer admits new calls (it is waiting out the
+	// ones already admitted).
+	ErrDraining error = &wire.Error{Code: wire.CodeDraining, Msg: "serve: dispatcher draining"}
 
-// ErrEmptyBin is returned by Remove when the target bin holds no
-// balls at execution time.
-var ErrEmptyBin = errors.New("serve: remove from empty bin")
+	// ErrEmptyBin is returned by Remove when the target bin holds no
+	// balls at execution time.
+	ErrEmptyBin error = &wire.Error{Code: wire.CodeEmptyBin, Msg: "serve: remove from empty bin"}
 
-// ErrFull is returned by a place the spec's rule cannot take: the
-// shard it was ticketed or keyed to has too little room below the
-// rule's bound (⌈m/P⌉ split over the shard's bins for threshold, b for
-// fixed[<b]). Nothing was placed; a remove frees room. Specs whose
-// bound tracks the live count (the adaptive family) never refuse.
-var ErrFull = errors.New("serve: shard full (the spec's bound leaves no room for the place)")
+	// ErrFull is returned by a place the spec's rule cannot take: the
+	// shard it was ticketed or keyed to has too little room below the
+	// rule's bound (⌈m/P⌉ split over the shard's bins for threshold, b
+	// for fixed[<b]). Nothing was placed; a remove frees room. Specs
+	// whose bound tracks the live count (the adaptive family) never
+	// refuse.
+	ErrFull error = &wire.Error{Code: wire.CodeFull, Msg: "serve: shard full (the spec's bound leaves no room for the place)"}
+)
 
 // fanOutChunk is the smallest bulk chunk (balls ticketed to one shard
 // by one PlaceMany) that runs on a helper goroutine instead of the
@@ -267,7 +274,7 @@ func (d *Dispatcher) KeyedStats() keyed.Stats { return d.km.Stats() }
 // ticket evenness ever refuse, so the spent tickets are harmless.
 func (d *Dispatcher) PlaceMany(ctx context.Context, count int) ([]int, int64, error) {
 	if count < 1 {
-		return nil, 0, fmt.Errorf("serve: PlaceMany count %d < 1", count)
+		return nil, 0, badRequest("serve: PlaceMany count %d < 1", count)
 	}
 	if err := d.Admit(ctx); err != nil {
 		return nil, 0, err
@@ -363,9 +370,9 @@ func (d *Dispatcher) takeBack(counts []int64, bins []int) bool {
 }
 
 // Remove takes one ball out of global bin. It returns ErrEmptyBin if
-// the bin holds no ball when the shard lock is taken, and an error for
-// out-of-range bins. Like Place, ctx is checked at admission only;
-// past that the removal is committed.
+// the bin holds no ball when the shard lock is taken, and a
+// wire.CodeBadRequest answer for out-of-range bins. Like Place, ctx is
+// checked at admission only; past that the removal is committed.
 func (d *Dispatcher) Remove(ctx context.Context, bin int) error {
 	return d.RemoveKeyed(ctx, bin, "")
 }
@@ -377,7 +384,7 @@ func (d *Dispatcher) Remove(ctx context.Context, bin int) error {
 // Close never seals a keyed store that a release is still writing.
 func (d *Dispatcher) RemoveKeyed(ctx context.Context, bin int, key string) error {
 	if bin < 0 || bin >= d.cfg.N {
-		return fmt.Errorf("serve: bin %d outside [0,%d)", bin, d.cfg.N)
+		return badRequest("serve: bin %d outside [0,%d)", bin, d.cfg.N)
 	}
 	if err := d.Admit(ctx); err != nil {
 		return err

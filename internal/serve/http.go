@@ -55,6 +55,13 @@ type RemoveResponse struct {
 	Removed bool `json:"removed"`
 }
 
+// ErrorResponse is the body of every refused place, remove or stats
+// request: the answer's text and its code's name.
+type ErrorResponse struct {
+	Error string    `json:"error"`
+	Code  wire.Code `json:"code"`
+}
+
 // StatsResponse is the body of GET /v1/stats: the lock-free monitoring
 // view plus dispatch-latency quantiles in nanoseconds and the keyed
 // placement tier's block (key→shard affinity).
@@ -151,11 +158,10 @@ type Tier interface {
 	WriteMetrics(w io.Writer)
 	// Routes mounts the tier-only routes next to the shared ones.
 	Routes(mux *http.ServeMux, info Info)
-	// ErrCode maps an error from PlaceBalls or RemoveKeyed onto its
-	// wire code; HTTP derives its status from the same code.
-	ErrCode(err error) wire.Code
 	// InternalStatus is the HTTP status of wire.CodeInternal: 500 for
-	// a tier's own failure, 502 for a failure it forwards.
+	// a tier's own failure, 502 for a failure it forwards. Every other
+	// answer carries its code (a *wire.Error), and HTTP takes the
+	// code's status.
 	InternalStatus() int
 	// Close drains the tier: new calls are refused, admitted ones
 	// finish, and a durable tier seals its store.
@@ -164,8 +170,9 @@ type Tier interface {
 
 // Handler is the front end both daemons share: it serves a Tier over
 // HTTP (ServeHTTP) and over the binary protocol (it is the tier's
-// wire.Handler), with the same bounds and the same error codes on both
-// transports.
+// wire.Handler), with the same bounds and the same answers on both
+// transports: the wire adapter returns the tier's errors unchanged,
+// and HTTP answers each with its code's status.
 type Handler struct {
 	t     Tier
 	info  Info
@@ -242,30 +249,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeError writes the canonical {"error": ...} body.
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// status maps a wire code onto its HTTP status: the 1:1 table of
-// wire.Code, with the tier choosing the status of CodeInternal.
-func (h *Handler) status(c wire.Code) int {
-	switch c {
-	case wire.CodeEmptyBin:
-		return http.StatusConflict
-	case wire.CodeDraining, wire.CodeBackendDown, wire.CodeNoBackends:
-		return http.StatusServiceUnavailable
-	case wire.CodeFull:
-		return http.StatusInsufficientStorage
-	case wire.CodeBadRequest:
-		return http.StatusBadRequest
-	}
-	return h.t.InternalStatus()
-}
-
-// fail writes a tier error with the status of its wire code.
+// fail answers err with its code's status and an ErrorResponse.
 func (h *Handler) fail(w http.ResponseWriter, err error) {
-	writeError(w, h.status(h.t.ErrCode(err)), "%v", err)
+	c := wire.ErrCode(err)
+	writeJSON(w, c.Status(h.t.InternalStatus()), ErrorResponse{err.Error(), c})
+}
+
+// badRequest is the answer to a malformed request.
+func badRequest(format string, args ...any) error {
+	return &wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf(format, args...)}
 }
 
 // parseBulkCount validates a /v1/place count query value: empty means
@@ -276,10 +268,10 @@ func parseBulkCount(s string) (int, error) {
 	}
 	v, err := strconv.Atoi(s)
 	if err != nil || v < 1 {
-		return 0, fmt.Errorf("count must be a positive integer, got %q", s)
+		return 0, badRequest("count must be a positive integer, got %q", s)
 	}
 	if v > MaxBulkPlace {
-		return 0, fmt.Errorf("count %d exceeds maximum %d", v, MaxBulkPlace)
+		return 0, badRequest("count %d exceeds maximum %d", v, MaxBulkPlace)
 	}
 	return v, nil
 }
@@ -287,7 +279,7 @@ func parseBulkCount(s string) (int, error) {
 func (h *Handler) place(w http.ResponseWriter, r *http.Request) {
 	count, err := parseBulkCount(r.URL.Query().Get("count"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		h.fail(w, err)
 		return
 	}
 	key := r.URL.Query().Get("key")
@@ -297,8 +289,8 @@ func (h *Handler) place(w http.ResponseWriter, r *http.Request) {
 		// honest answer — silently round-robining a keyed bulk (the
 		// pre-keyed behavior) would scatter a key's balls and destroy
 		// the affinity contract without telling the caller.
-		writeError(w, http.StatusBadRequest,
-			"bulk place (count=%d) cannot carry a key: keyed placement is one ball per request; send count=1 requests for key %q", count, key)
+		h.fail(w, badRequest(
+			"bulk place (count=%d) cannot carry a key: keyed placement is one ball per request; send count=1 requests for key %q", count, key))
 		return
 	}
 	bins, samples, err := h.t.PlaceBalls(traceCtx(r), key, count)
@@ -320,26 +312,19 @@ func (h *Handler) place(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) remove(w http.ResponseWriter, r *http.Request) {
 	s := r.URL.Query().Get("bin")
 	if s == "" {
-		writeError(w, http.StatusBadRequest, "missing bin parameter")
+		h.fail(w, badRequest("missing bin parameter"))
 		return
 	}
 	bin, err := strconv.Atoi(s)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bin must be an integer, got %q", s)
+		h.fail(w, badRequest("bin must be an integer, got %q", s))
 		return
 	}
-	if n := h.t.N(); bin < 0 || bin >= n {
-		writeError(w, http.StatusBadRequest, "bin %d outside [0,%d)", bin, n)
-		return
-	}
-	switch err := h.t.RemoveKeyed(traceCtx(r), bin, r.URL.Query().Get("key")); {
-	case err == nil:
-		writeJSON(w, http.StatusOK, RemoveResponse{Bin: bin, Removed: true})
-	case h.t.ErrCode(err) == wire.CodeEmptyBin:
-		writeError(w, http.StatusConflict, "bin %d is empty", bin)
-	default:
+	if err := h.t.RemoveKeyed(traceCtx(r), bin, r.URL.Query().Get("key")); err != nil {
 		h.fail(w, err)
+		return
 	}
+	writeJSON(w, http.StatusOK, RemoveResponse{Bin: bin, Removed: true})
 }
 
 // StatsDocument is t's stats document — the body of /v1/stats, of
@@ -364,7 +349,7 @@ func StatsDocument(t Tier, info Info, ws *wire.Server, q url.Values) (any, error
 func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 	doc, err := StatsDocument(h.t, h.info, h.ws.Load(), r.URL.Query())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		h.fail(w, badRequest("%v", err))
 		return
 	}
 	writeJSON(w, http.StatusOK, doc)

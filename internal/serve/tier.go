@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,7 +9,6 @@ import (
 	"strconv"
 
 	"repro/internal/obs"
-	"repro/internal/wire"
 )
 
 // This file is the Dispatcher's side of the shared front end: the
@@ -37,19 +35,6 @@ func (d *Dispatcher) GatherTrace(ctx context.Context, id uint64) (sources []stri
 		return []string{d.obs.Hop()}, d.obs.Ops(0)
 	}
 	return []string{d.obs.Hop()}, d.obs.OpsByTrace(obs.FormatTrace(id))
-}
-
-// ErrCode implements Tier for the dispatcher's sentinel errors.
-func (d *Dispatcher) ErrCode(err error) wire.Code {
-	switch {
-	case errors.Is(err, ErrDraining):
-		return wire.CodeDraining
-	case errors.Is(err, ErrFull):
-		return wire.CodeFull
-	case errors.Is(err, ErrEmptyBin):
-		return wire.CodeEmptyBin
-	}
-	return wire.CodeInternal
 }
 
 // InternalStatus implements Tier: the dispatcher's own failure is a

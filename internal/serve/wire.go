@@ -3,51 +3,30 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
-// wireErr maps a tier error onto its typed wire error — the code the
-// HTTP half turns into a status.
-func (h *Handler) wireErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &wire.Error{Code: h.t.ErrCode(err), Msg: err.Error()}
-}
-
 // Place implements wire.Handler with /v1/place?count=k semantics.
 func (h *Handler) Place(ctx context.Context, count int) ([]int, int64, error) {
 	if count < 1 || count > MaxBulkPlace {
-		return nil, 0, &wire.Error{
-			Code: wire.CodeBadRequest,
-			Msg:  fmt.Sprintf("count must be in [1,%d], got %d", MaxBulkPlace, count),
-		}
+		return nil, 0, badRequest("count must be in [1,%d], got %d", MaxBulkPlace, count)
 	}
-	bins, samples, err := h.t.PlaceBalls(ctx, "", count)
-	return bins, samples, h.wireErr(err)
+	return h.t.PlaceBalls(ctx, "", count)
 }
 
 // PlaceKeyed implements wire.Handler with /v1/place?key=k semantics.
 func (h *Handler) PlaceKeyed(ctx context.Context, key string) ([]int, int64, error) {
 	if key == "" {
-		return nil, 0, &wire.Error{Code: wire.CodeBadRequest, Msg: "empty key"}
+		return nil, 0, badRequest("empty key")
 	}
-	bins, samples, err := h.t.PlaceBalls(ctx, key, 1)
-	return bins, samples, h.wireErr(err)
+	return h.t.PlaceBalls(ctx, key, 1)
 }
 
 // Remove implements wire.Handler with /v1/remove semantics.
 func (h *Handler) Remove(ctx context.Context, bin int, key string) error {
-	if n := h.t.N(); bin < 0 || bin >= n {
-		return &wire.Error{
-			Code: wire.CodeBadRequest,
-			Msg:  fmt.Sprintf("bin %d outside [0,%d)", bin, n),
-		}
-	}
-	return h.wireErr(h.t.RemoveKeyed(ctx, bin, key))
+	return h.t.RemoveKeyed(ctx, bin, key)
 }
 
 // StatsJSON implements wire.Handler: the exact /v1/stats document, so

@@ -18,8 +18,8 @@ import (
 // serve.Handler, the front end shared with HTTP, so this package stays
 // free of upward imports.
 //
-// Handlers return *Error for typed failures; any other error is
-// reported to the client as CodeInternal.
+// A handler's error is answered with its code (ErrCode: CodeInternal
+// for a chain without an *Error) and its text.
 type Handler interface {
 	// Place places count balls and returns their bins plus the total
 	// probes spent. count has already passed frame-level sanity but
@@ -403,13 +403,7 @@ func (s *Server) handle(ctx context.Context, req Request, dst []byte) (reply []b
 	}
 	if err != nil {
 		s.c.errorReplies.Add(1)
-		code := CodeInternal
-		msg := err.Error()
-		var we *Error
-		if errors.As(err, &we) {
-			code, msg = we.Code, we.Msg
-		}
-		return errBody(AppendReply(dst, req.ID, code, nil), msg)
+		return errBody(AppendReply(dst, req.ID, ErrCode(err), nil), err.Error())
 	}
 	dst = AppendReply(dst, req.ID, CodeOK, body)
 	if req.Type == MsgPlace || req.Type == MsgPlaceKeyed {

@@ -21,10 +21,12 @@
 // Request IDs are per-connection and chosen by the client; the server
 // may reply out of order (requests on one connection run concurrently,
 // so a slow bulk PLACE does not head-of-line-block a PING behind it)
-// and the client demuxes replies back to waiting callers by ID. Typed
-// error codes (CodeEmptyBin, CodeFull, ...) map 1:1 onto
-// the HTTP tier's status semantics so both transports are
-// interchangeable at equal correctness.
+// and the client demuxes replies back to waiting callers by ID. A
+// refusal is an *Error, which carries its own Code: the server answers
+// with the code and the text of any error a handler returns, the client
+// decodes the same *Error, and errors.Is matches it by code. One table
+// gives each code its name and HTTP status, so the wire and HTTP
+// transports answer alike.
 //
 // The server gives each connection long-lived workers, at most
 // ServerOptions.MaxInflight of them: its reader hands each decoded
@@ -51,6 +53,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -132,58 +135,91 @@ func (t MsgType) String() string {
 	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }
 
-// Code is the typed result of a request, mapping 1:1 onto the HTTP
-// tier's status semantics so either transport yields the same errors.
+// Code is the typed result of a request. Its name and HTTP status come
+// from one table, codes, so either transport yields the same answer.
 type Code uint8
 
 const (
 	CodeOK          Code = 0
-	CodeEmptyBin    Code = 1 // HTTP 409: remove from an empty bin
-	CodeDraining    Code = 2 // HTTP 503: server is draining
-	CodeBadRequest  Code = 4 // HTTP 400: malformed count/bin/key
-	CodeBackendDown Code = 5 // HTTP 503: proxy lost the backend mid-flight
-	CodeNoBackends  Code = 6 // HTTP 503: proxy has no live backends
-	CodeInternal    Code = 7 // HTTP 502/500: anything else
-	CodeFull        Code = 8 // HTTP 507: the spec's bound leaves no room
+	CodeEmptyBin    Code = 1 // remove from an empty bin
+	CodeDraining    Code = 2 // server is draining
+	CodeBadRequest  Code = 4 // malformed count/bin/key
+	CodeBackendDown Code = 5 // proxy lost the backend mid-flight
+	CodeNoBackends  Code = 6 // proxy has no live backends
+	CodeInternal    Code = 7 // anything else
+	CodeFull        Code = 8 // the spec's bound leaves no room
 	// Code 3 (keyed-unsupported) is retired: never reuse it.
 )
 
-// String names the code for diagnostics.
+// codes gives each code its name and HTTP status. CodeInternal has no
+// status of its own: the tier chooses it (see Code.Status).
+var codes = [...]struct {
+	name   string
+	status int
+}{
+	CodeOK:          {"ok", http.StatusOK},
+	CodeEmptyBin:    {"empty-bin", http.StatusConflict},
+	CodeDraining:    {"draining", http.StatusServiceUnavailable},
+	CodeBadRequest:  {"bad-request", http.StatusBadRequest},
+	CodeBackendDown: {"backend-down", http.StatusServiceUnavailable},
+	CodeNoBackends:  {"no-backends", http.StatusServiceUnavailable},
+	CodeInternal:    {"internal", 0},
+	CodeFull:        {"full", http.StatusInsufficientStorage},
+}
+
+// String names the code.
 func (c Code) String() string {
-	switch c {
-	case CodeOK:
-		return "ok"
-	case CodeEmptyBin:
-		return "empty-bin"
-	case CodeDraining:
-		return "draining"
-	case CodeBadRequest:
-		return "bad-request"
-	case CodeBackendDown:
-		return "backend-down"
-	case CodeNoBackends:
-		return "no-backends"
-	case CodeInternal:
-		return "internal"
-	case CodeFull:
-		return "full"
+	if int(c) < len(codes) && codes[c].name != "" {
+		return codes[c].name
 	}
 	return fmt.Sprintf("Code(%d)", uint8(c))
 }
 
-// Error is a typed error reply. Adapters construct these from their
-// tier's sentinel errors (serve.ErrEmptyBin → CodeEmptyBin, ...) and
-// clients map them back, so sentinel comparisons work across the wire.
+// Status returns c's HTTP status. CodeInternal, and a code without a
+// name, answer internal: a tier's own failure is a 500, one it
+// forwards a 502.
+func (c Code) Status(internal int) int {
+	if int(c) < len(codes) && codes[c].status != 0 {
+		return codes[c].status
+	}
+	return internal
+}
+
+// MarshalText encodes c as its name, as HTTP refusal bodies carry it.
+func (c Code) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+// UnmarshalText decodes a code's name, refusing a name no code has.
+func (c *Code) UnmarshalText(name []byte) error {
+	for i, e := range codes {
+		if e.name != "" && e.name == string(name) {
+			*c = Code(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("wire: unknown code %q", name)
+}
+
+// Error is a typed answer: a refusal that carries its own code. The
+// tiers' sentinel errors are *Error values, so every transport hands a
+// refusal to its client unchanged and errors.Is matches it by code.
 type Error struct {
 	Code Code
 	Msg  string
 }
 
+// Error returns Msg, so a refusal reads the same on every transport,
+// or names the code when there is no message.
 func (e *Error) Error() string {
 	if e.Msg == "" {
 		return "wire: " + e.Code.String()
 	}
-	return "wire: " + e.Code.String() + ": " + e.Msg
+	return e.Msg
+}
+
+// Is reports whether target is an *Error with the same code.
+func (e *Error) Is(target error) bool {
+	t, ok := target.(*Error)
+	return ok && t.Code == e.Code
 }
 
 // ErrCode extracts the typed code from an error chain, or CodeInternal

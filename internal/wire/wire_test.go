@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net"
@@ -217,6 +218,34 @@ func TestReplyCodecRoundTrip(t *testing.T) {
 	got, err := ParseHelloBody(AppendHelloBody(nil, h))
 	if err != nil || got != h {
 		t.Fatalf("hello round trip = %+v, %v; want %+v", got, err, h)
+	}
+
+	// Every named code round-trips through a reply and through its
+	// name; a typed answer matches another only by code.
+	for c := range Code(len(codes)) {
+		if codes[c].name == "" {
+			continue
+		}
+		if rep, err := ParseReply(AppendReply(nil, 1, c, nil)); err != nil || rep.Code != c {
+			t.Fatalf("reply with %v = %+v, %v", c, rep, err)
+		}
+		name, err := c.MarshalText()
+		var back Code
+		if err != nil || back.UnmarshalText(name) != nil || back != c {
+			t.Fatalf("%v through its name %q = %v, %v", c, name, back, err)
+		}
+		for d := range Code(len(codes)) {
+			chain := fmt.Errorf("forwarded: %w", &Error{Code: c, Msg: "one"})
+			if got := errors.Is(chain, &Error{Code: d, Msg: "another"}); got != (c == d) {
+				t.Fatalf("errors.Is(%v answer, %v answer) = %v", c, d, got)
+			}
+		}
+	}
+	for _, name := range []string{"", "Code(3)", "keyed-unsupported", "FULL", "full "} {
+		var c Code
+		if err := c.UnmarshalText([]byte(name)); err == nil {
+			t.Fatalf("unknown code name %q decoded as %v", name, c)
+		}
 	}
 }
 
