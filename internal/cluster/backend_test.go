@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	ballsbins "repro"
@@ -86,12 +87,16 @@ func TestClientErrorParity(t *testing.T) {
 	t.Cleanup(drained.Close)
 
 	ctx := context.Background()
+	long := strings.Repeat("k", wire.MaxKeyLen+1)
+	longPlace, longRemove := "/v1/place?key="+long, "/v1/remove?bin=1&key="+long
 	// Each op by its HTTP request; both tiers serve 64 bins.
 	ops := map[string]func(b Backend) error{
-		"/v1/place?key=k":   func(b Backend) error { _, _, err := b.(KeyedBackend).PlaceKey(ctx, "k"); return err },
+		"/v1/place?key=k":   func(b Backend) error { _, _, err := b.PlaceKey(ctx, "k"); return err },
 		"/v1/place":         func(b Backend) error { _, _, err := b.Place(ctx, 1); return err },
 		"/v1/place?count=0": func(b Backend) error { _, _, err := b.Place(ctx, 0); return err },
 		"/v1/remove?bin=64": func(b Backend) error { return b.Remove(ctx, 64) },
+		longPlace:           func(b Backend) error { _, _, err := b.PlaceKey(ctx, long); return err },
+		longRemove:          func(b Backend) error { return b.RemoveKey(ctx, 1, long) },
 	}
 	badRequest := &wire.Error{Code: wire.CodeBadRequest}
 	for _, tc := range []struct {
@@ -111,6 +116,10 @@ func TestClientErrorParity(t *testing.T) {
 		{d, nil, "/v1/place?count=0", badRequest},
 		{rt, nil, "/v1/remove?bin=64", badRequest},
 		{rt, nil, "/v1/place?count=0", badRequest},
+		{d, nil, longPlace, badRequest},
+		{d, nil, longRemove, badRequest},
+		{rt, nil, longPlace, badRequest},
+		{rt, nil, longRemove, badRequest},
 		{drained, nil, "/v1/place", serve.ErrDraining},
 	} {
 		tier := tc.tier
@@ -149,7 +158,6 @@ func TestBackendAllocs(t *testing.T) {
 			Watch: watch.Options{Disabled: true}})
 		t.Cleanup(d.Close)
 		b := serveOver(t, tc.transport, []*serve.Dispatcher{d})[0]
-		kb := b.(KeyedBackend)
 		ctx := context.Background()
 		pair := func() {
 			bins, _, err := b.Place(ctx, 1)
@@ -161,9 +169,9 @@ func TestBackendAllocs(t *testing.T) {
 			}
 		}
 		keyedPair := func() {
-			bins, _, err := kb.PlaceKey(ctx, "k")
+			bins, _, err := b.PlaceKey(ctx, "k")
 			if err == nil {
-				err = kb.RemoveKey(ctx, bins[0], "k")
+				err = b.RemoveKey(ctx, bins[0], "k")
 			}
 			if err != nil {
 				t.Fatal(err)

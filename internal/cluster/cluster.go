@@ -32,7 +32,10 @@
 //     probe cap and bound; a protocol "retry" becomes a probe of
 //     another backend against the stale load view — then forwards the request
 //     over a per-backend pooled connection, failing over to another
-//     backend when the chosen one errors.
+//     backend when the chosen one errors. Anonymous and keyed places
+//     share one failover loop, and one verdict reads every backend
+//     answer: a healthy backend's refusal (full, empty bin) is never
+//     evidence against it.
 //
 // Router implements serve.Tier, so bbproxy serves it through the same
 // front end (serve.Handler, run by internal/daemon) as bbserved serves
@@ -72,7 +75,8 @@ var (
 // answer by code): InprocBackend (a serve.Tier in process, used for
 // single-machine routing experiments, bbload's in-process targets and
 // CI), HTTPBackend (a remote daemon over HTTP) and WireBackend (the
-// same over the binary protocol).
+// same over the binary protocol). Keyed operations are part of every
+// backend.
 type Backend interface {
 	// Name identifies the backend in stats and metrics (e.g. its URL).
 	Name() string
@@ -87,18 +91,18 @@ type Backend interface {
 	// Health reports nil when the backend is serving. Its error is
 	// only a verdict: membership reads whether it is nil.
 	Health(ctx context.Context) error
+	KeyedBackend
 }
 
-// KeyedBackend is implemented by backends that accept keyed
-// operations, forwarding the key so the backend's own keyed tier
-// (its key→shard affinity) sees it too — end-to-end affinity:
-// bbproxy pins the key's backend, the backend pins the key's shard.
-// The router falls back to anonymous Place/Remove when a backend
-// does not implement it.
+// KeyedBackend is a backend's keyed operations, which forward the key
+// so the backend's own keyed tier (its key→shard affinity) sees it
+// too — end-to-end affinity: bbproxy pins the key's backend, the
+// backend pins the key's shard.
 type KeyedBackend interface {
 	// PlaceKey places one ball for key and returns its backend-local
 	// bin.
 	PlaceKey(ctx context.Context, key string) (bins []int, samples int64, err error)
-	// RemoveKey removes one of key's balls from backend-local bin.
+	// RemoveKey removes one of key's balls from backend-local bin; key
+	// "" is Remove.
 	RemoveKey(ctx context.Context, bin int, key string) error
 }

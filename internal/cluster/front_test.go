@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	ballsbins "repro"
@@ -123,6 +124,57 @@ func TestFullKeepsBackends(t *testing.T) {
 			if st.Keyed.MovedKeys != 0 || st.Keyed.LiveBalls != 0 {
 				t.Fatalf("after refused keyed places: moved_keys %d live_balls %d, want 0/0",
 					st.Keyed.MovedKeys, st.Keyed.LiveBalls)
+			}
+		})
+	}
+}
+
+// TestRefusalsKeepBackends: a place over serve.MaxBulkPlace and a
+// keyed place or remove with a key over wire.MaxKeyLen are malformed
+// requests. The router refuses them itself, as every backend's front
+// end would, so no backend is blamed, no place fails over and no key
+// keeps a ref, on every transport.
+func TestRefusalsKeepBackends(t *testing.T) {
+	long := strings.Repeat("k", wire.MaxKeyLen+1)
+	for _, transport := range []string{"inproc", "http", "wire"} {
+		t.Run(transport, func(t *testing.T) {
+			const k = 3
+			ds := make([]*serve.Dispatcher, k)
+			for i := range ds {
+				ds[i] = serve.NewDispatcher(serve.Config{Spec: ballsbins.Adaptive(), N: 64, Shards: 2, Seed: uint64(i + 1)})
+				t.Cleanup(ds[i].Close)
+			}
+			rt := NewRouter(Config{
+				Backends:       serveOver(t, transport, ds),
+				BinsPerBackend: 64,
+				Policy:         policyNamed("adaptive"),
+				Seed:           7,
+				FailAfter:      2,
+				Keyed:          &keyed.Config{},
+			})
+			defer rt.Close()
+			ctx := context.Background()
+			for _, tc := range []struct {
+				name string
+				op   func() error
+			}{
+				{"over-cap place", func() error { _, _, err := rt.Place(ctx, serve.MaxBulkPlace+1); return err }},
+				{"long-key place", func() error { _, _, err := rt.PlaceKeyed(ctx, long); return err }},
+				{"long-key remove", func() error { return rt.RemoveKeyed(ctx, 0, long) }},
+			} {
+				for i := 0; i < 2; i++ {
+					if err := tc.op(); wire.ErrCode(err) != wire.CodeBadRequest {
+						t.Fatalf("%s %d: %v, want bad-request", tc.name, i, err)
+					}
+				}
+			}
+			st := rt.Stats()
+			if st.Healthy != k || st.Evictions != 0 || st.Failovers != 0 || st.Keyed.LiveBalls != 0 {
+				t.Fatalf("after refusals: healthy %d evictions %d failovers %d live_balls %d, want %d/0/0/0",
+					st.Healthy, st.Evictions, st.Failovers, st.Keyed.LiveBalls, k)
+			}
+			if _, _, err := rt.Place(ctx, 1); err != nil {
+				t.Fatalf("place after refusals: %v", err)
 			}
 		})
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 func newProxyServer(t *testing.T, k, n int, policy Policy) (*Router, []*serve.Dispatcher, *httptest.Server) {
@@ -126,6 +127,10 @@ func TestProxyHTTPMalformed(t *testing.T) {
 		{"POST", "/v1/remove", http.StatusBadRequest},
 		{"POST", "/v1/remove?bin=xyz", http.StatusBadRequest},
 		{"POST", fmt.Sprintf("/v1/remove?bin=%d", k*n), http.StatusBadRequest},
+		{"GET", "/v1/trace?id=zz", http.StatusBadRequest},
+		{"GET", "/v1/trace/zz", http.StatusBadRequest},
+		{"GET", "/v1/timeseries?window=x", http.StatusBadRequest},
+		{"GET", "/v1/events?since=zebra", http.StatusBadRequest},
 		{"GET", "/v1/place", http.StatusMethodNotAllowed},
 		{"GET", "/nosuch", http.StatusNotFound},
 	} {
@@ -137,9 +142,14 @@ func TestProxyHTTPMalformed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
 		}
+		var e serve.ErrorResponse
+		derr := json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
 		if resp.StatusCode != tc.wantStatus {
 			t.Errorf("%s %s: status %d want %d", tc.method, tc.path, resp.StatusCode, tc.wantStatus)
+		}
+		if tc.wantStatus == http.StatusBadRequest && (derr != nil || e.Code != wire.CodeBadRequest) {
+			t.Errorf("%s %s: code %v (decode error %v), want bad-request", tc.method, tc.path, e.Code, derr)
 		}
 	}
 }

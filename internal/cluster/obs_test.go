@@ -183,6 +183,20 @@ func (b *toggleBackend) Remove(ctx context.Context, bin int) error {
 	return b.d.Remove(ctx, bin)
 }
 
+func (b *toggleBackend) PlaceKey(ctx context.Context, key string) ([]int, int64, error) {
+	if b.down.Load() {
+		return nil, 0, fmt.Errorf("toggle: down")
+	}
+	return b.d.PlaceBalls(ctx, key, 1)
+}
+
+func (b *toggleBackend) RemoveKey(ctx context.Context, bin int, key string) error {
+	if b.down.Load() {
+		return fmt.Errorf("toggle: down")
+	}
+	return b.d.RemoveKeyed(ctx, bin, key)
+}
+
 func (b *toggleBackend) Stats(context.Context) (serve.StatsView, error) {
 	if b.down.Load() {
 		return serve.StatsView{}, fmt.Errorf("toggle: down")

@@ -385,214 +385,185 @@ func (rt *Router) noteStaleness(slot int) int64 {
 	return ms
 }
 
-// Place routes count balls to one policy-chosen backend and returns
-// their global bins plus the backend-reported allocation samples. When
-// the chosen backend errors the request fails over to another healthy
-// backend (the error is reported to Membership, so a dead backend is
-// evicted by its own traffic); Place fails only when every healthy
-// backend has been tried, or with the chosen backend's ErrFull, which
-// is a healthy answer and never fails over.
-func (rt *Router) Place(ctx context.Context, count int) ([]int, int64, error) {
-	if count < 1 {
-		return nil, 0, &wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("cluster: Place count %d < 1", count)}
-	}
-	if err := rt.Admit(ctx); err != nil {
-		return nil, 0, err
-	}
-	defer rt.Done()
-	t0 := time.Now()
+// badRequest is the answer to a malformed request, refused before
+// admission.
+func badRequest(format string, args ...any) error {
+	return &wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf(format, args...)}
+}
+
+// begin opens op's traced capture at t0. When this hop head-sampled
+// the op, the minted trace id rides ctx downstream, so the backend
+// records its spans under the same trace.
+func (rt *Router) begin(ctx context.Context, op string, t0 time.Time) (context.Context, obs.Capture) {
 	upstream := obs.TraceFrom(ctx)
-	c := rt.Obs().BeginAt(upstream, "place", t0)
+	c := rt.Obs().BeginAt(upstream, op, t0)
 	if id := c.Trace(); id != upstream {
-		// Head-sampled here: propagate the minted id downstream so the
-		// serve hop records its spans under the same trace.
 		ctx = obs.WithTrace(ctx, id)
 	}
-	var probesTotal, failovers int
-	staleMs := int64(-1)
-	finish := func(err error) {
-		c.Attr("count", int64(count))
-		c.Attr("probes", int64(probesTotal))
-		c.Attr("failovers", int64(failovers))
-		if staleMs >= 0 {
-			c.Attr("staleness_ms_at_pick", staleMs)
-		}
-		c.End(err)
-	}
-	candidates := rt.ms.Healthy()
-	var lastErr error
-	for len(candidates) > 0 {
-		if err := ctx.Err(); err != nil {
-			finish(err)
-			return nil, 0, err
-		}
-		pickStart := time.Now()
-		slot, probes, ms := rt.pick(candidates, count)
-		c.Stage("probe", pickStart)
-		probesTotal += probes
-		staleMs = ms
-		fwdStart := time.Now()
-		bins, samples, err := rt.ms.Backend(slot).Place(ctx, count)
-		c.Stage("forward", fwdStart)
-		if err == nil {
-			rt.ms.ReportSuccess(slot)
-			rt.note(slot, int64(count))
-			for i := range bins {
-				bins[i] += slot * rt.n
-			}
-			rt.window.Record(int64(time.Since(t0)))
-			finish(nil)
-			return bins, samples, nil
-		}
-		// A dead caller is not evidence against the backend: when the
-		// failure is the caller's own context (disconnect, deadline),
-		// return it without reporting or failing over — otherwise two
-		// client disconnects could evict a healthy backend.
-		if ctx.Err() != nil {
-			finish(ctx.Err())
-			return nil, 0, ctx.Err()
-		}
-		if errors.Is(err, serve.ErrFull) {
-			// A healthy backend's answer (like ErrEmptyBin on remove):
-			// its spec's bound leaves no room. Failing over would only
-			// evict healthy backends.
-			rt.ms.ReportSuccess(slot)
-			finish(err)
-			return nil, 0, err
-		}
-		lastErr = err
-		failovers++
-		rt.failovers.Add(1)
+	return ctx, c
+}
+
+// verdict reads backend slot's answer err for membership and reports
+// whether a place should fail over. nil, and a healthy backend's
+// refusal (full, empty bin), is a success: failing over would only
+// evict healthy backends. A failure of the caller's own ctx
+// (disconnect, deadline) is no evidence at all, or two client
+// disconnects could evict a healthy backend. Anything else is a
+// failure, which counts toward eviction.
+func (rt *Router) verdict(ctx context.Context, slot int, err error) (failover bool) {
+	switch {
+	case err == nil, errors.Is(err, serve.ErrFull), errors.Is(err, serve.ErrEmptyBin):
+		rt.ms.ReportSuccess(slot)
+	case ctx.Err() == nil:
 		rt.ms.ReportFailure(slot)
-		candidates = without(candidates, slot)
+		return true
 	}
-	if lastErr == nil {
-		finish(ErrNoBackends)
-		return nil, 0, ErrNoBackends
+	return false
+}
+
+// Place routes count balls to one policy-chosen backend and returns
+// their global bins plus the backend-reported allocation samples. When
+// the chosen backend fails the request fails over to another healthy
+// backend (a dead backend is evicted by its own traffic); Place fails
+// only when every healthy backend has been tried, or with the chosen
+// backend's own refusal, such as serve.ErrFull. count is at most
+// serve.MaxBulkPlace, the bound every front end keeps.
+func (rt *Router) Place(ctx context.Context, count int) ([]int, int64, error) {
+	if count < 1 || count > serve.MaxBulkPlace {
+		return nil, 0, badRequest("cluster: Place count %d outside [1,%d]", count, serve.MaxBulkPlace)
 	}
-	err := fmt.Errorf("cluster: place failed on every healthy backend: %w", lastErr)
-	finish(err)
-	return nil, 0, err
+	return rt.place(ctx, count, "")
 }
 
 // PlaceKeyed routes one ball for key to the key's assigned backend —
 // the keyed tier's dispatch path. First contact probes an assignment
 // under the keyed policy's bounded-load rule; repeat traffic hits the
 // same backend with zero probes; a hot key spreads over its replica
-// set. When the assigned backend errors, the key's replica is moved
+// set. When the assigned backend fails, the key's replica is moved
 // (one deterministic re-probe of its own sequence, counted in
-// moved_keys) and the placement retries there — like Place, keyed
-// placements fail only when every healthy candidate has been tried
-// (or with ErrFull, as Place does, releasing the key's ref and moving
-// no key), so a backend death costs zero client-visible place errors.
-// Falls back to anonymous Place when the router has no keyed tier or
-// key is empty.
+// moved_keys) and the placement retries there, so a backend death
+// costs zero client-visible place errors. A key longer than
+// wire.MaxKeyLen is refused. Without a keyed tier, or with key "",
+// PlaceKeyed is Place of one ball.
 func (rt *Router) PlaceKeyed(ctx context.Context, key string) ([]int, int64, error) {
-	km := rt.Keyed()
-	if km == nil || key == "" {
+	if len(key) > wire.MaxKeyLen {
+		return nil, 0, badRequest("cluster: key of %d bytes exceeds %d", len(key), wire.MaxKeyLen)
+	}
+	if rt.Keyed() == nil || key == "" {
 		return rt.Place(ctx, 1)
 	}
+	return rt.place(ctx, 1, key)
+}
+
+// place is the router's one failover loop, for anonymous places (key
+// "") and keyed ones. They differ only in where each attempt's slot
+// comes from: a fresh policy pick among the untried healthy slots, or
+// the key's affinity (KeyMap.Route, then MoveOff after a failure).
+func (rt *Router) place(ctx context.Context, count int, key string) (bins []int, samples int64, err error) {
 	if err := rt.Admit(ctx); err != nil {
 		return nil, 0, err
 	}
 	defer rt.Done()
 	t0 := time.Now()
-	upstream := obs.TraceFrom(ctx)
-	c := rt.Obs().BeginAt(upstream, "place", t0)
-	if id := c.Trace(); id != upstream {
-		ctx = obs.WithTrace(ctx, id)
-	}
-	var failovers int
+	ctx, c := rt.begin(ctx, "place", t0)
+	km := rt.Keyed()
+	slot := -1
+	var candidates, tried []int
+	var probes, failovers int
 	staleMs := int64(-1)
-	// Keyed decisions and their probes are accounted in the keyed
-	// stats block, not in picks/probes — mixing them would corrupt
-	// probes_per_pick, whose denominator is anonymous policy picks.
-	slot, keyProbes, hit, err := km.Route(key)
-	c.Stage("probe", t0)
-	c.Attr("key_probes", int64(keyProbes))
-	if hit {
-		c.Attr("key_hit", 1)
-	}
-	finish := func(err error) {
+	var lastErr error
+	defer func() {
+		// Route counted the key's ball against slot: an exit that placed
+		// nothing releases that ref, or a failed request would leave the
+		// key looking busy forever (immune to idle eviction, inflating
+		// live-ball balancing).
+		if err != nil && key != "" && slot >= 0 {
+			km.Release(key, slot)
+		}
+		if key == "" {
+			c.Attr("count", int64(count))
+			c.Attr("probes", int64(probes))
+		}
 		c.Attr("failovers", int64(failovers))
 		if staleMs >= 0 {
 			c.Attr("staleness_ms_at_pick", staleMs)
 		}
 		c.End(err)
+	}()
+	if key == "" {
+		candidates = rt.ms.Healthy()
 	}
-	if err != nil {
-		finish(ErrNoBackends)
-		return nil, 0, ErrNoBackends
-	}
-	staleMs = rt.noteStaleness(slot)
-	// Route counted the incoming ball against the key; every exit that
-	// does NOT place it must release that ref, or a failed request
-	// would leave the key looking busy forever (immune to idle
-	// eviction, inflating live-ball balancing).
-	var lastErr error
-	var tried []int
-	for len(tried) <= rt.ms.Size() {
+	for {
 		if err := ctx.Err(); err != nil {
-			km.Release(key, slot)
-			finish(err)
 			return nil, 0, err
 		}
+		switch {
+		case key == "":
+			// Keyed decisions and their probes are accounted in the keyed
+			// stats block, not in picks/probes: probes_per_pick's
+			// denominator is anonymous policy picks.
+			if slot >= 0 {
+				candidates = without(candidates, slot)
+			}
+			if len(candidates) == 0 {
+				return nil, 0, exhausted(lastErr)
+			}
+			pickStart := time.Now()
+			var p int
+			slot, p, staleMs = rt.pick(candidates, count)
+			c.Stage("probe", pickStart)
+			probes += p
+		case slot < 0:
+			s, keyProbes, hit, rerr := km.Route(key)
+			c.Stage("probe", t0)
+			c.Attr("key_probes", int64(keyProbes))
+			if hit {
+				c.Attr("key_hit", 1)
+			}
+			if rerr != nil {
+				return nil, 0, ErrNoBackends
+			}
+			slot, staleMs = s, rt.noteStaleness(s)
+		default:
+			tried = append(tried, slot)
+			next, merr := km.MoveOff(key, slot, tried)
+			if merr != nil {
+				return nil, 0, exhausted(lastErr) // no healthy slot outside tried
+			}
+			slot = next
+		}
 		fwdStart := time.Now()
-		bins, samples, perr := placeKeyOn(ctx, rt.ms.Backend(slot), key)
+		b := rt.ms.Backend(slot)
+		if key == "" {
+			bins, samples, err = b.Place(ctx, count)
+		} else {
+			bins, samples, err = b.PlaceKey(ctx, key)
+		}
 		c.Stage("forward", fwdStart)
-		if perr == nil {
-			rt.ms.ReportSuccess(slot)
-			rt.note(slot, 1)
+		if !rt.verdict(ctx, slot, err) {
+			if err != nil {
+				return nil, 0, err
+			}
+			rt.note(slot, int64(count))
 			for i := range bins {
 				bins[i] += slot * rt.n
 			}
 			rt.window.Record(int64(time.Since(t0)))
-			finish(nil)
 			return bins, samples, nil
 		}
-		// A dead caller is not evidence against the backend (see Place).
-		if ctx.Err() != nil {
-			km.Release(key, slot)
-			finish(ctx.Err())
-			return nil, 0, ctx.Err()
-		}
-		if errors.Is(perr, serve.ErrFull) {
-			// A healthy backend's answer (see Place): release the ref
-			// and keep the key where it is.
-			rt.ms.ReportSuccess(slot)
-			km.Release(key, slot)
-			finish(perr)
-			return nil, 0, perr
-		}
-		lastErr = perr
+		lastErr = err
 		failovers++
 		rt.failovers.Add(1)
-		rt.ms.ReportFailure(slot)
-		tried = append(tried, slot)
-		next, merr := km.MoveOff(key, slot, tried)
-		if merr != nil {
-			break // no healthy bin outside the tried set remains
-		}
-		slot = next
 	}
-	km.Release(key, slot)
-	if lastErr == nil {
-		finish(ErrNoBackends)
-		return nil, 0, ErrNoBackends
-	}
-	err = fmt.Errorf("cluster: keyed place failed on every candidate backend: %w", lastErr)
-	finish(err)
-	return nil, 0, err
 }
 
-// placeKeyOn forwards a keyed placement, passing the key through to
-// backends that understand it (end-to-end affinity) and degrading to
-// an anonymous single place otherwise.
-func placeKeyOn(ctx context.Context, b Backend, key string) ([]int, int64, error) {
-	if kb, ok := b.(KeyedBackend); ok {
-		return kb.PlaceKey(ctx, key)
+// exhausted is a place's answer once no slot is left to try: the last
+// backend's failure, or ErrNoBackends when no backend was tried.
+func exhausted(lastErr error) error {
+	if lastErr == nil {
+		return ErrNoBackends
 	}
-	return b.Place(ctx, 1)
+	return fmt.Errorf("cluster: place failed on every healthy backend: %w", lastErr)
 }
 
 // without returns candidates minus slot, copying (the healthy snapshot
@@ -620,10 +591,13 @@ func (rt *Router) Remove(ctx context.Context, bin int) error {
 // ball too) and a successful removal releases the ball from the
 // router's own KeyMap. Departures of balls stranded on a dead
 // backend still fail with ErrBackendDown — honest accounting, same
-// as the anonymous path.
+// as the anonymous path. A key longer than wire.MaxKeyLen is refused.
 func (rt *Router) RemoveKeyed(ctx context.Context, bin int, key string) error {
 	if bin < 0 || bin >= rt.N() {
-		return &wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("cluster: bin %d outside [0,%d)", bin, rt.N())}
+		return badRequest("cluster: bin %d outside [0,%d)", bin, rt.N())
+	}
+	if len(key) > wire.MaxKeyLen {
+		return badRequest("cluster: key of %d bytes exceeds %d", len(key), wire.MaxKeyLen)
 	}
 	if err := rt.Admit(ctx); err != nil {
 		return err
@@ -634,38 +608,20 @@ func (rt *Router) RemoveKeyed(ctx context.Context, bin int, key string) error {
 		return ErrBackendDown
 	}
 	t0 := time.Now()
-	upstream := obs.TraceFrom(ctx)
-	c := rt.Obs().BeginAt(upstream, "remove", t0)
-	if id := c.Trace(); id != upstream {
-		ctx = obs.WithTrace(ctx, id)
-	}
-	var err error
-	if kb, ok := rt.ms.Backend(slot).(KeyedBackend); ok && key != "" {
-		err = kb.RemoveKey(ctx, local, key)
-	} else {
-		err = rt.ms.Backend(slot).Remove(ctx, local)
-	}
+	ctx, c := rt.begin(ctx, "remove", t0)
+	err := rt.ms.Backend(slot).RemoveKey(ctx, local, key)
 	c.Stage("forward", t0)
-	defer c.End(err)
-	switch {
-	case err == nil:
-		rt.ms.ReportSuccess(slot)
+	// A remove never fails over: the ball lives on slot alone. Its
+	// failures still count toward eviction, so a dead backend serving
+	// only departures leaves rotation.
+	rt.verdict(ctx, slot, err)
+	if err == nil {
 		rt.note(slot, -1)
 		if km := rt.Keyed(); km != nil && key != "" {
 			km.Release(key, slot)
 		}
-	case errors.Is(err, serve.ErrEmptyBin):
-		// A well-formed answer from a healthy backend — the caller's
-		// books are wrong, not the backend.
-		rt.ms.ReportSuccess(slot)
-	case ctx.Err() != nil:
-		// The caller's own context died: not evidence (see Place).
-	default:
-		// Transport-level failure: removes count toward eviction just
-		// like placements, so a dead backend serving only departures
-		// still leaves rotation.
-		rt.ms.ReportFailure(slot)
 	}
+	c.End(err)
 	return err
 }
 

@@ -8,7 +8,10 @@ import (
 	"testing"
 
 	ballsbins "repro"
+	"repro/internal/keyed"
+	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/watch"
 )
 
 // newInprocCluster builds k in-proc backends (n bins, 1 shard each)
@@ -278,6 +281,58 @@ func TestRouterConcurrent(t *testing.T) {
 	}
 }
 
+// TestRouterAllocs pins what the router adds per op: nothing. Over
+// four in-process dispatchers a place+remove pair and a keyed pair cost
+// the dispatchers' own allocations (TestBackendAllocs' inproc row),
+// with the router's recorder on and off.
+func TestRouterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	for _, o := range []obs.Options{{}, {Disabled: true}} {
+		// No watchdogs: their ticks would allocate inside the measurement.
+		bks := make([]Backend, 4)
+		for i := range bks {
+			d := serve.NewDispatcher(serve.Config{Spec: ballsbins.Adaptive(), N: 256, Shards: 2, Seed: uint64(i + 1),
+				Obs: o, Watch: watch.Options{Disabled: true}})
+			t.Cleanup(d.Close)
+			bks[i] = &InprocBackend{D: d}
+		}
+		rt := NewRouter(Config{Backends: bks, BinsPerBackend: 256, Policy: policyNamed("adaptive"), Seed: 1,
+			Keyed: &keyed.Config{HotShare: 1}, Obs: o, Watch: watch.Options{Disabled: true}})
+		t.Cleanup(rt.Close)
+		ctx := context.Background()
+		pair := func() {
+			bins, _, err := rt.Place(ctx, 1)
+			if err == nil {
+				err = rt.Remove(ctx, bins[0])
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		keyedPair := func() {
+			bins, _, err := rt.PlaceKeyed(ctx, "k")
+			if err == nil {
+				err = rt.RemoveKeyed(ctx, bins[0], "k")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			pair()
+			keyedPair()
+		}
+		if got := testing.AllocsPerRun(2000, pair); got > 3 {
+			t.Errorf("obs disabled %v: place+remove %v allocs, want <= 3", o.Disabled, got)
+		}
+		if got := testing.AllocsPerRun(2000, keyedPair); got > 3 {
+			t.Errorf("obs disabled %v: keyed place+remove %v allocs, want <= 3", o.Disabled, got)
+		}
+	}
+}
+
 // cancellingBackend simulates a client hanging up mid-forward: Place
 // cancels the caller's context and fails with it.
 type cancellingBackend struct {
@@ -291,7 +346,13 @@ func (b *cancellingBackend) Place(ctx context.Context, count int) ([]int, int64,
 	return nil, 0, ctx.Err()
 }
 
+func (b *cancellingBackend) PlaceKey(ctx context.Context, _ string) ([]int, int64, error) {
+	return b.Place(ctx, 1)
+}
+
 func (b *cancellingBackend) Remove(context.Context, int) error { return nil }
+
+func (b *cancellingBackend) RemoveKey(context.Context, int, string) error { return nil }
 
 func (b *cancellingBackend) Stats(context.Context) (serve.StatsView, error) {
 	return serve.StatsView{}, nil

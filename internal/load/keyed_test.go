@@ -41,33 +41,6 @@ func TestKeyedScenarioInproc(t *testing.T) {
 	}
 }
 
-func TestKeyedScenarioRequiresKeyedTarget(t *testing.T) {
-	_, err := Run(context.Background(), Config{
-		Scenario:    KeyedSteady(),
-		Mode:        "open",
-		Rate:        100,
-		Duration:    100 * time.Millisecond,
-		ServiceMean: time.Millisecond,
-	}, placeOnlyTarget{})
-	if err == nil {
-		t.Fatal("keyed scenario accepted a target without a keyed API")
-	}
-}
-
-// placeOnlyTarget implements just cluster.Backend, without the keyed
-// API.
-type placeOnlyTarget struct{}
-
-func (placeOnlyTarget) Name() string { return "place-only" }
-func (placeOnlyTarget) Place(context.Context, int) ([]int, int64, error) {
-	return []int{0}, 1, nil
-}
-func (placeOnlyTarget) Remove(context.Context, int) error { return nil }
-func (placeOnlyTarget) Stats(context.Context) (serve.StatsView, error) {
-	return serve.StatsView{}, nil
-}
-func (placeOnlyTarget) Health(context.Context) error { return nil }
-
 // TestKeyedKillScenarioCluster runs the membership-kill scenario
 // end-to-end on an in-proc cluster: a backend dies mid-run, keyed
 // placements ride failover with zero client-visible errors, and the

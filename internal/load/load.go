@@ -82,8 +82,7 @@ type Scenario struct {
 	// Keyed runs the scenario through the keyed placement API: every
 	// arrival is one ball for a key drawn Zipf(KeyZipfS) over a space
 	// of KeySpace keys from its own seedable stream, and its departure
-	// releases that key's ball. Requires the target to implement
-	// cluster.KeyedBackend.
+	// releases that key's ball.
 	Keyed    bool    `json:"keyed,omitempty"`
 	KeyZipfS float64 `json:"key_zipf_s,omitempty"` // default 1.2 (must be > 1)
 	KeySpace int     `json:"key_space,omitempty"`  // default 1024
@@ -374,10 +373,6 @@ func Run(ctx context.Context, cfg Config, target cluster.Backend) (Result, error
 			return Result{}, fmt.Errorf("load: scenario %q: KeyZipfS must be > 1, got %v",
 				cfg.Scenario.Name, s)
 		}
-		if _, ok := target.(cluster.KeyedBackend); !ok {
-			return Result{}, fmt.Errorf("load: scenario %q is keyed but target %T has no keyed API",
-				cfg.Scenario.Name, target)
-		}
 	}
 	var killed atomic.Int64
 	killed.Store(-1)
@@ -610,8 +605,6 @@ func runOpen(ctx context.Context, cfg Config, target cluster.Backend, slow *slow
 	sleepCtx, cancelSleeps := context.WithCancel(ctx)
 	defer cancelSleeps()
 
-	kt, _ := target.(cluster.KeyedBackend)
-
 	var wg sync.WaitGroup
 	depart := func(bin int, key string, after time.Duration) {
 		defer wg.Done()
@@ -628,7 +621,7 @@ func runOpen(ctx context.Context, cfg Config, target cluster.Backend, slow *slow
 		t0 := time.Now()
 		var err error
 		if key != "" {
-			err = kt.RemoveKey(opCtx, bin, key)
+			err = target.RemoveKey(opCtx, bin, key)
 		} else {
 			err = target.Remove(opCtx, bin)
 		}
@@ -650,7 +643,7 @@ func runOpen(ctx context.Context, cfg Config, target cluster.Backend, slow *slow
 		var bins []int
 		var err error
 		if key != "" {
-			bins, _, err = kt.PlaceKey(opCtx, key)
+			bins, _, err = target.PlaceKey(opCtx, key)
 		} else {
 			bins, _, err = target.Place(opCtx, bulk)
 		}
@@ -765,8 +758,6 @@ func runClosed(ctx context.Context, cfg Config, target cluster.Backend, slow *sl
 	runCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
 
-	kt, _ := target.(cluster.KeyedBackend)
-
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
@@ -800,7 +791,7 @@ func runClosed(ctx context.Context, cfg Config, target cluster.Backend, slow *sl
 				var bins []int
 				var err error
 				if key != "" {
-					bins, _, err = kt.PlaceKey(opCtx, key)
+					bins, _, err = target.PlaceKey(opCtx, key)
 				} else {
 					bins, _, err = target.Place(opCtx, 1)
 				}
@@ -827,7 +818,7 @@ func runClosed(ctx context.Context, cfg Config, target cluster.Backend, slow *sl
 				// with the target drained back to empty.
 				var rerr error
 				if key != "" {
-					rerr = kt.RemoveKey(context.Background(), bins[0], key)
+					rerr = target.RemoveKey(context.Background(), bins[0], key)
 				} else {
 					rerr = target.Remove(context.Background(), bins[0])
 				}

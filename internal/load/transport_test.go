@@ -94,7 +94,6 @@ var tiers = []tierCase{
 // returns every reply it saw.
 func transcript(t *testing.T, tgt cluster.Backend) []string {
 	t.Helper()
-	kt := tgt.(cluster.KeyedBackend)
 	ctx := context.Background()
 	var out []string
 	var held []int
@@ -102,7 +101,7 @@ func transcript(t *testing.T, tgt cluster.Backend) []string {
 		switch {
 		case i%5 == 3:
 			key := fmt.Sprintf("k%02d", i%16)
-			bins, samples, err := kt.PlaceKey(ctx, key)
+			bins, samples, err := tgt.PlaceKey(ctx, key)
 			if err != nil {
 				t.Fatalf("op %d PlaceKey: %v", i, err)
 			}
@@ -202,10 +201,10 @@ func TestTransportEquivalence(t *testing.T) {
 				// A threshold daemon refuses a keyed place past its key's
 				// shard's capacity with serve.ErrFull.
 				tier, _ = tc.mk(t, ballsbins.Threshold())
-				kt := reach(t, transport, tier).(cluster.KeyedBackend)
-				_, _, err = kt.PlaceKey(ctx, "k")
+				full := reach(t, transport, tier)
+				_, _, err = full.PlaceKey(ctx, "k")
 				for i := 0; err == nil && i < 4000; i++ {
-					_, _, err = kt.PlaceKey(ctx, "k")
+					_, _, err = full.PlaceKey(ctx, "k")
 				}
 				if !errors.Is(err, serve.ErrFull) {
 					t.Errorf("%s: keyed place on a full threshold daemon: %v, want ErrFull", transport, err)

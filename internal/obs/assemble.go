@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"context"
-	"encoding/json"
-	"net/http"
-	"sort"
-)
+import "sort"
 
 // TraceNode is one op in an assembled trace tree. Children are the
 // downstream ops whose wall-clock window nests inside this op's —
@@ -101,6 +96,13 @@ func assembleOne(trace string, ops []*Op) AssembledTrace {
 	return at
 }
 
+// TraceResponse is the body of GET /v1/trace: the component's
+// retained-op ring, oldest first.
+type TraceResponse struct {
+	Hop string `json:"hop"`
+	Ops []*Op  `json:"ops"`
+}
+
 // AssembledTraceResponse is the body of GET /v1/trace/{id}: the ops
 // gathered for one trace id (cross-tier on the proxy, the local ring
 // on serve) plus their assembled tree.
@@ -123,23 +125,4 @@ func NewAssembledTraceResponse(id uint64, sources []string, ops []*Op) Assembled
 		resp.Assembled = &ts[0]
 	}
 	return resp
-}
-
-// AssembledTraceHandler serves GET /v1/trace/{id}. gather pulls the
-// ops for one id — the serve tier from its own ring, the proxy with
-// its cross-tier fan-out.
-func AssembledTraceHandler(gather func(ctx context.Context, id uint64) ([]string, []*Op)) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		id := ParseTrace(req.PathValue("id"))
-		w.Header().Set("Content-Type", "application/json")
-		if id == 0 {
-			w.WriteHeader(http.StatusBadRequest)
-			_ = json.NewEncoder(w).Encode(map[string]string{"error": "trace id must be 1-16 hex digits"})
-			return
-		}
-		sources, ops := gather(req.Context(), id)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(NewAssembledTraceResponse(id, sources, ops))
-	}
 }

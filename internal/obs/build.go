@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -57,16 +55,6 @@ func Build(wireVersion int) BuildInfo {
 	b := buildBase
 	b.WireVersion = wireVersion
 	return b
-}
-
-// VersionHandler serves the build identity as GET /v1/version.
-func VersionHandler(b BuildInfo) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(b)
-	}
 }
 
 // WriteBuildMetrics emits the bb_build_info gauge: a constant 1 whose

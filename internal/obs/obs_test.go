@@ -2,10 +2,8 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -141,52 +139,6 @@ func TestSpanAndAttrOverflowDropped(t *testing.T) {
 	}
 	if len(op.Attrs) != 1 || op.Attrs["k"] != int64(maxAttrs-1) {
 		t.Fatalf("attr overflow not dropped past the cap: %+v", op.Attrs)
-	}
-}
-
-func TestTraceHandler(t *testing.T) {
-	r := NewRecorder(Options{Hop: "serve", SampleEvery: 1, SlowThreshold: -1})
-	t0 := time.Now()
-	c := r.BeginAt(5, "place", t0)
-	c.StageAt("queue", t0, t0.Add(time.Millisecond))
-	c.EndAt(t0.Add(4*time.Millisecond), nil)
-	c = r.BeginAt(6, "place", t0)
-	c.EndAt(t0.Add(100*time.Microsecond), nil)
-
-	get := func(url string) TraceResponse {
-		t.Helper()
-		rec := httptest.NewRecorder()
-		r.TraceHandler()(rec, httptest.NewRequest("GET", url, nil))
-		if rec.Code != 200 {
-			t.Fatalf("GET %s = %d: %s", url, rec.Code, rec.Body)
-		}
-		var resp TraceResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatalf("bad trace JSON: %v", err)
-		}
-		return resp
-	}
-	resp := get("/v1/trace")
-	if resp.Hop != "serve" || len(resp.Ops) != 2 {
-		t.Fatalf("got %+v", resp)
-	}
-	if resp := get("/v1/trace?min_ms=1"); len(resp.Ops) != 1 || resp.Ops[0].Trace != FormatTrace(5) {
-		t.Fatalf("min_ms filter: %+v", resp.Ops)
-	}
-	if resp := get("/v1/trace?min_ns=3000000"); len(resp.Ops) != 1 {
-		t.Fatalf("min_ns filter: %+v", resp.Ops)
-	}
-	rec := httptest.NewRecorder()
-	r.TraceHandler()(rec, httptest.NewRequest("GET", "/v1/trace?min_ns=bogus", nil))
-	if rec.Code != 400 {
-		t.Fatalf("bogus min_ns = %d, want 400", rec.Code)
-	}
-	// Nil recorder serves an empty document, not a panic.
-	var nr *Recorder
-	rec = httptest.NewRecorder()
-	nr.TraceHandler()(rec, httptest.NewRequest("GET", "/v1/trace", nil))
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"ops": []`) {
-		t.Fatalf("nil recorder: %d %s", rec.Code, rec.Body)
 	}
 }
 

@@ -222,12 +222,16 @@ func (d *Dispatcher) Place(ctx context.Context) (bin int, samples int64, err err
 // policy, and at the traffic level by hot-key splitting — rather
 // than obeying the round-robin evenness of anonymous placements.
 // Admission and commit semantics are exactly Place's; a place refused
-// with ErrFull releases the key's ref. The op is timed from admission,
-// so its route is a "probe" span ahead of queue and apply, and the
-// three sum exactly to the op total.
+// with ErrFull releases the key's ref. A key longer than
+// wire.MaxKeyLen is refused before admission. The op is timed from
+// admission, so its route is a "probe" span ahead of queue and apply,
+// and the three sum exactly to the op total.
 func (d *Dispatcher) PlaceKeyed(ctx context.Context, key string) (bin int, samples int64, err error) {
 	if key == "" {
 		return d.Place(ctx)
+	}
+	if len(key) > wire.MaxKeyLen {
+		return 0, 0, badRequest("serve: key of %d bytes exceeds %d", len(key), wire.MaxKeyLen)
 	}
 	if err := d.Admit(ctx); err != nil {
 		return 0, 0, err
@@ -381,10 +385,14 @@ func (d *Dispatcher) Remove(ctx context.Context, bin int) error {
 // releases one of key's balls from the bin's shard, so the keyed
 // tier's live-ball accounting (idle eviction, hot-replica balancing)
 // tracks departures. The release happens inside the admitted call, so
-// Close never seals a keyed store that a release is still writing.
+// Close never seals a keyed store that a release is still writing. A
+// key longer than wire.MaxKeyLen is refused like a bin out of range.
 func (d *Dispatcher) RemoveKeyed(ctx context.Context, bin int, key string) error {
 	if bin < 0 || bin >= d.cfg.N {
 		return badRequest("serve: bin %d outside [0,%d)", bin, d.cfg.N)
+	}
+	if len(key) > wire.MaxKeyLen {
+		return badRequest("serve: key of %d bytes exceeds %d", len(key), wire.MaxKeyLen)
 	}
 	if err := d.Admit(ctx); err != nil {
 		return err

@@ -7,8 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync/atomic"
+	"time"
 
 	ballsbins "repro"
 	"repro/internal/diag"
@@ -202,11 +204,13 @@ func NewHandler(t Tier, info Info) *Handler {
 	h.mux.HandleFunc("POST /v1/place", h.place)
 	h.mux.HandleFunc("POST /v1/remove", h.remove)
 	h.mux.HandleFunc("GET /v1/stats", h.stats)
-	h.mux.HandleFunc("GET /v1/trace", t.Obs().TraceHandler())
-	h.mux.HandleFunc("GET /v1/trace/{id}", obs.AssembledTraceHandler(t.GatherTrace))
-	h.mux.HandleFunc("GET /v1/events", t.Watch().EventsHandler())
-	h.mux.HandleFunc("GET /v1/timeseries", t.Watch().TimeseriesHandler())
-	h.mux.HandleFunc("GET /v1/version", obs.VersionHandler(h.build))
+	h.mux.HandleFunc("GET /v1/trace", h.trace)
+	h.mux.HandleFunc("GET /v1/trace/{id}", h.assembledTrace)
+	h.mux.HandleFunc("GET /v1/events", h.events)
+	h.mux.HandleFunc("GET /v1/timeseries", h.timeseries)
+	h.mux.HandleFunc("GET /v1/version", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, h.build)
+	})
 	h.mux.HandleFunc("GET /healthz", h.healthz)
 	h.mux.HandleFunc("GET /metrics", h.metrics)
 	t.Routes(h.mux, info)
@@ -353,6 +357,113 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, doc)
+}
+
+// traceDoc is the GET /v1/trace document over ops from the tier's own
+// ring, which is also the body of a wire TRACE reply.
+func traceDoc(r *obs.Recorder, ops []*obs.Op) obs.TraceResponse {
+	if ops == nil {
+		ops = []*obs.Op{}
+	}
+	return obs.TraceResponse{Hop: r.Hop(), Ops: ops}
+}
+
+// trace serves the tier's retained-op ring, oldest first: ?min_ns= or
+// ?min_ms= keeps the ops at least that slow, ?id= one trace's ops
+// (1-16 hex digits).
+func (h *Handler) trace(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	minDur, err := parseMinDur(q)
+	if err != nil {
+		h.fail(w, err)
+		return
+	}
+	rec := h.t.Obs()
+	s := q.Get("id")
+	if s == "" {
+		writeJSON(w, http.StatusOK, traceDoc(rec, rec.Ops(minDur)))
+		return
+	}
+	id := obs.ParseTrace(s)
+	if id == 0 {
+		h.fail(w, badRequest("id must be 1-16 hex digits"))
+		return
+	}
+	writeJSON(w, http.StatusOK, traceDoc(rec, rec.OpsByTrace(obs.FormatTrace(id))))
+}
+
+// parseMinDur reads /v1/trace's slowness filter: min_ns, else min_ms,
+// else none.
+func parseMinDur(q url.Values) (time.Duration, error) {
+	if s := q.Get("min_ns"); s != "" {
+		v, err := strconv.ParseInt(s, 10, 64)
+		if err != nil || v < 0 {
+			return 0, badRequest("min_ns must be a non-negative integer, got %q", s)
+		}
+		return time.Duration(v), nil
+	}
+	if s := q.Get("min_ms"); s != "" {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil || v < 0 {
+			return 0, badRequest("min_ms must be a non-negative number, got %q", s)
+		}
+		return time.Duration(v * float64(time.Millisecond)), nil
+	}
+	return 0, nil
+}
+
+// assembledTrace serves one trace id's ops from every ring the tier
+// reads (Tier.GatherTrace), with their assembled tree.
+func (h *Handler) assembledTrace(w http.ResponseWriter, r *http.Request) {
+	id := obs.ParseTrace(r.PathValue("id"))
+	if id == 0 {
+		h.fail(w, badRequest("trace id must be 1-16 hex digits"))
+		return
+	}
+	sources, ops := h.t.GatherTrace(r.Context(), id)
+	writeJSON(w, http.StatusOK, obs.NewAssembledTraceResponse(id, sources, ops))
+}
+
+// events serves the watchdog's event journal: ?since=SEQ keeps the
+// events after SEQ (incremental tailing), ?type=NAME one type's.
+func (h *Handler) events(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	since, err := parseNonNegative(q, "since")
+	if err != nil {
+		h.fail(w, err)
+		return
+	}
+	typ := watch.EventType(q.Get("type"))
+	if typ != "" && !slices.Contains(watch.EventTypes(), typ) {
+		h.fail(w, badRequest("unknown event type %q", string(typ)))
+		return
+	}
+	writeJSON(w, http.StatusOK, h.t.Watch().EventsDoc(int64(since), typ))
+}
+
+// timeseries serves the watchdog's time series: ?window=N keeps the
+// last N points (absent or 0: every retained point).
+func (h *Handler) timeseries(w http.ResponseWriter, r *http.Request) {
+	window, err := parseNonNegative(r.URL.Query(), "window")
+	if err != nil {
+		h.fail(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, h.t.Watch().SeriesDoc(window))
+}
+
+// parseNonNegative reads query parameter name as a non-negative
+// integer; absent is 0.
+func parseNonNegative(q url.Values, name string) (int, error) {
+	s := q.Get(name)
+	if s == "" {
+		return 0, nil
+	}
+	v, err := strconv.Atoi(s)
+	if err != nil || v < 0 {
+		return 0, badRequest("%s must be a non-negative integer, got %q", name, s)
+	}
+	return v, nil
 }
 
 func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {

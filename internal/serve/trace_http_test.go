@@ -3,10 +3,13 @@ package serve
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	ballsbins "repro"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // newTracedTestServer is newTestServer with head-sampling forced on,
@@ -79,6 +82,54 @@ func TestHTTPAssembledTraceUnknownAndMalformed(t *testing.T) {
 		t.Fatalf("unknown id returned ops=%v assembled=%v, want empty", at.Ops, at.Assembled)
 	}
 
-	decode[map[string]string](t,
-		get(t, srv.URL+"/v1/trace/not-hex"), http.StatusBadRequest)
+	if e := decode[ErrorResponse](t, get(t, srv.URL+"/v1/trace/not-hex"), http.StatusBadRequest); e.Code != wire.CodeBadRequest {
+		t.Fatalf("malformed id: code %v, want bad-request", e.Code)
+	}
+}
+
+// TestTraceHandler pins GET /v1/trace: the tier's own ring, filtered by
+// min_ms, min_ns or id, a malformed filter refused as bad-request, and
+// an empty document when the tier records nothing.
+func TestTraceHandler(t *testing.T) {
+	d := NewDispatcher(Config{
+		Spec: ballsbins.Adaptive(), N: 64, Shards: 1, Seed: 1,
+		Obs: obs.Options{SampleEvery: 1, SlowThreshold: -1},
+	})
+	srv := newServerFor(t, d)
+	r := d.Obs()
+	t0 := time.Now()
+	c := r.BeginAt(5, "place", t0)
+	c.StageAt("queue", t0, t0.Add(time.Millisecond))
+	c.EndAt(t0.Add(4*time.Millisecond), nil)
+	c = r.BeginAt(6, "place", t0)
+	c.EndAt(t0.Add(100*time.Microsecond), nil)
+
+	trace := func(query string) obs.TraceResponse {
+		t.Helper()
+		return decode[obs.TraceResponse](t, get(t, srv.URL+"/v1/trace"+query), http.StatusOK)
+	}
+	if resp := trace(""); resp.Hop != "serve" || len(resp.Ops) != 2 {
+		t.Fatalf("got %+v", resp)
+	}
+	if resp := trace("?min_ms=1"); len(resp.Ops) != 1 || resp.Ops[0].Trace != obs.FormatTrace(5) {
+		t.Fatalf("min_ms filter: %+v", resp.Ops)
+	}
+	if resp := trace("?min_ns=3000000"); len(resp.Ops) != 1 {
+		t.Fatalf("min_ns filter: %+v", resp.Ops)
+	}
+	if resp := trace("?id=" + obs.FormatTrace(6)); len(resp.Ops) != 1 || resp.Ops[0].Trace != obs.FormatTrace(6) {
+		t.Fatalf("id filter: %+v", resp.Ops)
+	}
+	for _, bad := range []string{"?min_ns=bogus", "?min_ms=-1", "?id=zz"} {
+		if e := decode[ErrorResponse](t, get(t, srv.URL+"/v1/trace"+bad), http.StatusBadRequest); e.Code != wire.CodeBadRequest {
+			t.Errorf("GET /v1/trace%s: code %v, want bad-request", bad, e.Code)
+		}
+	}
+
+	// A tier without a recorder serves an empty document, not a panic.
+	off := NewDispatcher(Config{Spec: ballsbins.Adaptive(), N: 64, Shards: 1, Seed: 1, Obs: obs.Options{Disabled: true}})
+	body := readBody(t, get(t, newServerFor(t, off).URL+"/v1/trace"))
+	if !strings.Contains(body, `"ops": []`) {
+		t.Fatalf("disabled recorder: %s", body)
+	}
 }

@@ -14,6 +14,7 @@ import (
 
 	ballsbins "repro"
 	"repro/internal/watch"
+	"repro/internal/wire"
 )
 
 // newWatchedDispatcher builds a dispatcher with the watchdog armed but
@@ -251,4 +252,55 @@ func readBody(t *testing.T, resp *http.Response) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// monitorTier serves a dispatcher with another watchdog in its place.
+type monitorTier struct {
+	*Dispatcher
+	m *watch.Monitor
+}
+
+func (t monitorTier) Watch() *watch.Monitor { return t.m }
+
+// TestWatchHTTPHandlers pins GET /v1/events and /v1/timeseries over a
+// watchdog with a fixed probe: the journal and the window of points,
+// and a malformed query refused as bad-request.
+func TestWatchHTTPHandlers(t *testing.T) {
+	m := watch.New("serve", watch.Options{}, func() watch.Sample {
+		return watch.Sample{Point: watch.Point{Balls: 42, Gap: 3},
+			Checks: []watch.Check{{Invariant: "x", Observed: 1, Bound: 10}}}
+	})
+	for i := 0; i < 5; i++ {
+		m.Tick(time.Now())
+	}
+	m.Record(watch.EventRecovery, "replayed", map[string]int64{"snapshot_keys": 7})
+	d := NewDispatcher(Config{Spec: ballsbins.Adaptive(), N: 64, Shards: 1, Seed: 1})
+	t.Cleanup(d.Close)
+	srv := httptest.NewServer(NewHandler(monitorTier{d, m}, Info{N: 64, Shards: 1}))
+	t.Cleanup(srv.Close)
+
+	edoc := decode[watch.EventsResponse](t, get(t, srv.URL+"/v1/events"), http.StatusOK)
+	if edoc.Hop != "serve" || len(edoc.Events) != 1 || edoc.Events[0].Type != watch.EventRecovery {
+		t.Fatalf("events doc = %+v", edoc)
+	}
+	if _, ok := edoc.EventCounts[string(watch.EventBoundViolation)]; !ok {
+		t.Fatal("event_counts missing BOUND_VIOLATION label")
+	}
+	if edoc := decode[watch.EventsResponse](t, get(t, srv.URL+"/v1/events?since=1"), http.StatusOK); len(edoc.Events) != 0 {
+		t.Fatalf("events since 1 = %+v", edoc.Events)
+	}
+	if edoc := decode[watch.EventsResponse](t, get(t, srv.URL+"/v1/events?type=RECOVERY"), http.StatusOK); len(edoc.Events) != 1 {
+		t.Fatalf("events of type RECOVERY = %+v", edoc.Events)
+	}
+
+	sdoc := decode[watch.SeriesResponse](t, get(t, srv.URL+"/v1/timeseries?window=3"), http.StatusOK)
+	if len(sdoc.Points) != 3 || sdoc.Points[2].Balls != 42 || sdoc.Points[2].Gap != 3 {
+		t.Fatalf("series doc = %+v", sdoc)
+	}
+
+	for _, bad := range []string{"/v1/events?since=zebra", "/v1/events?type=EXPLOSION", "/v1/timeseries?window=x"} {
+		if e := decode[ErrorResponse](t, get(t, srv.URL+bad), http.StatusBadRequest); e.Code != wire.CodeBadRequest {
+			t.Errorf("GET %s: code %v, want bad-request", bad, e.Code)
+		}
+	}
 }

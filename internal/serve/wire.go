@@ -46,11 +46,7 @@ func (h *Handler) StatsJSON(ctx context.Context) ([]byte, error) {
 // filtered".
 func (h *Handler) TraceJSON(ctx context.Context, id uint64) ([]byte, error) {
 	r := h.t.Obs()
-	resp := obs.TraceResponse{Hop: r.Hop(), Ops: r.OpsByTrace(obs.FormatTrace(id))}
-	if resp.Ops == nil {
-		resp.Ops = []*obs.Op{}
-	}
-	return json.Marshal(resp)
+	return json.Marshal(traceDoc(r, r.OpsByTrace(obs.FormatTrace(id))))
 }
 
 // Hello implements wire.Handler for the n-agreement handshake.

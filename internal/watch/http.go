@@ -38,32 +38,6 @@ func (m *Monitor) EventsDoc(since int64, typ EventType) EventsResponse {
 	return resp
 }
 
-// EventsHandler serves GET /v1/events. Query parameters:
-//
-//	since=SEQ   only events with seq > SEQ (incremental tailing)
-//	type=NAME   only events of that type (e.g. type=EVICTION)
-//
-// Safe on a nil monitor (serves the empty document).
-func (m *Monitor) EventsHandler() http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var since int64
-		if s := r.URL.Query().Get("since"); s != "" {
-			v, err := strconv.ParseInt(s, 10, 64)
-			if err != nil || v < 0 {
-				httpError(w, "since must be a non-negative integer, got %q", s)
-				return
-			}
-			since = v
-		}
-		typ := EventType(r.URL.Query().Get("type"))
-		if typ != "" && typeIndex(typ) < 0 {
-			httpError(w, "unknown event type %q", string(typ))
-			return
-		}
-		httpJSON(w, m.EventsDoc(since, typ))
-	}
-}
-
 // SeriesResponse is the body of GET /v1/timeseries.
 type SeriesResponse struct {
 	Hop             string  `json:"hop"`
@@ -84,23 +58,6 @@ func (m *Monitor) SeriesDoc(window int) SeriesResponse {
 		CadenceMs:       m.Cadence().Milliseconds(),
 		ViolationsTotal: m.ViolationsTotal(),
 		Points:          points,
-	}
-}
-
-// TimeseriesHandler serves GET /v1/timeseries?window=N (the last N
-// points; absent or 0 means all retained). Safe on a nil monitor.
-func (m *Monitor) TimeseriesHandler() http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		window := 0
-		if s := r.URL.Query().Get("window"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil || v < 0 {
-				httpError(w, "window must be a non-negative integer, got %q", s)
-				return
-			}
-			window = v
-		}
-		httpJSON(w, m.SeriesDoc(window))
 	}
 }
 
@@ -183,8 +140,9 @@ func OverrideHandler(m *Monitor) http.HandlerFunc {
 	}
 }
 
-// httpJSON/httpError mirror the serve helpers without importing
-// internal/serve (watch sits below both tiers in the package graph).
+// httpJSON/httpError answer OverrideHandler's requests without
+// importing internal/serve (watch sits below both tiers in the package
+// graph).
 func httpJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)

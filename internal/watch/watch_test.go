@@ -2,11 +2,8 @@ package watch
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -361,64 +358,6 @@ func TestEventsSinceAndTypeFilter(t *testing.T) {
 	}
 	if doc.Hop != "proxy" || doc.EventCounts[string(EventEviction)] != 1 {
 		t.Fatalf("doc = %+v", doc)
-	}
-}
-
-func TestHTTPHandlers(t *testing.T) {
-	m := New("serve", Options{},
-		staticProbe(Point{Balls: 42, Gap: 3}, Check{Invariant: "x", Observed: 1, Bound: 10}))
-	for i := 0; i < 5; i++ {
-		m.Tick(time.Now())
-	}
-	m.Record(EventRecovery, "replayed", map[string]int64{"snapshot_keys": 7})
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/events", m.EventsHandler())
-	mux.HandleFunc("GET /v1/timeseries", m.TimeseriesHandler())
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	var edoc EventsResponse
-	resp, err := http.Get(srv.URL + "/v1/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 200 {
-		t.Fatalf("events status %d", resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&edoc); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if edoc.Hop != "serve" || len(edoc.Events) != 1 || edoc.Events[0].Type != EventRecovery {
-		t.Fatalf("events doc = %+v", edoc)
-	}
-	if _, ok := edoc.EventCounts[string(EventBoundViolation)]; !ok {
-		t.Fatal("event_counts missing BOUND_VIOLATION label")
-	}
-
-	var sdoc SeriesResponse
-	resp, err = http.Get(srv.URL + "/v1/timeseries?window=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sdoc); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(sdoc.Points) != 3 || sdoc.Points[2].Balls != 42 || sdoc.Points[2].Gap != 3 {
-		t.Fatalf("series doc = %+v", sdoc)
-	}
-
-	for _, bad := range []string{"/v1/events?since=zebra", "/v1/events?type=EXPLOSION", "/v1/timeseries?window=x"} {
-		resp, err := http.Get(srv.URL + bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("GET %s status %d, want 400", bad, resp.StatusCode)
-		}
 	}
 }
 

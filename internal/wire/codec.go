@@ -171,10 +171,6 @@ func (c *cursor) str() string {
 	return string(c.bytes(n))
 }
 
-// maxKeyLen bounds a keyed op's key, matching the HTTP tier's implicit
-// URL-length limit with room to spare.
-const maxKeyLen = 4096
-
 // ParseRequest decodes a frame payload into a Request. An error means
 // the peer is speaking garbage and the connection should drop.
 func ParseRequest(payload []byte) (Request, error) {
@@ -215,9 +211,6 @@ func ParseRequest(payload []byte) (Request, error) {
 	}
 	if !c.ok || len(c.b) != 0 {
 		return Request{}, ErrTruncated
-	}
-	if len(req.Key) > maxKeyLen {
-		return Request{}, fmt.Errorf("wire: key exceeds %d bytes", maxKeyLen)
 	}
 	return req, nil
 }

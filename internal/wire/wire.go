@@ -88,6 +88,11 @@ const MinVersion = 1
 // multi-gigabyte allocation.
 const MaxFrame = 1 << 24
 
+// MaxKeyLen bounds a keyed op's key. Both tiers refuse a longer key
+// with CodeBadRequest, so it gets the same answer on every transport;
+// the codec itself carries any key that fits in a frame.
+const MaxKeyLen = 4096
+
 // frameHeader is the fixed per-frame overhead: 4B length + 4B CRC-32.
 const frameHeader = 8
 
