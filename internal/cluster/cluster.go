@@ -20,12 +20,14 @@
 //     (slot·n + local bin) survives flaps.
 //
 //   - LoadView is the router's approximate knowledge of each backend's
-//     load: refreshed asynchronously from GET /v1/stats on a
-//     configurable staleness window, and corrected between polls by
-//     local accounting of the balls this router itself placed and
-//     removed. This is exactly the "stale information" regime of the
-//     two-choices literature: decisions are made against load values
-//     up to one staleness window old.
+//     load and its one book per slot: counters of the balls this
+//     router placed and removed, and the last GET /v1/stats poll,
+//     refreshed asynchronously on a configurable staleness window and
+//     published whole with the counters' net at its send, so the load
+//     is the polled balls corrected by local accounting since. This is
+//     exactly the "stale information" regime of the two-choices
+//     literature: decisions are made against load values up to one
+//     staleness window old.
 //
 //   - Router picks a backend per request using a Policy — a
 //     protocol.Rule, whose table gives every policy's acceptance test,

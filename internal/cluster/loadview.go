@@ -12,14 +12,18 @@ import (
 )
 
 // LoadView is the router's approximate, possibly stale knowledge of
-// every backend's load — the quantity the routing policies probe. Each
-// slot holds the backend's last polled stats view plus a local delta:
-// the net balls this router has placed on (or removed from) the
-// backend since that poll. Load(slot) = polled balls + local delta, so
-// between polls the view tracks the router's own traffic exactly and
-// drifts only by what it cannot see — other routers' traffic, and
-// operations that landed during the poll round-trip itself. Every
-// successful refresh snaps the view back to the backend's truth.
+// every backend's load — the quantity the routing policies probe — and
+// the router's one book per backend slot. Each slot counts the balls
+// this router placed on and removed from the backend, at operation
+// completion, and holds its last successful poll as one immutable
+// record: the backend's stats answer, the slot's net count when the
+// poll was sent, and the answer's arrival time. Load(slot) = polled
+// balls + net − net at send, so between polls the view tracks the
+// router's own traffic exactly and drifts only by what it cannot see —
+// other routers' traffic, and operations that landed during the poll
+// round-trip itself. Every successful refresh snaps the view back to
+// the backend's truth, and a reader sees one poll or the next, never a
+// mix of two.
 //
 // The staleness window (how often Refresh runs) is the experiment
 // knob: a long window with several routers reproduces the classical
@@ -34,10 +38,13 @@ type LoadView struct {
 }
 
 type loadCell struct {
-	stats    atomic.Pointer[serve.StatsView]
-	delta    atomic.Int64
-	polledAt atomic.Int64 // unixnano of last successful poll; 0 = never
-	_        [8]byte
+	// placed and removed are monotone, so a reader that loads placed
+	// before removed can only under-state the net count, never inflate
+	// it.
+	placed  atomic.Int64
+	removed atomic.Int64
+	poll    atomic.Pointer[poll]
+	_       [8]byte
 	// bo / nextPoll implement jittered exponential backoff for
 	// re-polling a slot whose stats endpoint is failing, so a
 	// recovering backend is not hammered by every refresh window.
@@ -46,20 +53,38 @@ type loadCell struct {
 	nextPoll time.Time
 }
 
+// poll is one successful stats poll of a slot, published whole.
+type poll struct {
+	st   serve.StatsView
+	sent int64     // the slot's net count when the poll was sent
+	at   time.Time // when the answer arrived
+}
+
 // NewLoadView returns a view over k backend slots, all unpolled.
 func NewLoadView(k int) *LoadView {
 	return &LoadView{cells: make([]loadCell, k)}
 }
 
+func (c *loadCell) net() int64 { return c.placed.Load() - c.removed.Load() }
+
+// read returns slot's last poll (nil when never polled) with the load
+// and the local delta derived from it.
+func (v *LoadView) read(slot int) (p *poll, load, delta int64) {
+	c := &v.cells[slot]
+	p = c.poll.Load()
+	delta = c.net()
+	if p != nil {
+		delta -= p.sent
+		load = p.st.Balls
+	}
+	return p, load + delta, delta
+}
+
 // Load returns the estimated ball count on slot: last polled balls
 // plus the local delta since.
 func (v *LoadView) Load(slot int) int64 {
-	c := &v.cells[slot]
-	var polled int64
-	if st := c.stats.Load(); st != nil {
-		polled = st.Balls
-	}
-	return polled + c.delta.Load()
+	_, load, _ := v.read(slot)
+	return load
 }
 
 // Total returns the estimated total balls across the given slots (the
@@ -72,52 +97,58 @@ func (v *LoadView) Total(slots []int) int64 {
 	return t
 }
 
-// Note records local traffic against slot: +count for placements,
-// negative for removals.
+// Note records a completed operation on slot: +count balls placed, or
+// −count removed.
 func (v *LoadView) Note(slot int, count int64) {
-	v.cells[slot].delta.Add(count)
+	if c := &v.cells[slot]; count > 0 {
+		c.placed.Add(count)
+	} else {
+		c.removed.Add(-count)
+	}
 }
 
-// Polled returns slot's last polled stats view and its age, with
+// age returns how old slot's last poll was at now, clamped at 0, with
 // ok=false when the slot has never been polled.
-func (v *LoadView) Polled(slot int) (st serve.StatsView, age time.Duration, ok bool) {
-	c := &v.cells[slot]
-	p := c.stats.Load()
+func (v *LoadView) age(slot int, now time.Time) (age time.Duration, ok bool) {
+	p := v.cells[slot].poll.Load()
 	if p == nil {
-		return serve.StatsView{}, 0, false
+		return 0, false
 	}
-	return *p, time.Duration(time.Now().UnixNano() - c.polledAt.Load()), true
+	return max(now.Sub(p.at), 0), true
 }
 
 // Delta returns slot's local delta since the last poll.
-func (v *LoadView) Delta(slot int) int64 { return v.cells[slot].delta.Load() }
+func (v *LoadView) Delta(slot int) int64 {
+	_, _, delta := v.read(slot)
+	return delta
+}
 
-// Refresh polls slot's stats from its backend and, on success, snaps
-// the view to the backend's truth: it drops from the local delta what
-// had been noted when the poll was sent, which the answer includes.
-// Traffic noted while the poll is in flight stays in the delta, so a
-// departure noted then is not lost; only an op the backend applied
-// before answering but the router noted after sending the poll counts
-// twice, until the next refresh — the view is approximate by design.
+// Refresh polls slot's stats from its backend and, on success,
+// publishes the answer with the net count noted when the poll was
+// sent, which the answer includes. Traffic noted while the poll is in
+// flight stays in the delta, so a departure noted then is not lost;
+// only an op the backend applied before answering but the router noted
+// after sending the poll counts twice, until the next refresh — the
+// view is approximate by design. Overlapping refreshes of one slot each
+// publish a whole record, so neither corrects the other's count.
 func (v *LoadView) Refresh(ctx context.Context, slot int, b Backend) error {
 	c := &v.cells[slot]
-	sent := c.delta.Load()
+	sent := c.net()
 	st, err := b.Stats(ctx)
 	if err != nil {
 		return err
 	}
-	c.stats.Store(&st)
-	c.delta.Add(-sent)
-	c.polledAt.Store(time.Now().UnixNano())
+	c.poll.Store(&poll{st: st, sent: sent, at: time.Now()})
 	return nil
 }
 
 // refreshAll refreshes the due slots concurrently, each poll bounded
 // by timeout; failures leave the slot's previous view in place and
-// push its next poll out by jittered exponential backoff (capped at
-// 16 windows, reset by any successful poll), so a struggling stats
-// endpoint is not hammered every window.
-func (v *LoadView) refreshAll(ctx context.Context, slots []int, backend func(int) Backend, timeout time.Duration) {
+// push its next poll out by jittered exponential backoff from one
+// staleness window every (capped at 16 windows, reset by any
+// successful poll), so a struggling stats endpoint is not hammered
+// every window.
+func (v *LoadView) refreshAll(ctx context.Context, slots []int, backend func(int) Backend, timeout, every time.Duration) {
 	now := time.Now()
 	var wg sync.WaitGroup
 	for _, s := range slots {
@@ -135,7 +166,7 @@ func (v *LoadView) refreshAll(ctx context.Context, slots []int, backend func(int
 				return // shutdown, not a poll verdict
 			}
 			if c.bo == nil {
-				c.bo = backoff.New(timeout, 16*timeout, rng.Mix(v.pollSeed, uint64(s)))
+				c.bo = backoff.New(every, 16*every, rng.Mix(v.pollSeed, uint64(s)))
 			}
 			if err == nil {
 				c.bo.Reset()

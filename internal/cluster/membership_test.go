@@ -121,7 +121,7 @@ func TestMembershipEvictRejoin(t *testing.T) {
 	// The rejoined backend's view cell was re-polled, not inherited
 	// from before the flap.
 	waitFor(t, "fresh poll of backend 2", func() bool {
-		_, age, ok := rt.View().Polled(2)
+		age, ok := rt.View().age(2, time.Now())
 		return ok && age < time.Second
 	})
 }

@@ -270,7 +270,7 @@ func TestRejoinResetsPickStaleness(t *testing.T) {
 	// The forced re-poll runs async off the membership lock; give it a
 	// beat, then verify it landed rather than sleeping blind.
 	waitFor(func() bool {
-		_, age, ok := rt.View().Polled(0)
+		age, ok := rt.View().age(0, time.Now())
 		return ok && age < 40*time.Millisecond
 	}, "forced re-poll after rejoin")
 	if _, _, err := rt.Place(ctx, 1); err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/keyed"
 	"repro/internal/protocol"
-	"repro/internal/rng"
 )
 
 // Policy chooses a backend for one request: a protocol.Rule whose bins
@@ -17,38 +16,6 @@ import (
 // fixed[<b]; protocol.Rule tabulates their acceptance tests, probe
 // caps and bounds.
 type Policy = protocol.Rule
-
-// pick runs policy's acceptance loop over the healthy slots for a bulk
-// of count balls: probe uniform slots against the view, take the first
-// that Accept admits at the live total i (the bulk included), and after
-// MaxProbes probes take the least loaded slot probed. probes is the
-// number of view probes consumed, the routing analogue of the paper's
-// allocation time. fallback reports that the loop took the least
-// loaded slot although the policy would accept an empty one: the
-// chosen backend never passed the acceptance test, so load bounds
-// derived from that test do not cover this pick. Greedy refuses even
-// an empty backend, so its least-of-d is never a fallback.
-//
-// pick must only be called from one goroutine at a time (the Router
-// serializes on its RNG).
-func pick(policy Policy, r *rng.Rand, view *LoadView, healthy []int, count int) (slot, probes int, fallback bool) {
-	k := len(healthy)
-	i := view.Total(healthy) + int64(count)
-	maxProbes := policy.MaxProbes(k)
-	best := -1
-	var bestLoad int64
-	for probe := 1; probe <= maxProbes; probe++ {
-		s := healthy[r.Intn(k)]
-		load := view.Load(s)
-		if policy.Accept(k, load, i) {
-			return s, probe, false
-		}
-		if best < 0 || load < bestLoad {
-			best, bestLoad = s, load
-		}
-	}
-	return best, maxProbes, policy.Accept(k, 0, i)
-}
 
 // Policies lists the names PolicyByName accepts, sorted.
 func Policies() []string {

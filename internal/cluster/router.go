@@ -12,6 +12,7 @@ import (
 	"repro/internal/hdrhist"
 	"repro/internal/keyed"
 	"repro/internal/obs"
+	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/serve"
 	"repro/internal/watch"
@@ -96,12 +97,6 @@ type Router struct {
 	// it, so the provable cross-backend bound is ⌈i/K⌉+maxBulk (the
 	// paper's ⌈i/K⌉+1 exactly when traffic is single-ball).
 	maxBulk atomic.Int64
-	// ledger is the router's own per-slot routing record (cumulative
-	// balls placed/removed through this router). Unlike the LoadView —
-	// whose polled+delta estimate has transient double- and under-count
-	// windows around refreshes — the ledger is exact at operation
-	// completion, so the watchdog checks its bound against it.
-	ledger []slotLedger
 
 	logger *slog.Logger
 	// pickStaleness records, per pick, how old the chosen backend's
@@ -161,7 +156,6 @@ func OpenRouter(cfg Config) (*Router, *keyed.RecoveryInfo, error) {
 		cfg:           cfg,
 		ms:            NewMembership(cfg.Backends, cfg.FailAfter, cfg.RiseAfter),
 		view:          NewLoadView(len(cfg.Backends)),
-		ledger:        make([]slotLedger, len(cfg.Backends)),
 		policy:        cfg.Policy,
 		n:             cfg.BinsPerBackend,
 		rnd:           rng.New(cfg.Seed),
@@ -256,7 +250,7 @@ func OpenRouter(cfg Config) (*Router, *keyed.RecoveryInfo, error) {
 	// Seed the view so the first picks are informed (best-effort; a
 	// backend that is down simply stays unpolled).
 	initCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	rt.view.refreshAll(initCtx, rt.ms.Healthy(), rt.ms.Backend, 2*time.Second)
+	rt.view.refreshAll(initCtx, rt.ms.Healthy(), rt.ms.Backend, 2*time.Second, cfg.Staleness)
 	cancel()
 
 	loopCtx, loopCancel := context.WithCancel(context.Background())
@@ -296,7 +290,7 @@ func (rt *Router) refreshLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			rt.view.refreshAll(ctx, rt.ms.Healthy(), rt.ms.Backend, rt.cfg.Staleness)
+			rt.view.refreshAll(ctx, rt.ms.Healthy(), rt.ms.Backend, rt.cfg.Staleness, rt.cfg.Staleness)
 			rt.rotateWindow()
 		}
 	}
@@ -316,7 +310,7 @@ func (rt *Router) rotateWindow() {
 // Membership exposes the backend registry (read-side: Healthy, IsUp).
 func (rt *Router) Membership() *Membership { return rt.ms }
 
-// View exposes the load view (read-side: Load, Polled).
+// View exposes the load view (read-side: Load, Delta).
 func (rt *Router) View() *LoadView { return rt.view }
 
 // N returns the cluster's total bin count (backends × bins each).
@@ -328,17 +322,29 @@ func (rt *Router) BinsPerBackend() int { return rt.n }
 // Policy returns the routing policy's name.
 func (rt *Router) Policy() string { return rt.policy.Name() }
 
-// pick runs one policy decision under the RNG lock. Alongside the
-// chosen slot it returns the probes spent and the staleness of the
-// load information the decision saw (-1 when the slot was never
-// polled, i.e. the view ran on local accounting alone).
-func (rt *Router) pick(healthy []int, count int) (slot int, probes int, staleMs int64) {
+// pick runs one policy decision for a bulk of count balls under the
+// RNG lock: protocol.Pick over uniform draws of the healthy slots,
+// probing their loads in the view at the live total i (the bulk
+// included). probes is the view probes consumed, the routing analogue
+// of the paper's allocation time. A pick that took the least loaded
+// slot although the policy would accept an empty one is a fallback:
+// the chosen backend never passed the acceptance test, so load bounds
+// derived from that test do not cover it. Greedy refuses even an empty
+// backend, so its least-of-d is never a fallback. staleMs is how old
+// the chosen slot's poll was at the op's begin t0 (-1 when the slot
+// was never polled, i.e. the view ran on local accounting alone).
+func (rt *Router) pick(healthy []int, count int, t0 time.Time) (slot int, probes int, staleMs int64) {
+	k := len(healthy)
 	rt.mu.Lock()
-	slot, probes, fallback := pick(rt.policy, rt.rnd, rt.view, healthy, count)
+	i := rt.view.Total(healthy) + int64(count)
+	slot, probes, accepted := protocol.Pick(rt.policy, k, i, rt.policy.MaxProbes(k), func() (int, int64, bool) {
+		s := healthy[rt.rnd.Intn(k)]
+		return s, rt.view.Load(s), true
+	})
 	rt.mu.Unlock()
 	rt.picks.Add(1)
 	rt.probes.Add(int64(probes))
-	if fallback {
+	if !accepted && rt.policy.Accept(k, 0, i) {
 		rt.fallbacks.Add(1)
 	}
 	for {
@@ -347,36 +353,14 @@ func (rt *Router) pick(healthy []int, count int) (slot int, probes int, staleMs 
 			break
 		}
 	}
-	return slot, probes, rt.noteStaleness(slot)
+	return slot, probes, rt.recordStaleness(slot, t0)
 }
 
-// slotLedger is one backend's entry in the router ledger: cumulative
-// balls placed on and removed from the slot, counted at operation
-// completion. Kept as separate monotone counters (not one live gauge)
-// so readers can order their loads — placed before removed — and a
-// torn read can only under-state the live count, never inflate it.
-type slotLedger struct {
-	placed  atomic.Int64
-	removed atomic.Int64
-}
-
-// note records a completed backend operation (n > 0 balls placed,
-// n < 0 one removed) in both load accounts: the LoadView delta that
-// steers routing picks, and the exact ledger the watchdog reads.
-func (rt *Router) note(slot int, n int64) {
-	rt.view.Note(slot, n)
-	if n > 0 {
-		rt.ledger[slot].placed.Add(n)
-	} else {
-		rt.ledger[slot].removed.Add(-n)
-	}
-}
-
-// noteStaleness records how old slot's polled load is right now into
-// the pick-staleness histogram and returns it in milliseconds (-1 and
-// no record when the slot has never been polled).
-func (rt *Router) noteStaleness(slot int) int64 {
-	_, age, ok := rt.view.Polled(slot)
+// recordStaleness records how old slot's polled load was at t0 into the
+// pick-staleness histogram and returns it in milliseconds (-1 and no
+// record when the slot has never been polled).
+func (rt *Router) recordStaleness(slot int, t0 time.Time) int64 {
+	age, ok := rt.view.age(slot, t0)
 	if !ok {
 		return -1
 	}
@@ -508,14 +492,14 @@ func (rt *Router) place(ctx context.Context, count int, key string) (bins []int,
 			if len(candidates) == 0 {
 				return nil, 0, exhausted(lastErr)
 			}
-			pickStart := time.Now()
+			pickAt := c.Elapsed()
 			var p int
-			slot, p, staleMs = rt.pick(candidates, count)
-			c.Stage("probe", pickStart)
+			slot, p, staleMs = rt.pick(candidates, count, t0)
+			c.StageElapsed("probe", pickAt, c.Elapsed())
 			probes += p
 		case slot < 0:
 			s, keyProbes, hit, rerr := km.Route(key)
-			c.Stage("probe", t0)
+			c.StageElapsed("probe", 0, c.Elapsed())
 			c.Attr("key_probes", int64(keyProbes))
 			if hit {
 				c.Attr("key_hit", 1)
@@ -523,7 +507,7 @@ func (rt *Router) place(ctx context.Context, count int, key string) (bins []int,
 			if rerr != nil {
 				return nil, 0, ErrNoBackends
 			}
-			slot, staleMs = s, rt.noteStaleness(s)
+			slot, staleMs = s, rt.recordStaleness(s, t0)
 		default:
 			tried = append(tried, slot)
 			next, merr := km.MoveOff(key, slot, tried)
@@ -532,19 +516,19 @@ func (rt *Router) place(ctx context.Context, count int, key string) (bins []int,
 			}
 			slot = next
 		}
-		fwdStart := time.Now()
+		fwdAt := c.Elapsed()
 		b := rt.ms.Backend(slot)
 		if key == "" {
 			bins, samples, err = b.Place(ctx, count)
 		} else {
 			bins, samples, err = b.PlaceKey(ctx, key)
 		}
-		c.Stage("forward", fwdStart)
+		c.StageElapsed("forward", fwdAt, c.Elapsed())
 		if !rt.verdict(ctx, slot, err) {
 			if err != nil {
 				return nil, 0, err
 			}
-			rt.note(slot, int64(count))
+			rt.view.Note(slot, int64(count))
 			for i := range bins {
 				bins[i] += slot * rt.n
 			}
@@ -607,16 +591,15 @@ func (rt *Router) RemoveKeyed(ctx context.Context, bin int, key string) error {
 	if !rt.ms.IsUp(slot) {
 		return ErrBackendDown
 	}
-	t0 := time.Now()
-	ctx, c := rt.begin(ctx, "remove", t0)
+	ctx, c := rt.begin(ctx, "remove", time.Now())
 	err := rt.ms.Backend(slot).RemoveKey(ctx, local, key)
-	c.Stage("forward", t0)
+	c.StageElapsed("forward", 0, c.Elapsed())
 	// A remove never fails over: the ball lives on slot alone. Its
 	// failures still count toward eviction, so a dead backend serving
 	// only departures leaves rotation.
 	rt.verdict(ctx, slot, err)
 	if err == nil {
-		rt.note(slot, -1)
+		rt.view.Note(slot, -1)
 		if km := rt.Keyed(); km != nil && key != "" {
 			km.Release(key, slot)
 		}

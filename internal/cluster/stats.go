@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"time"
 
 	"repro/internal/keyed"
 	"repro/internal/serve"
@@ -103,23 +104,24 @@ func (rt *Router) Stats() Stats {
 	}
 	st.Durability = rt.Durability()
 	for slot := 0; slot < rt.ms.Size(); slot++ {
+		p, load, delta := rt.view.read(slot)
 		row := BackendRow{
 			Slot:  slot,
 			Name:  rt.ms.Backend(slot).Name(),
 			Up:    rt.ms.IsUp(slot),
-			Balls: rt.view.Load(slot),
-			Delta: rt.view.Delta(slot),
+			Balls: load,
+			Delta: delta,
 			AgeMs: -1,
 		}
-		if polled, age, ok := rt.view.Polled(slot); ok {
-			row.PolledBalls = polled.Balls
-			row.AgeMs = age.Milliseconds()
-			row.MaxLoad = polled.MaxLoad
-			row.MinLoad = polled.MinLoad
-			row.Placed = polled.Placed
-			row.Removed = polled.Removed
-			row.Samples = polled.Samples
-			row.Psi = polled.Psi
+		if p != nil {
+			row.PolledBalls = p.st.Balls
+			row.AgeMs = time.Since(p.at).Milliseconds()
+			row.MaxLoad = p.st.MaxLoad
+			row.MinLoad = p.st.MinLoad
+			row.Placed = p.st.Placed
+			row.Removed = p.st.Removed
+			row.Samples = p.st.Samples
+			row.Psi = p.st.Psi
 		}
 		st.Rows = append(st.Rows, row)
 		if !row.Up {

@@ -7,11 +7,12 @@ import (
 
 // watchSample assembles one watchdog sample for the cluster tier. The
 // time-series point comes from one rt.Stats() aggregation pass and its
-// View; the cross-backend bound check reads the router's own ledger
-// instead — the LoadView's polled+delta estimate has transient double-
-// and under-count windows around refreshes (a Note landing after a
-// poll already captured the bulk is counted twice until the next
-// refresh), which would fabricate violations.
+// View; the cross-backend bound check reads the view's per-slot
+// counters instead (the balls this router placed and removed, exact at
+// operation completion) — the polled estimate has transient double-
+// and under-count windows around refreshes (an op noted after a poll
+// already captured it is counted twice until the next refresh), which
+// would fabricate violations.
 //
 // The cross-backend bound needs care on four axes:
 //
@@ -19,7 +20,7 @@ import (
 //     ball counts are not monotone — a ball placed legitimately at a
 //     high horizon persists while others drain, so checking against
 //     the current live total would fabricate violations during removal
-//     phases. The horizon is Σ cumulative placements from the ledger,
+//     phases. The horizon is Σ cumulative placements from the counters,
 //     which is monotone and read after the per-slot live loads, so
 //     concurrent traffic can only raise the bound relative to what was
 //     observed, never lower it.
@@ -58,24 +59,21 @@ func (rt *Router) watchSample() watch.Sample {
 
 	keyedTraffic := cs.Keyed != nil && cs.Keyed.AffinityHits+cs.Keyed.AffinityMisses > 0
 	if _, ok := rt.policy.Bound(cs.Healthy, 0); ok && !keyedTraffic && cs.Evictions == 0 && cs.Fallbacks == 0 {
-		// Ledger read order matters: per-slot placed before removed (a
-		// torn read under-states the live count), and the horizon pass
-		// after the observed pass (concurrent placements can only raise
-		// the bound, never shrink it under the observation).
+		// Read order matters: per-slot placed before removed (a torn
+		// read under-states the live count), and the horizon pass after
+		// the observed pass (concurrent placements can only raise the
+		// bound, never shrink it under the observation).
+		cells := rt.view.cells
 		var observed int64
-		for slot := range rt.ledger {
-			if !rt.ms.IsUp(slot) {
-				continue
-			}
-			live := rt.ledger[slot].placed.Load() - rt.ledger[slot].removed.Load()
-			if live > observed {
-				observed = live
+		for slot := range cells {
+			if rt.ms.IsUp(slot) {
+				observed = max(observed, cells[slot].net())
 			}
 		}
 		var horizon int64
-		for slot := range rt.ledger {
+		for slot := range cells {
 			if rt.ms.IsUp(slot) {
-				horizon += rt.ledger[slot].placed.Load()
+				horizon += cells[slot].placed.Load()
 			}
 		}
 		maxBulk := rt.maxBulk.Load()

@@ -6,8 +6,9 @@
 // build identity — into one self-contained bundle file before the
 // context ages out of the bounded rings or dies with the process.
 //
-// A bundle is a versioned, CRC-framed file reusing the WAL's frame
-// idiom: an 8-byte magic, then one frame per named section,
+// A bundle is a versioned, CRC-framed file in the wire protocol's frame
+// (wire.AppendFrame, wire.ReadFrame): an 8-byte magic, then one frame
+// per named section,
 //
 //	[4B payload len][4B CRC-32 (IEEE) of payload][payload]
 //	payload = uvarint(len(name)) + name + data
@@ -27,20 +28,20 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 
 	"repro/internal/faultinject"
+	"repro/internal/wire"
 )
 
 // Magic opens every bundle file; the trailing byte versions the
 // container format (sections version themselves via the meta schema).
 var Magic = [8]byte{'B', 'B', 'D', 'I', 'A', 'G', '1', '\n'}
 
-// MaxSection bounds one section's frame payload, mirroring
-// wal.MaxRecord: a torn length prefix cannot drive a huge allocation.
-const MaxSection = 1 << 24
+// MaxSection bounds one section's frame payload: the wire frame
+// bound, so a torn length prefix cannot drive a huge allocation.
+const MaxSection = wire.MaxFrame
 
 // EndSection is the empty terminator section; its presence is what
 // distinguishes a complete bundle from a truncated one.
@@ -93,10 +94,7 @@ func (w *Writer) WriteSection(name string, data []byte) error {
 		w.err = fmt.Errorf("diag: section %q exceeds %d bytes", name, MaxSection)
 		return w.err
 	}
-	frame := make([]byte, 0, len(payload)+8)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	frame = append(frame, payload...)
+	frame := wire.AppendFrame(make([]byte, 0, len(payload)+8), payload)
 	if err := faultinject.HitWith("diag.section.partial", func() {
 		w.f.Write(frame[:len(frame)/2])
 		w.f.Sync()
@@ -171,28 +169,14 @@ func ReadBundle(path string) (*Bundle, error) {
 	b := &Bundle{Path: path}
 	read := int64(len(Magic))
 	for {
-		var hdr [8]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		payload, err := wire.ReadFrame(br)
+		if err != nil {
 			if err != io.EOF {
 				b.TornBytes = st.Size() - read
 			}
 			return b, nil
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		if n > MaxSection {
-			b.TornBytes = st.Size() - read
-			return b, nil
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			b.TornBytes = st.Size() - read
-			return b, nil
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			b.TornBytes = st.Size() - read
-			return b, nil
-		}
-		read += 8 + int64(n)
+		read += 8 + int64(len(payload))
 		nameLen, k := binary.Uvarint(payload)
 		if k <= 0 || nameLen > uint64(len(payload)-k) {
 			b.TornBytes = st.Size() - read

@@ -21,7 +21,7 @@ func testSources(t *testing.T, observed, bound int64) (*watch.Monitor, *obs.Reco
 	t.Helper()
 	rec := obs.NewRecorder(obs.Options{Hop: "serve", SampleEvery: 1})
 	c := rec.Begin(0, "place")
-	c.Stage("queue", time.Now().Add(-time.Millisecond))
+	c.StageElapsed("queue", 0, int64(time.Millisecond))
 	c.End(nil)
 
 	mon := watch.New("serve", watch.Options{}, func() watch.Sample {

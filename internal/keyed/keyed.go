@@ -61,6 +61,7 @@ import (
 	"errors"
 	"sync"
 
+	"repro/internal/protocol"
 	"repro/internal/rng"
 )
 
@@ -430,50 +431,32 @@ func (m *KeyMap) assignNewLocked(key string, avoid []int) (bin, probes int, err 
 	return b, p, nil
 }
 
-// probeLocked walks e's deterministic bin stream until a healthy,
-// non-avoided bin passes the policy's acceptance rule at live total
-// i, up to the policy's probe cap, then falls back to the least
-// loaded bin probed. Draws landing on down or avoided bins are
-// skipped without counting as probes; a separate draw budget bounds
-// the skip loop, after which a deterministic least-loaded scan
-// decides. Returns ErrNoBins when no healthy non-avoided bin exists.
+// probeLocked is one protocol.Pick over e's deterministic bin stream
+// at live total i. Draws landing on down or avoided bins are skipped
+// without counting as probes, and a draw budget of the probe cap plus
+// 8·Bins bounds the skips; a pick that probed nothing falls to a
+// deterministic least-loaded scan. Returns ErrNoBins when no healthy
+// non-avoided bin exists.
 func (m *KeyMap) probeLocked(e *entry, i int64, avoid []int) (bin, probes int, err error) {
-	k := m.healthy
-	maxProbes := m.cfg.Policy.MaxProbes(k)
-	budget := maxProbes + 8*m.cfg.Bins
-	best := -1
-	var bestLoad int64
-	for probes < maxProbes && budget > 0 {
-		budget--
+	k, p := m.healthy, m.cfg.Policy
+	bin, probes, _ = protocol.Pick(p, k, i, p.MaxProbes(k)+8*m.cfg.Bins, func() (int, int64, bool) {
 		b := e.r.Intn(m.cfg.Bins)
-		if !m.up[b] || containsBin(avoid, b) {
-			continue
-		}
-		probes++
-		m.probes++
-		load := m.binLoad[b]
-		if m.cfg.Policy.Accept(k, load, i) {
-			return b, probes, nil
-		}
-		if best < 0 || load < bestLoad {
-			best, bestLoad = b, load
-		}
+		return b, m.binLoad[b], m.up[b] && !containsBin(avoid, b)
+	})
+	m.probes += int64(probes)
+	if bin >= 0 {
+		return bin, probes, nil
 	}
-	if best >= 0 {
-		return best, probes, nil
-	}
+	var least int64
 	for b := 0; b < m.cfg.Bins; b++ {
-		if !m.up[b] || containsBin(avoid, b) {
-			continue
-		}
-		if best < 0 || m.binLoad[b] < bestLoad {
-			best, bestLoad = b, m.binLoad[b]
+		if m.up[b] && !containsBin(avoid, b) && (bin < 0 || m.binLoad[b] < least) {
+			bin, least = b, m.binLoad[b]
 		}
 	}
-	if best < 0 {
+	if bin < 0 {
 		return 0, probes, ErrNoBins
 	}
-	return best, probes, nil
+	return bin, probes, nil
 }
 
 // attachLocked adds bin to e's replica set.

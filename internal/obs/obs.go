@@ -243,14 +243,6 @@ func (c *Capture) StageAt(stage string, start, end time.Time) {
 	c.StageElapsed(stage, start.Sub(c.start).Nanoseconds(), end.Sub(c.start).Nanoseconds())
 }
 
-// Stage records a span for stage from start until now.
-func (c *Capture) Stage(stage string, start time.Time) {
-	if c.rec == nil {
-		return
-	}
-	c.StageElapsed(stage, start.Sub(c.start).Nanoseconds(), c.Elapsed())
-}
-
 // Attr attaches an integer attribute (probes, failovers, bulk size,
 // staleness_ms_at_pick, ...).
 func (c *Capture) Attr(key string, val int64) {

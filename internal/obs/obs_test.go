@@ -48,7 +48,7 @@ func TestContextRoundTrip(t *testing.T) {
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
 	c := r.Begin(7, "place")
-	c.Stage("queue", time.Now())
+	c.StageElapsed("queue", 0, c.Elapsed())
 	c.Attr("batch", 3)
 	c.End(nil)
 	if r.Ops(0) != nil || r.StageSummaries() != nil || r.Hop() != "" {
@@ -145,7 +145,7 @@ func TestSpanAndAttrOverflowDropped(t *testing.T) {
 func TestStageMetricsExposition(t *testing.T) {
 	r := NewRecorder(Options{Hop: "serve"})
 	c := r.Begin(0, "place")
-	c.Stage("queue", time.Now())
+	c.StageElapsed("queue", 0, c.Elapsed())
 	c.End(nil)
 	var sb strings.Builder
 	r.WriteStageMetrics(&sb)

@@ -84,3 +84,61 @@ func FuzzRuleBound(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPick runs Pick over arbitrary rules, bin counts, live counts and
+// budgets, drawing uniform bins of which a seeded subset is skipped:
+// Pick never returns a skipped or unprobed bin, never probes more than
+// MaxProbes or draws more than its budget, reports accepted only for a
+// bin Accept admits, and otherwise returns the least loaded bin probed
+// after no probe was admitted.
+func FuzzPick(f *testing.F) {
+	f.Add(uint8(2), uint8(4), int64(10), uint16(40), uint64(1))
+	f.Add(uint8(0), uint8(0), int64(0), uint16(0), uint64(7))
+	f.Add(uint8(5), uint8(15), int64(300), uint16(3), uint64(42))
+	f.Fuzz(func(t *testing.T, kind, kRaw uint8, i int64, budget uint16, seed uint64) {
+		rules := []Rule{FirstRule("single"), GreedyRule(2), AdaptiveRule(), ThresholdRule(100), RetryRule("retry", 3), FixedRule(5)}
+		r := rules[int(kind)%len(rules)]
+		k := 1 + int(kRaw%16)
+		g := rng.New(seed)
+		skipped, loads := make([]bool, k), make([]int64, k)
+		for b := range loads {
+			skipped[b], loads[b] = g.Intn(3) == 0, int64(g.Intn(12))
+		}
+		probed := make([]bool, k)
+		admitted := false
+		draws, oks := 0, 0
+		bin, probes, accepted := Pick(r, k, i, int(budget), func() (int, int64, bool) {
+			draws++
+			b := g.Intn(k)
+			if skipped[b] {
+				return b, 0, false
+			}
+			oks++
+			probed[b] = true
+			admitted = admitted || r.Accept(k, loads[b], i)
+			return b, loads[b], true
+		})
+		if draws > int(budget) || probes != oks || probes > r.MaxProbes(k) {
+			t.Fatalf("%s: %d draws (budget %d), %d probes of %d probed draws (MaxProbes %d)",
+				r.Name(), draws, budget, probes, oks, r.MaxProbes(k))
+		}
+		if bin < 0 {
+			if probes != 0 || accepted {
+				t.Fatalf("%s: bin -1 after %d probes, accepted %v", r.Name(), probes, accepted)
+			}
+			return
+		}
+		if bin >= k || skipped[bin] || !probed[bin] {
+			t.Fatalf("%s: returned bin %d, which was skipped or never probed", r.Name(), bin)
+		}
+		if accepted != admitted || accepted && !r.Accept(k, loads[bin], i) {
+			t.Fatalf("%s: accepted %v for bin %d at load %d, i %d (some probe admitted: %v)",
+				r.Name(), accepted, bin, loads[bin], i, admitted)
+		}
+		for b := range probed {
+			if !accepted && probed[b] && loads[b] < loads[bin] {
+				t.Fatalf("%s: fallback bin %d at load %d, but probed bin %d holds %d", r.Name(), bin, loads[bin], b, loads[b])
+			}
+		}
+	})
+}

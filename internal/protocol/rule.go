@@ -17,13 +17,13 @@ func ProbeCap(k int) int { return max(4*k, 8) }
 // every tier that places by it. In a routing tier the bins are the
 // tier's k healthy backends (internal/cluster) or bins
 // (internal/keyed), a bin's load is the tier's view of its count, and
-// a protocol retry is one more probe. A pick probes up to MaxProbes
-// uniform bins, takes the first that Accept admits, and otherwise
-// falls back to the least loaded bin it probed: the BoundedRetry
-// construction, so that a pick terminates even when a stale view
-// claims every bin is full. The engine protocols that defend a bound
-// are Ruled: their Rule states it, and a serving tier refuses a place
-// that would not Fit.
+// a protocol retry is one more probe. A pick is Pick: it probes up to
+// MaxProbes uniform bins, takes the first that Accept admits, and
+// otherwise falls back to the least loaded bin it probed: the
+// BoundedRetry construction, so that a pick terminates even when a
+// stale view claims every bin is full. The engine protocols that
+// defend a bound are Ruled: their Rule states it, and a serving tier
+// refuses a place that would not Fit.
 //
 //	rule          cluster name        keyed name       engine specs (Ruled)     accepts a bin when   probes    Bound
 //	────────────  ──────────────────  ───────────────  ───────────────────────  ───────────────────  ────────  ───────
@@ -75,6 +75,33 @@ func BoundOf(r Rule, k int, i int64) (bound int64, ok bool) {
 		return 0, false
 	}
 	return r.Bound(k, i)
+}
+
+// Pick is one pick of r over k bins at live count i, the BoundedRetry
+// loop of every routing tier. draw returns the tier's next bin and its
+// load, with ok false for a bin the tier skips (down, avoided); a
+// skipped draw costs no probe. Pick draws at most budget times and
+// probes at most r.MaxProbes(k) bins. It returns the first bin Accept
+// admits (accepted), else the least loaded bin probed (the first
+// minimum wins), else −1 when no draw was probed.
+func Pick(r Rule, k int, i int64, budget int, draw func() (bin int, load int64, ok bool)) (bin, probes int, accepted bool) {
+	maxProbes := r.MaxProbes(k)
+	bin = -1
+	var least int64
+	for ; probes < maxProbes && budget > 0; budget-- {
+		b, load, ok := draw()
+		if !ok {
+			continue
+		}
+		probes++
+		if r.Accept(k, load, i) {
+			return b, probes, true
+		}
+		if bin < 0 || load < least {
+			bin, least = b, load
+		}
+	}
+	return bin, probes, false
 }
 
 // Fits reports whether more balls can join k bins holding balls under

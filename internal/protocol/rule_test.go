@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/keyed"
+	"repro/internal/protocol"
 )
 
 // rule is the acceptance-rule shape of a tier's placement policy.
@@ -127,5 +128,52 @@ func TestRuleTable(t *testing.T) {
 			t.Fatalf("keyed %q: %v", in, err)
 		}
 		check("keyed", in, p, w)
+	}
+}
+
+// TestPick pins the one BoundedRetry loop on scripted draws over k=4
+// bins at live count i=10: a skipped draw costs no probe, the draw
+// budget ends the loop, the first bin Accept admits wins, otherwise the
+// least loaded bin probed wins (the first minimum), and nothing probed
+// returns -1.
+func TestPick(t *testing.T) {
+	type draw struct {
+		bin  int
+		load int64
+		ok   bool
+	}
+	skip := draw{}
+	probe := func(bin int, load int64) draw { return draw{bin, load, true} }
+	for _, tc := range []struct {
+		name          string
+		rule          protocol.Rule
+		budget        int
+		draws         []draw
+		bin, probes   int
+		accepted      bool
+		wantDrawsUsed int
+	}{
+		{"skips cost no probe", protocol.RetryRule("retry", 2), 10,
+			[]draw{skip, skip, probe(3, 9), skip, probe(1, 5)}, 1, 2, false, 5},
+		{"budget ends the loop", protocol.AdaptiveRule(), 3,
+			[]draw{probe(0, 6), skip, skip}, 0, 1, false, 3},
+		{"first accept wins", protocol.AdaptiveRule(), 10,
+			[]draw{probe(0, 5), probe(2, 2)}, 2, 2, true, 2},
+		{"least loaded probed wins", protocol.GreedyRule(3), 10,
+			[]draw{probe(0, 4), probe(1, 2), probe(2, 2)}, 1, 3, false, 3},
+		{"nothing probed", protocol.AdaptiveRule(), 3,
+			[]draw{skip, skip, skip}, -1, 0, false, 3},
+		{"no budget", protocol.AdaptiveRule(), 0, nil, -1, 0, false, 0},
+	} {
+		used := 0
+		bin, probes, accepted := protocol.Pick(tc.rule, 4, 10, tc.budget, func() (int, int64, bool) {
+			d := tc.draws[used] // past the script: the loop over-drew
+			used++
+			return d.bin, d.load, d.ok
+		})
+		if bin != tc.bin || probes != tc.probes || accepted != tc.accepted || used != tc.wantDrawsUsed {
+			t.Errorf("%s: Pick = (bin %d, probes %d, accepted %v) after %d draws, want (%d, %d, %v) after %d",
+				tc.name, bin, probes, accepted, used, tc.bin, tc.probes, tc.accepted, tc.wantDrawsUsed)
+		}
 	}
 }
