@@ -39,6 +39,12 @@
 //     answer: a healthy backend's refusal (full, empty bin) is never
 //     evidence against it.
 //
+// Health probes, load polls and trace reads reach the backends through
+// one fan-out, each call under its own timeout; a slot whose periodic
+// call fails backs off on its retry clock. The probe round that
+// rejoins a backend re-polls its load, and Close stops and waits for
+// every round.
+//
 // Router implements serve.Tier, so bbproxy serves it through the same
 // front end (serve.Handler, run by internal/daemon) as bbserved serves
 // its dispatcher — /v1/place, /v1/remove, /v1/stats, /healthz,
@@ -77,8 +83,8 @@ var (
 // answer by code): InprocBackend (a serve.Tier in process, used for
 // single-machine routing experiments, bbload's in-process targets and
 // CI), HTTPBackend (a remote daemon over HTTP) and WireBackend (the
-// same over the binary protocol). Keyed operations are part of every
-// backend.
+// same over the binary protocol). Keyed operations and trace reads are
+// part of every backend.
 type Backend interface {
 	// Name identifies the backend in stats and metrics (e.g. its URL).
 	Name() string
@@ -94,6 +100,7 @@ type Backend interface {
 	// only a verdict: membership reads whether it is nil.
 	Health(ctx context.Context) error
 	KeyedBackend
+	TraceBackend
 }
 
 // KeyedBackend is a backend's keyed operations, which forward the key

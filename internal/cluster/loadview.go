@@ -2,12 +2,9 @@ package cluster
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/backoff"
-	"repro/internal/rng"
 	"repro/internal/serve"
 )
 
@@ -32,9 +29,6 @@ import (
 // accounting is accurate even with no polling at all.
 type LoadView struct {
 	cells []loadCell
-	// pollSeed drives the per-slot poll-retry backoff jitter (set by
-	// the Router before the refresh loop starts; same package).
-	pollSeed uint64
 }
 
 type loadCell struct {
@@ -45,12 +39,6 @@ type loadCell struct {
 	removed atomic.Int64
 	poll    atomic.Pointer[poll]
 	_       [8]byte
-	// bo / nextPoll implement jittered exponential backoff for
-	// re-polling a slot whose stats endpoint is failing, so a
-	// recovering backend is not hammered by every refresh window.
-	// Touched only inside refreshAll rounds, which never overlap.
-	bo       *backoff.Backoff
-	nextPoll time.Time
 }
 
 // poll is one successful stats poll of a slot, published whole.
@@ -140,41 +128,4 @@ func (v *LoadView) Refresh(ctx context.Context, slot int, b Backend) error {
 	}
 	c.poll.Store(&poll{st: st, sent: sent, at: time.Now()})
 	return nil
-}
-
-// refreshAll refreshes the due slots concurrently, each poll bounded
-// by timeout; failures leave the slot's previous view in place and
-// push its next poll out by jittered exponential backoff from one
-// staleness window every (capped at 16 windows, reset by any
-// successful poll), so a struggling stats endpoint is not hammered
-// every window.
-func (v *LoadView) refreshAll(ctx context.Context, slots []int, backend func(int) Backend, timeout, every time.Duration) {
-	now := time.Now()
-	var wg sync.WaitGroup
-	for _, s := range slots {
-		c := &v.cells[s]
-		if now.Before(c.nextPoll) {
-			continue // backing off a failing slot
-		}
-		wg.Add(1)
-		go func(s int, c *loadCell) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, timeout)
-			defer cancel()
-			err := v.Refresh(pctx, s, backend(s))
-			if ctx.Err() != nil {
-				return // shutdown, not a poll verdict
-			}
-			if c.bo == nil {
-				c.bo = backoff.New(every, 16*every, rng.Mix(v.pollSeed, uint64(s)))
-			}
-			if err == nil {
-				c.bo.Reset()
-				c.nextPoll = time.Time{}
-			} else {
-				c.nextPoll = time.Now().Add(c.bo.Next())
-			}
-		}(s, c)
-	}
-	wg.Wait()
 }

@@ -1,13 +1,8 @@
 package cluster
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"repro/internal/backoff"
-	"repro/internal/rng"
 )
 
 // Membership is the backend registry: a fixed list of slots, each
@@ -31,10 +26,6 @@ type Membership struct {
 	failAfter int
 	riseAfter int
 
-	// probeSeed drives the per-slot re-probe backoff jitter (set by
-	// the Router before the health loop starts; same package).
-	probeSeed uint64
-
 	evictions atomic.Int64
 	rejoins   atomic.Int64
 
@@ -44,7 +35,6 @@ type Membership struct {
 }
 
 type member struct {
-	slot    int
 	backend Backend
 	up      atomic.Bool
 	// suspect mirrors fails > 0, so the traffic hot path can skip the
@@ -54,12 +44,6 @@ type member struct {
 	// rises counts consecutive probe successes while down. Guarded by
 	// Membership.mu.
 	fails, rises int
-	// bo / nextProbe implement jittered exponential backoff for
-	// re-probing a down slot, so a recovering backend is not hammered
-	// by every health tick (and, across routers, not by all of them at
-	// once). Touched only inside probeAll rounds, which never overlap.
-	bo        *backoff.Backoff
-	nextProbe time.Time
 }
 
 // NewMembership registers the backends, all initially in rotation.
@@ -72,8 +56,8 @@ func NewMembership(backends []Backend, failAfter, riseAfter int) *Membership {
 		riseAfter = 2
 	}
 	m := &Membership{failAfter: failAfter, riseAfter: riseAfter}
-	for i, b := range backends {
-		mem := &member{slot: i, backend: b}
+	for _, b := range backends {
+		mem := &member{backend: b}
 		mem.up.Store(true)
 		m.members = append(m.members, mem)
 	}
@@ -104,9 +88,9 @@ func (m *Membership) Rejoins() int64 { return m.rejoins.Load() }
 // constructor).
 func (m *Membership) rebuild() {
 	healthy := make([]int, 0, len(m.members))
-	for _, mem := range m.members {
+	for slot, mem := range m.members {
 		if mem.up.Load() {
-			healthy = append(healthy, mem.slot)
+			healthy = append(healthy, slot)
 		}
 	}
 	m.healthy.Store(&healthy)
@@ -134,8 +118,8 @@ func (m *Membership) ReportSuccess(slot int) {
 }
 
 // observe folds one piece of evidence (probe or traffic) into slot's
-// state machine.
-func (m *Membership) observe(slot int, ok, probe bool) {
+// state machine and reports whether it rejoined the slot.
+func (m *Membership) observe(slot int, ok, probe bool) (rejoined bool) {
 	mem := m.members[slot]
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -169,64 +153,10 @@ func (m *Membership) observe(slot int, ok, probe bool) {
 			if m.onChange != nil {
 				m.onChange(slot, true)
 			}
+			return true
 		}
 	case !mem.up.Load() && !ok:
 		mem.rises = 0
 	}
-}
-
-// probeAll health-checks every due slot concurrently, each probe
-// bounded by timeout, and folds the results into the state machines.
-// Up slots are always due (supervision stays fixed-interval); a down
-// slot is due only once its re-probe backoff has elapsed — failures
-// push its next probe out exponentially (with seeded jitter, capped
-// at 16 periods), and any successful probe resets the schedule.
-func (m *Membership) probeAll(ctx context.Context, timeout, every time.Duration) {
-	now := time.Now()
-	var wg sync.WaitGroup
-	for _, mem := range m.members {
-		if !mem.up.Load() && now.Before(mem.nextProbe) {
-			continue // backing off a down slot
-		}
-		wg.Add(1)
-		go func(mem *member) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, timeout)
-			defer cancel()
-			err := mem.backend.Health(pctx)
-			if ctx.Err() != nil {
-				return // shutdown, not evidence
-			}
-			m.observe(mem.slot, err == nil, true)
-			if mem.bo == nil {
-				mem.bo = backoff.New(every, 16*every, rng.Mix(m.probeSeed, uint64(mem.slot)))
-			}
-			if err == nil {
-				mem.bo.Reset()
-				mem.nextProbe = time.Time{}
-			} else if !mem.up.Load() {
-				mem.nextProbe = time.Now().Add(mem.bo.Next())
-			}
-		}(mem)
-	}
-	wg.Wait()
-}
-
-// run is the health loop: probe all due backends every `every` until
-// ctx is cancelled.
-func (m *Membership) run(ctx context.Context, every time.Duration) {
-	timeout := every
-	if timeout < 100*time.Millisecond {
-		timeout = 100 * time.Millisecond
-	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			m.probeAll(ctx, timeout, every)
-		}
-	}
+	return false
 }

@@ -198,3 +198,46 @@ func TestReportSuccessClearsStreak(t *testing.T) {
 		t.Fatal("ReportSuccess rejoined a down backend")
 	}
 }
+
+// slowStats is a toggleBackend whose stats polls take 200 ms unless
+// their context ends first, counted as they start and finish.
+type slowStats struct {
+	*toggleBackend
+	started, finished atomic.Int64
+}
+
+func (b *slowStats) Stats(ctx context.Context) (serve.StatsView, error) {
+	b.started.Add(1)
+	defer b.finished.Add(1)
+	select {
+	case <-time.After(200 * time.Millisecond):
+		return b.toggleBackend.Stats(ctx)
+	case <-ctx.Done():
+		return serve.StatsView{}, ctx.Err()
+	}
+}
+
+// TestCloseStopsRejoinRepoll pins the rejoin re-poll to the router's
+// lifetime: Close cancels the re-poll of a just-rejoined backend and
+// waits for it, so no stats poll starts or finishes once Close has
+// returned.
+func TestCloseStopsRejoinRepoll(t *testing.T) {
+	d := serve.NewDispatcher(serve.Config{Spec: ballsbins.Adaptive(), N: 16, Shards: 1, Seed: 1})
+	t.Cleanup(d.Close)
+	b := &slowStats{toggleBackend: &toggleBackend{d: d}}
+	rt := NewRouter(Config{Backends: []Backend{b}, BinsPerBackend: 16, Policy: policyNamed("adaptive"),
+		Seed: 1, HealthEvery: 2 * time.Millisecond})
+	b.down.Store(true)
+	waitFor(t, "eviction", func() bool { return !rt.Membership().IsUp(0) })
+	b.down.Store(false)
+	waitFor(t, "the rejoin re-poll", func() bool { return b.started.Load() >= 2 })
+	rt.Close()
+	started, finished := b.started.Load(), b.finished.Load()
+	if finished != started {
+		t.Fatalf("%d of %d stats polls had finished when Close returned", finished, started)
+	}
+	time.Sleep(400 * time.Millisecond)
+	if s, f := b.started.Load(), b.finished.Load(); s != started || f != finished {
+		t.Fatalf("400 ms after Close: %d polls started and %d finished, want %d and %d", s, f, started, finished)
+	}
+}

@@ -211,6 +211,13 @@ func (b *toggleBackend) Health(context.Context) error {
 	return nil
 }
 
+func (b *toggleBackend) ReadTrace(ctx context.Context, id string) ([]*obs.Op, error) {
+	if b.down.Load() {
+		return nil, fmt.Errorf("toggle: down")
+	}
+	return (&InprocBackend{D: b.d}).ReadTrace(ctx, id)
+}
+
 // TestRejoinResetsPickStaleness pins the rejoin re-poll contract: with
 // no periodic refresh (huge staleness window), the load view only ages
 // — until an evicted backend rejoins, whose onChange hook forces a

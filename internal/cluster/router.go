@@ -69,9 +69,9 @@ type Config struct {
 // tier's dispatch core. Construct with NewRouter; all methods are safe
 // for concurrent use. Admission, drain, the keyed map (nil unless
 // Config.Keyed was set) and its store and the monitors are its
-// Lifecycle's; Close also stops the background loops, but never
-// closes the backends themselves (the proxy does not own the
-// cluster's data).
+// Lifecycle's; Close and Crash also stop the health and load rounds
+// and wait for them, but never close the backends themselves (the
+// proxy does not own the cluster's data).
 type Router struct {
 	cfg    Config
 	ms     *Membership
@@ -110,8 +110,11 @@ type Router struct {
 	lastWindow  atomic.Pointer[windowSummary]
 	windowBegan atomic.Int64 // unixnano
 
-	cancel context.CancelFunc
-	loops  sync.WaitGroup
+	// probeRetry and pollRetry are the health and load rounds' clocks;
+	// cancel ends the rounds, and loops waits for them.
+	probeRetry, pollRetry retryClock
+	cancel                context.CancelFunc
+	loops                 sync.WaitGroup
 	*serve.Lifecycle
 }
 
@@ -121,7 +124,7 @@ type windowSummary struct {
 }
 
 // NewRouter validates cfg, takes a best-effort initial load poll of
-// every backend, and starts the health and refresh loops. It panics on
+// every backend, and starts the health and load rounds. It panics on
 // structurally invalid configuration (no backends, missing policy) —
 // same contract as the allocator constructors — and on durability I/O
 // errors; callers that can handle those use OpenRouter.
@@ -162,9 +165,9 @@ func OpenRouter(cfg Config) (*Router, *keyed.RecoveryInfo, error) {
 		logger:        logger,
 		pickStaleness: hdrhist.New(),
 		window:        hdrhist.New(),
+		probeRetry:    newRetryClock(len(cfg.Backends), cfg.HealthEvery, rng.Mix(cfg.Seed, 0x70726f6265)), // "probe"
+		pollRetry:     newRetryClock(len(cfg.Backends), cfg.Staleness, rng.Mix(cfg.Seed, 0x6c6f616470)),   // "loadp"
 	}
-	rt.ms.probeSeed = rng.Mix(cfg.Seed, 0x70726f6265)  // "probe"
-	rt.view.pollSeed = rng.Mix(cfg.Seed, 0x6c6f616470) // "loadp"
 	rt.windowBegan.Store(time.Now().UnixNano())
 	var kc *keyed.Config
 	if cfg.Keyed != nil {
@@ -178,7 +181,7 @@ func OpenRouter(cfg Config) (*Router, *keyed.RecoveryInfo, error) {
 	lc, rec, err := serve.NewLifecycle(serve.LifecycleConfig{
 		Hop: "proxy", Name: "router", ErrDraining: ErrDraining,
 		Obs: cfg.Obs, Watch: cfg.Watch, Sample: rt.watchSample,
-		Keyed: kc, KeyedStore: cfg.KeyedStore, Stop: rt.stopLoops,
+		Keyed: kc, KeyedStore: cfg.KeyedStore, Stop: func() { rt.cancel(); rt.loops.Wait() },
 	})
 	if err != nil {
 		return nil, nil, err
@@ -194,14 +197,11 @@ func OpenRouter(cfg Config) (*Router, *keyed.RecoveryInfo, error) {
 			rt.Keyed().SetUp(slot)
 		}
 	}
-	// A rejoining backend may have lost or served balls we never saw:
-	// re-poll it immediately (asynchronously — onChange runs under the
-	// membership lock) so the next picks see its real load rather than
-	// the pre-eviction estimate. The keyed tier follows membership
-	// synchronously: an eviction rebalances exactly the keys resident
-	// on the dead slot (the KeyMap has its own lock and never calls
-	// back into Membership, so nesting under the membership lock is
-	// safe), a rejoin only reopens the slot for future picks.
+	// The keyed tier follows membership synchronously: an eviction
+	// rebalances exactly the keys resident on the dead slot (the KeyMap
+	// has its own lock and never calls back into Membership, so nesting
+	// under the membership lock is safe), a rejoin only reopens the slot
+	// for future picks.
 	km := rt.Keyed()
 	rt.ms.onChange = func(slot int, up bool) {
 		if km != nil && !up {
@@ -235,11 +235,6 @@ func OpenRouter(cfg Config) (*Router, *keyed.RecoveryInfo, error) {
 			rt.Watch().Record(watch.EventRejoin, fmt.Sprintf("backend %d rejoined", slot),
 				map[string]int64{"slot": int64(slot)})
 			rt.logger.Info("cluster: backend rejoined, forcing load re-poll", "slot", slot)
-			go func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				defer cancel()
-				_ = rt.view.Refresh(ctx, slot, rt.ms.Backend(slot))
-			}()
 		} else {
 			rt.Watch().Record(watch.EventEviction, fmt.Sprintf("backend %d evicted", slot),
 				map[string]int64{"slot": int64(slot)})
@@ -250,50 +245,18 @@ func OpenRouter(cfg Config) (*Router, *keyed.RecoveryInfo, error) {
 	// Seed the view so the first picks are informed (best-effort; a
 	// backend that is down simply stays unpolled).
 	initCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	rt.view.refreshAll(initCtx, rt.ms.Healthy(), rt.ms.Backend, 2*time.Second, cfg.Staleness)
+	rt.loadRound(initCtx, 2*time.Second)
 	cancel()
 
 	loopCtx, loopCancel := context.WithCancel(context.Background())
 	rt.cancel = loopCancel
-	if cfg.HealthEvery > 0 {
-		rt.loops.Add(1)
-		go func() {
-			defer rt.loops.Done()
-			rt.ms.run(loopCtx, cfg.HealthEvery)
-		}()
-	}
-	if cfg.Staleness > 0 {
-		rt.loops.Add(1)
-		go func() {
-			defer rt.loops.Done()
-			rt.refreshLoop(loopCtx)
-		}()
-	}
+	rt.every(loopCtx, cfg.HealthEvery, rt.healthRound)
+	rt.every(loopCtx, cfg.Staleness, func(ctx context.Context) {
+		rt.loadRound(ctx, cfg.Staleness)
+		rt.rotateWindow()
+	})
 	rt.Watch().Start()
 	return rt, rec, nil
-}
-
-// stopLoops stops the health and refresh loops: the router's part of
-// Close and Crash.
-func (rt *Router) stopLoops() {
-	rt.cancel()
-	rt.loops.Wait()
-}
-
-// refreshLoop re-polls every healthy backend's stats each staleness
-// window and rotates the windowed latency histogram.
-func (rt *Router) refreshLoop(ctx context.Context) {
-	t := time.NewTicker(rt.cfg.Staleness)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			rt.view.refreshAll(ctx, rt.ms.Healthy(), rt.ms.Backend, rt.cfg.Staleness, rt.cfg.Staleness)
-			rt.rotateWindow()
-		}
-	}
 }
 
 // rotateWindow publishes the current latency window and starts the

@@ -360,6 +360,8 @@ func (b *cancellingBackend) Stats(context.Context) (serve.StatsView, error) {
 
 func (b *cancellingBackend) Health(context.Context) error { return nil }
 
+func (b *cancellingBackend) ReadTrace(context.Context, string) ([]*obs.Op, error) { return nil, nil }
+
 // TestClientCancelIsNotBackendEvidence pins the eviction evidence
 // rule: a placement that failed because the CALLER's context died is
 // not reported against the backend — otherwise two client disconnects

@@ -9,8 +9,8 @@ import (
 	"repro/internal/watch"
 )
 
-// TraceBackend is the optional Backend capability behind cross-tier
-// trace assembly and bbload's slow-op join: read the daemon's own
+// TraceBackend is a backend's trace read, behind cross-tier trace
+// assembly and bbload's slow-op join: read the daemon's own
 // retained-op ring, filtered to one trace id (id "" returns the whole
 // ring — the bundle path). HTTPBackend serves it over GET /v1/trace,
 // WireBackend over the TRACE message (protocol ≥ 3) with HTTP
@@ -44,20 +44,17 @@ type TransportStats struct {
 	BytesPerOp       float64
 }
 
-// gatherTimeout bounds each backend's trace read during assembly — a
-// dead backend must not stall a diagnostic query.
-const gatherTimeout = 2 * time.Second
-
 // GatherTrace implements serve.Tier: it pulls every op recorded for
 // one trace id across the whole cluster — the proxy's own ring plus
-// each live backend's ring, fetched concurrently. id 0 snapshots every
+// each live backend's ring, fetched concurrently, each read bounded by
+// 2 s so a dead backend cannot stall the query. id 0 snapshots every
 // ring unfiltered for the diagnostic bundle's trace section, so a
 // postmortem holds the complete cross-tier picture even for ids nobody
 // asked about before the crash. sources names each ring consulted;
 // backends that are down or predate the trace endpoint contribute
 // nothing (a partial assembly beats a failed one during an incident).
 func (rt *Router) GatherTrace(ctx context.Context, id uint64) (sources []string, ops []*obs.Op) {
-	var hex string // "" reads a whole ring (TraceBackend)
+	var hex string // "" reads a whole ring
 	if id != 0 {
 		hex = obs.FormatTrace(id)
 		ops = rt.Obs().OpsByTrace(hex)
@@ -65,28 +62,15 @@ func (rt *Router) GatherTrace(ctx context.Context, id uint64) (sources []string,
 		ops = rt.Obs().Ops(0)
 	}
 	sources = []string{"proxy"}
-
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for slot, b := range rt.cfg.Backends {
-		tb, ok := b.(TraceBackend)
-		if !ok || !rt.ms.IsUp(slot) {
-			continue
-		}
-		wg.Add(1)
-		go func(name string, tb TraceBackend) {
-			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, gatherTimeout)
-			defer cancel()
-			got, err := tb.ReadTrace(cctx, hex)
+	fanout(ctx, rt.ms.Healthy(), 2*time.Second, func(ctx context.Context, slot int) {
+		b := rt.ms.Backend(slot)
+		if got, err := b.ReadTrace(ctx, hex); err == nil {
 			mu.Lock()
 			defer mu.Unlock()
-			if err == nil {
-				sources = append(sources, name)
-				ops = append(ops, got...)
-			}
-		}(b.Name(), tb)
-	}
-	wg.Wait()
+			sources = append(sources, b.Name())
+			ops = append(ops, got...)
+		}
+	})
 	return sources, ops
 }

@@ -17,9 +17,11 @@
 // (seed, operation sequence). A key is placed at the first probed bin
 // passing the active Policy's acceptance rule (a protocol.Rule: the
 // protocols' exact integer test K·(load−1) < i over key-replica
-// counts), with the probe cap + least-loaded-probed fallback of the
-// BoundedRetry construction; the cap applies per pick, not per
-// request.
+// counts), with the probe cap of the BoundedRetry construction; the
+// cap applies per pick, not per request. A pick that exhausts it
+// falls back to the least loaded probed bin, except under a rule with
+// a Bound (adaptive, threshold), whose probed bins then all hold at
+// least the bound: it takes the least loaded bin it may use instead.
 //
 // Three mechanisms ride on top:
 //
@@ -434,19 +436,24 @@ func (m *KeyMap) assignNewLocked(key string, avoid []int) (bin, probes int, err 
 // probeLocked is one protocol.Pick over e's deterministic bin stream
 // at live total i. Draws landing on down or avoided bins are skipped
 // without counting as probes, and a draw budget of the probe cap plus
-// 8·Bins bounds the skips; a pick that probed nothing falls to a
-// deterministic least-loaded scan. Returns ErrNoBins when no healthy
+// 8·Bins bounds the skips. A pick that probed nothing, or that accepted
+// nothing under a rule with a Bound, falls to a deterministic
+// least-loaded scan of the eligible bins: every probed bin then holds
+// at least the bound, and the least loaded probe would go past it. Rules
+// with no Bound (hash, greedy, boundedretry) keep Pick's least loaded
+// probe, as they are defined. Returns ErrNoBins when no healthy
 // non-avoided bin exists.
 func (m *KeyMap) probeLocked(e *entry, i int64, avoid []int) (bin, probes int, err error) {
 	k, p := m.healthy, m.cfg.Policy
-	bin, probes, _ = protocol.Pick(p, k, i, p.MaxProbes(k)+8*m.cfg.Bins, func() (int, int64, bool) {
+	bin, probes, accepted := protocol.Pick(p, k, i, p.MaxProbes(k)+8*m.cfg.Bins, func() (int, int64, bool) {
 		b := e.r.Intn(m.cfg.Bins)
 		return b, m.binLoad[b], m.up[b] && !containsBin(avoid, b)
 	})
 	m.probes += int64(probes)
-	if bin >= 0 {
+	if _, bounded := p.Bound(k, i); accepted || (bin >= 0 && !bounded) {
 		return bin, probes, nil
 	}
+	bin = -1
 	var least int64
 	for b := 0; b < m.cfg.Bins; b++ {
 		if m.up[b] && !containsBin(avoid, b) && (bin < 0 || m.binLoad[b] < least) {

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/protocol"
+	"repro/internal/rng"
 )
 
 // checkInvariants asserts the structural invariants the fuzz target
@@ -366,6 +369,60 @@ func TestThresholdAndBoundedRetryPolicies(t *testing.T) {
 		t.Fatalf("boundedretry cap %d, want 2", br.MaxProbes(8))
 	}
 	checkInvariants(t, m)
+}
+
+// TestBoundedFallbackTakesLeastLoaded pins the fallback of a pick that
+// found no accepting bin: under a rule with a Bound every probed bin
+// holds at least the bound, so the pick takes the least loaded
+// eligible bin instead of pushing a probed one past the bound; a rule
+// with no Bound keeps its least loaded probe. Either way the key's
+// draws and probe count are the rule's own.
+func TestBoundedFallbackTakesLeastLoaded(t *testing.T) {
+	const seed, bins = 5, 4
+	// A key whose first ProbeCap(4) = 16 draws all miss bin 3.
+	var key string
+	for i := 0; key == ""; i++ {
+		key = fmt.Sprintf("miss-%d", i)
+		r := rng.New(keyStream(seed, key))
+		for range protocol.ProbeCap(bins) {
+			if r.Intn(bins) == 3 {
+				key = ""
+			}
+		}
+	}
+	for _, tc := range []struct {
+		policy  Policy
+		toEmpty bool // lands on bin 3, the only bin under the bound
+	}{
+		{Adaptive(), true},
+		{protocol.ThresholdRule(33), true},
+		{protocol.RetryRule("boundedretry", 3), false},
+		{Greedy(2), false},
+		{Hash(), false},
+	} {
+		m := New(Config{Bins: bins, Policy: tc.policy, Seed: seed, HotShare: 1})
+		for b, load := range []int{10, 10, 10, 2} {
+			for j := range load {
+				if err := m.Apply(Op{Type: OpAssign, Key: fmt.Sprintf("b%d-%d", b, j), To: b}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		bin, probes, _, err := m.Route(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := tc.policy.MaxProbes(bins); probes != want {
+			t.Errorf("%s: %d probes, want %d", tc.policy.Name(), probes, want)
+		}
+		if (bin == 3) != tc.toEmpty {
+			t.Errorf("%s: key landed on bin %d (loads 10, 10, 10, 2 before it)", tc.policy.Name(), bin)
+		}
+		if bound, ok := tc.policy.Bound(bins, 33); ok && maxBinLoad(m) > bound {
+			t.Errorf("%s: max bin load %d above the bound %d", tc.policy.Name(), maxBinLoad(m), bound)
+		}
+		checkInvariants(t, m)
+	}
 }
 
 func TestPolicyNames(t *testing.T) {

@@ -49,12 +49,6 @@ type ClusterConfig struct {
 	// Staleness is the router's load-view refresh window; 0 keeps the
 	// view on exact local accounting (the single-router case).
 	Staleness time.Duration
-	// FailAfter/RiseAfter forward the membership thresholds (default 2).
-	FailAfter, RiseAfter int
-	// HealthEvery enables the router's health loop — needed for
-	// kill scenarios, where eviction must happen without waiting for
-	// enough traffic failures.
-	HealthEvery time.Duration
 	// DataDir, when set, makes the router's keyed tier durable (WAL +
 	// snapshots in that directory) — required for restart scenarios.
 	DataDir       string
@@ -95,9 +89,6 @@ func NewInprocCluster(cfg ClusterConfig) (*ClusterTarget, error) {
 		Policy:         cfg.Policy,
 		Seed:           cfg.Seed,
 		Staleness:      cfg.Staleness,
-		HealthEvery:    cfg.HealthEvery,
-		FailAfter:      cfg.FailAfter,
-		RiseAfter:      cfg.RiseAfter,
 		Keyed:          cfg.Keyed,
 		Watch:          cfg.Watch,
 	}

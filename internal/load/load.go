@@ -434,9 +434,7 @@ func Run(ctx context.Context, cfg Config, target cluster.Backend) (Result, error
 	if rb, ok := target.(cluster.ReportBackend); ok {
 		stamp(ctx, &res, cfg.Scenario, rb)
 	}
-	if tb, ok := target.(cluster.TraceBackend); ok {
-		res.SlowOps = slow.join(ctx, tb)
-	}
+	res.SlowOps = slow.join(ctx, target)
 	return res, nil
 }
 

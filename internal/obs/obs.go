@@ -213,9 +213,6 @@ func (r *Recorder) Begin(trace uint64, op string) Capture {
 // downstream so the hops share one id.
 func (c *Capture) Trace() uint64 { return c.trace }
 
-// Active reports whether the capture records anything at all.
-func (c *Capture) Active() bool { return c.rec != nil }
-
 // Elapsed returns the nanoseconds from the op's begin time until now,
 // read from the monotonic clock alone (time.Since), which costs less
 // than the wall-and-monotonic pair time.Now reads. Offsets from one
