@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	ballsbins "repro"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/watch"
 	"repro/internal/wire"
@@ -145,20 +146,31 @@ func TestClientErrorParity(t *testing.T) {
 // the router's per-op calls never pay for the client tools' needs. In
 // process a pair costs the dispatcher's bins and one stats row per op;
 // over wire the client adds only the bins it decodes for its caller.
+// A traced pair costs the same, as every bbload and bbmark request is
+// traced. The HTTP rows run untraced: their traced cost is net/http's
+// header handling.
 func TestBackendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations")
 	}
 	for _, tc := range []struct {
 		transport   string
+		traced      bool
 		pair, keyed float64
-	}{{"inproc", 3, 3}, {"wire", 4, 4}, {"http", 192, 200}} {
+	}{
+		{"inproc", false, 3, 3}, {"inproc", true, 3, 3},
+		{"wire", false, 4, 4}, {"wire", true, 4, 4},
+		{"http", false, 192, 200},
+	} {
 		// No watchdog: its ticks would allocate inside the measurement.
 		d := serve.NewDispatcher(serve.Config{Spec: ballsbins.Adaptive(), N: 1024, Shards: 4, Seed: 1,
 			Watch: watch.Options{Disabled: true}})
 		t.Cleanup(d.Close)
 		b := serveOver(t, tc.transport, []*serve.Dispatcher{d})[0]
 		ctx := context.Background()
+		if tc.traced {
+			ctx = obs.WithTrace(ctx, 0xfeedface)
+		}
 		pair := func() {
 			bins, _, err := b.Place(ctx, 1)
 			if err == nil {
@@ -182,10 +194,10 @@ func TestBackendAllocs(t *testing.T) {
 			keyedPair()
 		}
 		if got := testing.AllocsPerRun(2000, pair); got > tc.pair {
-			t.Errorf("%s place+remove: %v allocs, want <= %v", tc.transport, got, tc.pair)
+			t.Errorf("%s (traced %v) place+remove: %v allocs, want <= %v", tc.transport, tc.traced, got, tc.pair)
 		}
 		if got := testing.AllocsPerRun(2000, keyedPair); got > tc.keyed {
-			t.Errorf("%s keyed place+remove: %v allocs, want <= %v", tc.transport, got, tc.keyed)
+			t.Errorf("%s (traced %v) keyed place+remove: %v allocs, want <= %v", tc.transport, tc.traced, got, tc.keyed)
 		}
 	}
 }

@@ -7,8 +7,10 @@ import (
 
 // Header carries the trace id hop-to-hop over HTTP: 16 lowercase hex
 // digits. The wire protocol carries the same id in the optional
-// trailing trace field (internal/wire, protocol version 2).
-const Header = "X-BB-Trace"
+// trailing trace field (internal/wire, protocol version 2). It is
+// spelled in Go's canonical form, so net/http's Get and Set use it
+// as is instead of allocating a canonical copy per call.
+const Header = "X-Bb-Trace"
 
 type ctxKey struct{}
 
@@ -21,10 +23,45 @@ func WithTrace(ctx context.Context, id uint64) context.Context {
 	return context.WithValue(ctx, ctxKey{}, id)
 }
 
+// Scope is a reusable trace context: its parent context with one
+// trace id held inline. Its owner, a goroutine serving one call after
+// another, re-tags it between calls with Set, so tagging a call
+// allocates nothing. A callee must therefore not keep a Scope, or a
+// context derived from it, past its call.
+//
+// The id shadows any trace id on the parent, and 0 means untraced.
+// Every other value, Done, Err and Deadline come from the parent, so
+// WithCancel and WithTimeout on a Scope register with the parent's
+// cancellation and start no goroutine.
+type Scope struct {
+	context.Context
+	id uint64
+}
+
+// NewScope returns an untraced Scope over parent.
+func NewScope(parent context.Context) *Scope { return &Scope{Context: parent} }
+
+// Set tags the scope with trace id (0: untraced) for its next call.
+func (s *Scope) Set(id uint64) { s.id = id }
+
+// Value implements context.Context. The trace key answers the scope
+// itself, so TraceFrom reads the id without boxing it.
+func (s *Scope) Value(key any) any {
+	if key == (ctxKey{}) {
+		return s
+	}
+	return s.Context.Value(key)
+}
+
 // TraceFrom extracts the trace id from ctx (0 when untraced).
 func TraceFrom(ctx context.Context) uint64 {
-	id, _ := ctx.Value(ctxKey{}).(uint64)
-	return id
+	switch v := ctx.Value(ctxKey{}).(type) {
+	case uint64:
+		return v
+	case *Scope:
+		return v.id
+	}
+	return 0
 }
 
 // FormatTrace renders a trace id as the canonical 16-hex-digit form.

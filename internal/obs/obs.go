@@ -23,7 +23,11 @@
 // header and over the wire protocol as the optional trailing trace
 // field negotiated by the HELLO version bump (internal/wire). A tier
 // that decides to capture an op mints an id if the caller didn't send
-// one, so every retained op is joinable.
+// one, so every retained op is joinable. In process the id rides the
+// context: WithTrace tags a context for one call, and a Scope is one
+// reusable trace context that a long-lived goroutine (a wire server's
+// reader or worker) re-tags before each call, so tagging a call
+// allocates nothing. TraceFrom reads either.
 package obs
 
 import (

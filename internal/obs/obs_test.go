@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"net/http"
 	"runtime"
 	"strings"
 	"sync"
@@ -42,6 +43,75 @@ func TestContextRoundTrip(t *testing.T) {
 	ctx2 := WithTrace(ctx, 42)
 	if TraceFrom(ctx2) != 42 {
 		t.Fatalf("TraceFrom = %d, want 42", TraceFrom(ctx2))
+	}
+}
+
+// TestHeaderCanonical: Header is spelled as net/http stores it, so
+// reading or writing it allocates no canonical copy.
+func TestHeaderCanonical(t *testing.T) {
+	if got := http.CanonicalHeaderKey(Header); got != Header {
+		t.Fatalf("Header %q is not canonical; net/http spells it %q", Header, got)
+	}
+}
+
+type otherKey struct{}
+
+// TestScope: a Scope's id reads through every context derived from
+// it, a WithTrace over it wins, its id shadows its parent's, Set(0)
+// reads untraced, and its cancellable children hang off the parent's
+// cancellation without a goroutine each.
+func TestScope(t *testing.T) {
+	parent, cancel := context.WithCancel(context.WithValue(WithTrace(context.Background(), 5), otherKey{}, "v"))
+	defer cancel()
+	sc := NewScope(parent)
+	if got := TraceFrom(sc); got != 0 {
+		t.Fatalf("new scope over a traced parent reads %d, want 0 (untraced)", got)
+	}
+	sc.Set(7)
+	cctx, ccancel := context.WithCancel(sc)
+	defer ccancel()
+	tctx, tcancel := context.WithTimeout(sc, time.Hour)
+	defer tcancel()
+	vctx := context.WithValue(sc, otherKey{}, "w")
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{{"scope", sc}, {"WithCancel", cctx}, {"WithTimeout", tctx}, {"WithValue", vctx}} {
+		if got := TraceFrom(c.ctx); got != 7 {
+			t.Errorf("%s: TraceFrom = %d, want 7", c.name, got)
+		}
+	}
+	if got := sc.Value(otherKey{}); got != "v" {
+		t.Errorf("scope hides its parent's values: got %v, want v", got)
+	}
+	if got := TraceFrom(WithTrace(sc, 9)); got != 9 {
+		t.Errorf("WithTrace over a scope reads %d, want 9", got)
+	}
+	sc.Set(0)
+	if got, gotChild := TraceFrom(sc), TraceFrom(cctx); got != 0 || gotChild != 0 {
+		t.Errorf("after Set(0): scope reads %d, its child %d, want 0 and 0", got, gotChild)
+	}
+
+	before := runtime.NumGoroutine()
+	kids := make([]context.Context, 100)
+	for i := range kids {
+		var cancelKid context.CancelFunc
+		kids[i], cancelKid = context.WithCancel(sc)
+		defer cancelKid()
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("100 WithCancel children of a scope started %d goroutines", n-before)
+	}
+	cancel()
+	for i, k := range kids {
+		select {
+		case <-k.Done():
+		default:
+			t.Fatalf("child %d not done after its scope's parent was cancelled", i)
+		}
+	}
+	if sc.Err() != context.Canceled {
+		t.Fatalf("scope Err = %v after its parent was cancelled", sc.Err())
 	}
 }
 

@@ -17,12 +17,16 @@ import (
 // caller can check that the reply it got is its own. A PLACE whose
 // caller registered a cancel func under its trace id has that ctx
 // cancelled once its balls are placed, before the reply is written:
-// the caller gives up while its reply is in flight.
+// the caller gives up while its reply is in flight. Each PLACE reads
+// its trace id again once it has placed, and counts in retagged any
+// change: a serving goroutine's scope must not be re-tagged during a
+// call.
 type hammerHandler struct {
 	*testHandler
-	mu      sync.Mutex
-	bins    map[uint64][]int
-	cancels map[uint64]context.CancelFunc
+	mu       sync.Mutex
+	bins     map[uint64][]int
+	cancels  map[uint64]context.CancelFunc
+	retagged atomic.Int64
 }
 
 func newHammerHandler(n int) *hammerHandler {
@@ -36,6 +40,9 @@ func newHammerHandler(n int) *hammerHandler {
 func (h *hammerHandler) Place(ctx context.Context, count int) ([]int, int64, error) {
 	id := obs.TraceFrom(ctx)
 	bins, samples, err := h.testHandler.Place(ctx, count)
+	if obs.TraceFrom(ctx) != id {
+		h.retagged.Add(1)
+	}
 	if err != nil || id == 0 {
 		return bins, samples, err
 	}
@@ -173,6 +180,9 @@ func TestPipeliningHammer(t *testing.T) {
 	close(stopKills)
 	<-killsDone
 
+	if n := h.retagged.Load(); n != 0 {
+		t.Fatalf("%d PLACEs saw their trace id change during the call", n)
+	}
 	placed, removed, balls := h.books()
 	if placed < okBalls.Load() {
 		t.Fatalf("server placed %d balls, client confirmed %d — confirmed work vanished", placed, okBalls.Load())

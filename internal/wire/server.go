@@ -10,6 +10,7 @@ import (
 	"net"
 	"runtime/debug"
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -20,6 +21,11 @@ import (
 //
 // A handler's error is answered with its code (ErrCode: CodeInternal
 // for a chain without an *Error) and its text.
+//
+// A handler must not keep its ctx, or a context derived from it, past
+// its return. The ctx is the serving goroutine's one obs.Scope, which
+// carries the request's trace id and is re-tagged for its next
+// request; it is done once the connection's reader ends.
 type Handler interface {
 	// Place places count balls and returns their bins plus the total
 	// probes spent. count has already passed frame-level sanity but
@@ -73,6 +79,9 @@ func (o ServerOptions) withDefaults() ServerOptions {
 // growing a fresh stack, per request. A worker appends its reply frame
 // to the connection's pending buffer, and whichever goroutine finds no
 // write in progress writes everything pending in one socket write.
+// The reader and each worker hand their requests one trace scope
+// (obs.Scope) over the connection's context, so no context is built
+// per request.
 type Server struct {
 	h    Handler
 	opts ServerOptions
@@ -82,6 +91,7 @@ type Server struct {
 	ln     net.Listener
 	active map[net.Conn]struct{}
 	closed bool
+	done   chan struct{} // closed by Close; cuts an accept retry's wait
 
 	wg sync.WaitGroup
 }
@@ -89,14 +99,17 @@ type Server struct {
 // NewServer returns a Server for h. Call Serve with a listener to
 // start accepting.
 func NewServer(h Handler, opts ServerOptions) *Server {
-	return &Server{h: h, opts: opts.withDefaults(), active: make(map[net.Conn]struct{})}
+	return &Server{h: h, opts: opts.withDefaults(), active: make(map[net.Conn]struct{}), done: make(chan struct{})}
 }
 
 // Stats snapshots the server's wire counters.
 func (s *Server) Stats() Stats { return s.c.snapshot() }
 
 // Serve accepts connections on ln until Close. It returns nil after a
-// clean Close, or the accept error otherwise.
+// clean Close, or the accept error otherwise. A temporary accept
+// error, such as running out of file descriptors, is logged and
+// retried as net/http's Server.Serve retries it: after 5 ms, doubling
+// up to 1 s, and back to 5 ms after an accept succeeds.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -106,6 +119,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 	s.ln = ln
 	s.mu.Unlock()
+	var delay time.Duration
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -115,11 +129,18 @@ func (s *Server) Serve(ln net.Listener) error {
 			if closed {
 				return nil
 			}
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			if te, ok := err.(interface{ Temporary() bool }); ok && te.Temporary() {
+				delay = min(max(2*delay, 5*time.Millisecond), time.Second)
+				s.opts.Logger.Warn("wire: accept failed; retrying", "err", err, "delay", delay)
+				select {
+				case <-time.After(delay):
+				case <-s.done:
+				}
 				continue
 			}
 			return err
 		}
+		delay = 0
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -144,6 +165,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	close(s.done)
 	ln := s.ln
 	for nc := range s.active {
 		nc.Close()
@@ -226,6 +248,7 @@ func (s *Server) serveConn(nc net.Conn) {
 func (c *conn) read() {
 	s := c.s
 	br := bufio.NewReaderSize(c.nc, 64<<10)
+	sc := obs.NewScope(c.ctx)
 	var frame, reply []byte
 	for {
 		// Every frame decodes into the same buffer. That is safe
@@ -257,7 +280,7 @@ func (c *conn) read() {
 		switch req.Type {
 		case MsgHello, MsgPing, MsgStats:
 			// Cheap control-plane requests run inline on the reader.
-			reply = s.handle(c.ctx, req, reply[:0])
+			reply = s.handle(sc, req, reply[:0])
 			c.send(reply)
 		default:
 			c.dispatch(req)
@@ -283,13 +306,14 @@ func (c *conn) dispatch(req Request) {
 }
 
 // work handles req, then each request the reader hands it, until the
-// reader closes reqs. Its reply buffer and its grown stack serve every
-// request it handles.
+// reader closes reqs. Its trace scope, its reply buffer and its grown
+// stack serve every request it handles.
 func (c *conn) work(req Request) {
 	defer c.wg.Done()
+	sc := obs.NewScope(c.ctx)
 	var reply []byte
 	for {
-		reply = c.s.handle(c.ctx, req, reply[:0])
+		reply = c.s.handle(sc, req, reply[:0])
 		c.send(reply)
 		var ok bool
 		if req, ok = <-c.reqs; !ok {
@@ -344,13 +368,14 @@ func (c *conn) send(payload []byte) {
 	c.mu.Unlock()
 }
 
-// handle executes one request and appends its encoded reply payload to
-// dst. A PLACE's bins are appended straight after the reply header.
-// It runs every request, on a worker or inline on the reader, so a
-// handler that panics is recovered here, as net/http recovers one: the
-// request is answered CodeInternal, the panic is logged at ERROR with
-// its stack, and the connection keeps serving.
-func (s *Server) handle(ctx context.Context, req Request, dst []byte) (reply []byte) {
+// handle executes one request under ctx, the calling goroutine's
+// scope, and appends its encoded reply payload to dst. A PLACE's bins
+// are appended straight after the reply header. It runs every
+// request, on a worker or inline on the reader, so a handler that
+// panics is recovered here, as net/http recovers one: the request is
+// answered CodeInternal, the panic is logged at ERROR with its stack,
+// and the connection keeps serving.
+func (s *Server) handle(ctx *obs.Scope, req Request, dst []byte) (reply []byte) {
 	n := len(dst)
 	defer func() {
 		if p := recover(); p != nil {
@@ -366,11 +391,10 @@ func (s *Server) handle(ctx context.Context, req Request, dst []byte) (reply []b
 		samples int64
 		err     error
 	)
-	if req.Trace != 0 {
-		// Propagate the trace id into the tier's own recorder (the
-		// dispatcher or router reads it back with obs.TraceFrom).
-		ctx = obs.WithTrace(ctx, req.Trace)
-	}
+	// Propagate the trace id, or its absence, into the tier's own
+	// recorder (the dispatcher or router reads it back with
+	// obs.TraceFrom).
+	ctx.Set(req.Trace)
 	switch req.Type {
 	case MsgHello:
 		// Negotiate down: answer min(client, server) so a v1 peer

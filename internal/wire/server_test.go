@@ -5,12 +5,16 @@ import (
 	"context"
 	"log/slog"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // gateHandler is testHandler with a PLACE that blocks until gate is
@@ -193,12 +197,13 @@ func TestServerWorkersExit(t *testing.T) {
 }
 
 // roundTripAllocs is what one Place+Remove cycle allocates over
-// loopback, client and server together: the bins testHandler returns
-// and the bins the client decodes for its caller.
+// loopback, client and server together, traced or not: the bins
+// testHandler returns and the bins the client decodes for its caller.
 const roundTripAllocs = 2
 
 // TestRoundTripAllocs pins the allocations of one Place+Remove cycle,
-// counting the client and the server (testHandler's bins included).
+// counting the client and the server (testHandler's bins included),
+// untraced and traced.
 func TestRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations")
@@ -209,15 +214,21 @@ func TestRoundTripAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	cycle := roundTrip(t, c)
-	if got := testing.AllocsPerRun(500, cycle); got > roundTripAllocs {
-		t.Fatalf("%v allocs per Place+Remove cycle, want at most %v", got, roundTripAllocs)
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"untraced", context.Background()},
+		{"traced", obs.WithTrace(context.Background(), 0xfeedface)},
+	} {
+		if got := testing.AllocsPerRun(500, roundTrip(t, c, tc.ctx)); got > roundTripAllocs {
+			t.Errorf("%s: %v allocs per Place+Remove cycle, want at most %v", tc.name, got, roundTripAllocs)
+		}
 	}
 }
 
-// roundTrip returns one Place+Remove cycle on c.
-func roundTrip(tb testing.TB, c *Client) func() {
-	ctx := context.Background()
+// roundTrip returns one Place+Remove cycle on c under ctx.
+func roundTrip(tb testing.TB, c *Client, ctx context.Context) func() {
 	return func() {
 		bins, _, err := c.Place(ctx, 1)
 		if err != nil {
@@ -226,6 +237,90 @@ func roundTrip(tb testing.TB, c *Client) func() {
 		if err := c.Remove(ctx, bins[0], ""); err != nil {
 			tb.Fatal(err)
 		}
+	}
+}
+
+// flakyListener fails its first fails accepts with EMFILE, as a
+// process out of file descriptors does, then accepts as the listener
+// it wraps.
+type flakyListener struct {
+	net.Listener
+	fails atomic.Int64
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.fails.Add(-1) >= 0 {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Addr: l.Addr(),
+			Err: os.NewSyscallError("accept4", syscall.EMFILE)}
+	}
+	return l.Listener.Accept()
+}
+
+// TestServerRetriesTemporaryAccept: accepts that fail for want of file
+// descriptors cost the listener nothing. Serve logs each at WARN and
+// retries, and the next client is served. Close still ends Serve,
+// also while it waits out a retry.
+func TestServerRetriesTemporaryAccept(t *testing.T) {
+	serve := func(fails int64) (*Server, *flakyListener, *lockedBuffer, chan error) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl := &flakyListener{Listener: ln}
+		fl.fails.Store(fails)
+		logs := new(lockedBuffer)
+		s := NewServer(newTestHandler(8), ServerOptions{Logger: slog.New(slog.NewTextHandler(logs, nil))})
+		served := make(chan error, 1)
+		go func() { served <- s.Serve(fl) }()
+		t.Cleanup(func() { s.Close() })
+		return s, fl, logs, served
+	}
+	const warning = "level=WARN msg=\"wire: accept failed; retrying\""
+
+	s, fl, logs, served := serve(2)
+	c, err := Dial(fl.Addr().String(), ClientOptions{Conns: 1})
+	if err != nil {
+		select {
+		case serr := <-served:
+			t.Fatalf("Serve returned %v on a temporary accept error; dial: %v", serr, err)
+		default:
+			t.Fatal(err)
+		}
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	bins, _, err := c.Place(ctx, 1)
+	if err == nil {
+		err = c.Remove(ctx, bins[0], "")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(logs.String(), warning); n != 2 {
+		t.Fatalf("%d accept retries logged at WARN, want 2:\n%s", n, logs.String())
+	}
+	s.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("Serve after Close: %v", err)
+	}
+
+	// A listener that never recovers: Close cuts a retry's wait short.
+	s, _, logs, served = serve(1 << 40)
+	for !strings.Contains(logs.String(), "delay=320ms") {
+		select {
+		case err := <-served:
+			t.Fatalf("Serve returned %v on a temporary accept error", err)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	start := time.Now()
+	s.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("Serve after Close: %v", err)
+	}
+	if d := time.Since(start); d > 200*time.Millisecond {
+		t.Fatalf("Serve took %v to return after Close during a 320ms retry wait", d)
 	}
 }
 
@@ -343,7 +438,7 @@ func BenchmarkServerRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	cycle := roundTrip(b, c)
+	cycle := roundTrip(b, c, context.Background())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
