@@ -1,11 +1,8 @@
 package ballsbins
 
 import (
-	"fmt"
-
 	"repro/internal/loadvec"
 	"repro/internal/protocol"
-	"repro/internal/rng"
 )
 
 // Allocator is a long-lived, stateful allocator: the online
@@ -18,13 +15,16 @@ import (
 //
 // Construct with New from any Spec. The batch entry points Run,
 // Replicates, RunBatchedGreedy/Adaptive and the dynamic simulator all
-// drive the same incremental core (internal/protocol.Session), so an
-// Allocator stepped ball-by-ball reproduces Run's Result exactly under
-// the same seed and engine — for both engines: the fast engine's
-// per-ball bucket-index path consumes the random stream identically to
-// its fused histogram batch path and selects the same load levels, so
+// drive the same incremental core (internal/protocol.Session), and
+// Run, Metrics and Snapshot read it the same way, so an Allocator
+// stepped ball-by-ball reproduces Run's Result exactly under the same
+// seed and engine — for both engines: the fast engine's per-ball
+// bucket-index path consumes the random stream identically to its
+// fused histogram batch path and selects the same load levels, so
 // every Result field agrees value for value (verified exhaustively in
-// allocator_test.go).
+// allocator_test.go). Under the fast engine an Allocator runs on the
+// load histogram alone, as Run does, and builds the per-bin vector the
+// first time a call needs bin identities (Place, Remove, Load, Loads).
 //
 // Removal support: every protocol accepts Remove mechanically. The
 // adaptive family (Adaptive, AdaptiveNoSlack, StaleAdaptive,
@@ -36,7 +36,6 @@ import (
 //
 // An Allocator is not safe for concurrent use; see ShardedAllocator.
 type Allocator struct {
-	spec Spec
 	sess *protocol.Session
 	n    int
 }
@@ -55,17 +54,7 @@ func New(s Spec, n int, opts ...Option) *Allocator {
 	if o.snapFn != nil {
 		panic("ballsbins: WithSnapshots is a Run option; poll Allocator.Snapshot instead")
 	}
-	p := s.factory()
-	if _, ok := p.(protocol.HorizonRequirer); ok && o.horizon == 0 {
-		panic(fmt.Sprintf(
-			"ballsbins: %s needs the total ball count; construct with WithHorizon(m)",
-			p.Name()))
-	}
-	return &Allocator{
-		spec: s,
-		sess: protocol.NewSession(p, n, o.horizon, rng.New(o.seed), o.engine),
-		n:    n,
-	}
+	return &Allocator{sess: newSession(s, n, o.horizon, o.horizon > 0, o), n: n}
 }
 
 // Name returns the protocol's identifier.
@@ -143,29 +132,8 @@ func (a *Allocator) Phi() float64 { return a.sess.Phi(loadvec.DefaultEpsilon) }
 // Metrics summarizes the session so far as a Result. SamplesPerBall
 // divides by the cumulative placements, so it remains the paper's
 // allocation-time-per-ball under churn.
-func (a *Allocator) Metrics() Result {
-	res := Result{
-		Samples: a.sess.Samples(),
-		MaxLoad: a.sess.MaxLoad(),
-		MinLoad: a.sess.MinLoad(),
-		Gap:     a.sess.Gap(),
-		Psi:     a.sess.Psi(),
-		Phi:     a.Phi(),
-	}
-	if placed := a.sess.Placed(); placed > 0 {
-		res.SamplesPerBall = float64(res.Samples) / float64(placed)
-	}
-	return res
-}
+func (a *Allocator) Metrics() Result { return result(a.sess) }
 
 // Snapshot returns the mid-run observation Run's WithSnapshots would
 // deliver at this point: Ball is the cumulative number of placements.
-func (a *Allocator) Snapshot() Snapshot {
-	return Snapshot{
-		Ball:    a.sess.Placed(),
-		Samples: a.sess.Samples(),
-		MaxLoad: a.sess.MaxLoad(),
-		Gap:     a.sess.Gap(),
-		Psi:     a.sess.Psi(),
-	}
-}
+func (a *Allocator) Snapshot() Snapshot { return snapshot(a.sess) }

@@ -2,12 +2,13 @@ package ballsbins
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"sync"
 
-	"repro/internal/core"
 	"repro/internal/loadvec"
 	"repro/internal/protocol"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -230,44 +231,73 @@ func buildOptions(opts []Option) options {
 	return o
 }
 
+// newSession builds the protocol.Session behind New and Run with one
+// call to the spec's factory, reset for a run of up to horizon balls.
+// Run always knows its horizon, m; an Allocator knows it only when
+// WithHorizon declares it, and a spec whose acceptance rule needs it
+// (Threshold, BoundedRetry) refuses to start without.
+func newSession(s Spec, n int, horizon int64, known bool, o options) *protocol.Session {
+	p := s.factory()
+	if _, ok := p.(protocol.HorizonRequirer); ok && !known {
+		panic(fmt.Sprintf(
+			"ballsbins: %s needs the total ball count; construct with WithHorizon(m)",
+			p.Name()))
+	}
+	return protocol.NewSession(p, n, horizon, rng.New(o.seed), o.engine)
+}
+
+// result reads a session's Result without materializing its per-bin
+// vector. SamplesPerBall divides by the cumulative placements, so it
+// remains the paper's allocation time per ball under churn.
+func result(s *protocol.Session) Result {
+	res := Result{
+		Samples: s.Samples(),
+		MaxLoad: s.MaxLoad(),
+		MinLoad: s.MinLoad(),
+		Gap:     s.Gap(),
+		Psi:     s.Psi(),
+		Phi:     s.Phi(loadvec.DefaultEpsilon),
+	}
+	if placed := s.Placed(); placed > 0 {
+		res.SamplesPerBall = float64(res.Samples) / float64(placed)
+	}
+	return res
+}
+
+// snapshot reads a session's Snapshot; Ball is the cumulative number
+// of placements.
+func snapshot(s *protocol.Session) Snapshot {
+	return Snapshot{
+		Ball:    s.Placed(),
+		Samples: s.Samples(),
+		MaxLoad: s.MaxLoad(),
+		Gap:     s.Gap(),
+		Psi:     s.Psi(),
+	}
+}
+
 // Run places m balls into n bins with the chosen protocol and returns
 // the measured result. The fast engine is used unless WithEngine
-// selects the naive loop. It panics if n <= 0, m < 0, or s is the zero
-// Spec.
+// selects the naive loop. Every Result field depends on the load
+// histogram alone, so Run reads it from the histogram: without
+// WithSnapshots a fast-engine run stays histogram-only to the end and
+// never builds the per-bin vector. It panics if n <= 0, m < 0, or s is
+// the zero Spec.
 func Run(s Spec, n int, m int64, opts ...Option) Result {
 	s.mustBeValid()
 	o := buildOptions(opts)
-	var obs protocol.Observer
-	if o.snapFn != nil {
-		var cum int64
-		obs = func(ball, samples int64, v *loadvec.Vector) {
-			cum += samples
-			if ball%o.snapEach != 0 && ball != 1 {
-				return
-			}
-			o.snapFn(Snapshot{
-				Ball:    ball,
-				Samples: cum,
-				MaxLoad: v.MaxLoad(),
-				Gap:     v.Gap(),
-				Psi:     v.QuadraticPotential(),
-			})
+	sess := newSession(s, n, m, true, o)
+	if o.snapFn == nil {
+		sess.StepBatch(m)
+		return result(sess)
+	}
+	for ball := int64(1); ball <= m; ball++ {
+		sess.Step()
+		if ball%o.snapEach == 0 || ball == 1 {
+			o.snapFn(snapshot(sess))
 		}
 	}
-	out := protocol.RunWithObserverEngine(s.factory(), n, m, rng.New(o.seed), o.engine, obs)
-	return toResult(core.Measure(out))
-}
-
-func toResult(m core.Metrics) Result {
-	return Result{
-		Samples:        m.Samples,
-		SamplesPerBall: m.SamplesPerBall,
-		MaxLoad:        m.MaxLoad,
-		MinLoad:        m.MinLoad,
-		Gap:            m.Gap,
-		Psi:            m.Psi,
-		Phi:            m.Phi,
-	}
+	return result(sess)
 }
 
 // Stat is a per-metric summary across replicates.
@@ -297,36 +327,82 @@ type Summary struct {
 }
 
 // Replicates runs `reps` independent replicates (the paper uses 100)
-// across a worker pool and returns aggregate statistics. Replicate
-// seeds derive deterministically from the master seed, so results are
-// reproducible and independent of parallelism. The context cancels
-// outstanding work.
+// through Run across a worker pool and returns aggregate statistics.
+// Replicate r runs on stream r of the master seed and the results are
+// aggregated in replicate order, so the Summary is reproducible and
+// independent of parallelism. The context cancels outstanding work; a
+// replicate that panics comes back as an error naming it. It panics if
+// n <= 0, m < 0, reps <= 0, or s is the zero Spec.
 func Replicates(ctx context.Context, s Spec, n int, m int64, reps int, opts ...Option) (Summary, error) {
 	s.mustBeValid()
+	if n <= 0 || m < 0 || reps <= 0 {
+		panic(fmt.Sprintf("ballsbins: Replicates with n = %d, m = %d, reps = %d", n, m, reps))
+	}
 	o := buildOptions(opts)
-	agg, err := sim.Run(ctx, sim.Spec{
-		Factory: s.factory,
-		N:       n,
-		M:       m,
-		Reps:    reps,
-		Seed:    o.seed,
-		Engine:  o.engine,
-	}, 0)
-	if err != nil {
+	results := make([]Result, reps)
+	errs := make([]error, reps)
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), reps) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := range next {
+				results[rep], errs[rep] = replicate(s, n, m, o, rep)
+			}
+		}()
+	}
+feed:
+	for rep := range reps {
+		select {
+		case next <- rep:
+		case <-ctx.Done():
+			break feed
+		}
+	}
+	close(next)
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
 		return Summary{}, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return Summary{}, err
+		}
+	}
+
+	var samples, perBall, maxLoad, gap, psi, phi stats.Welford
+	for _, r := range results {
+		samples.Add(float64(r.Samples))
+		perBall.Add(r.SamplesPerBall)
+		maxLoad.Add(float64(r.MaxLoad))
+		gap.Add(float64(r.Gap))
+		psi.Add(r.Psi)
+		phi.Add(r.Phi)
 	}
 	return Summary{
 		Protocol:    s.Name(),
 		N:           n,
 		M:           m,
 		Reps:        reps,
-		Time:        toStat(agg.Time),
-		TimePerBall: toStat(agg.TimePerBall),
-		MaxLoad:     toStat(agg.MaxLoad),
-		Gap:         toStat(agg.Gap),
-		Psi:         toStat(agg.Psi),
-		Phi:         toStat(agg.Phi),
+		Time:        toStat(samples),
+		TimePerBall: toStat(perBall),
+		MaxLoad:     toStat(maxLoad),
+		Gap:         toStat(gap),
+		Psi:         toStat(psi),
+		Phi:         toStat(phi),
 	}, nil
+}
+
+// replicate runs replicate rep of a Replicates call on stream rep of
+// the master seed, returning a panic inside the run as an error.
+func replicate(s Spec, n int, m int64, o options, rep int) (res Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("replicate %d panicked: %v", rep, r)
+		}
+	}()
+	return Run(s, n, m, WithSeed(rng.StreamSeed(o.seed, uint64(rep))), WithEngine(o.engine)), nil
 }
 
 // MaxLoadGuarantee returns the deterministic bound ⌈m/n⌉+1 that the

@@ -47,9 +47,9 @@
 //
 // Every batch entry point — Run, Replicates, RunBatchedGreedy,
 // RunBatchedAdaptive, and the dynamic simulator's arrival step — is a
-// thin driver over the same incremental core, so an Allocator stepped
-// ball-by-ball reproduces Run's Result exactly under the same seed
-// and engine. Specs whose acceptance rule needs the total ball count
+// thin driver over the same incremental core, and Run reads its Result
+// as the Allocator's Metrics does, so an Allocator stepped ball-by-ball
+// reproduces Run's Result exactly under the same seed and engine. Specs whose acceptance rule needs the total ball count
 // (Threshold, BoundedRetry) require WithHorizon at construction; all
 // others are fully online. For concurrent callers, NewSharded
 // partitions the bins into independently locked shards with
@@ -232,11 +232,14 @@
 // loop; only the way the seed's random stream is consumed differs.
 // When no per-ball snapshot observer is attached, the fast engine
 // additionally runs histogram-only (O(#levels) working set instead of
-// O(n)) and materializes the final per-bin loads once at the end — the
-// protocols are symmetric under bin relabeling, so that materialized
-// vector again has exactly the naive distribution. See README.md for
-// the per-protocol complexity table and measured speedups; the naive
-// engine remains selectable as the reference oracle, and the
+// O(n)). Every number a run reports depends on the histogram alone, so
+// Run reads its Result from the histogram and never builds the per-bin
+// vector. An Allocator builds it the first time a call needs bin
+// identities, by a uniformly random assignment of the histogram's
+// loads to bins — the protocols are symmetric under bin relabeling, so
+// that vector again has exactly the naive distribution. See README.md
+// for the per-protocol complexity table and measured speedups; the
+// naive engine remains selectable as the reference oracle, and the
 // equivalence of the two is enforced by chi-square tests in
 // internal/protocol.
 //

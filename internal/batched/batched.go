@@ -33,13 +33,6 @@ import (
 	"repro/internal/rng"
 )
 
-// Outcome summarizes a batched run.
-type Outcome struct {
-	Vector  *loadvec.Vector
-	Samples int64
-	Batches int
-}
-
 // Greedy is greedy[d] against a load snapshot refreshed every b balls.
 // It implements protocol.Protocol; the refresh counts the protocol's
 // own placements (not the session ball index, which under Allocator
@@ -155,45 +148,5 @@ func (a *Adaptive) Place(v *loadvec.Vector, r *rng.Rand, i int64) int64 {
 func refresh(snapshot []int32, v *loadvec.Vector) {
 	for i := range snapshot {
 		snapshot[i] = int32(v.Load(i))
-	}
-}
-
-// RunGreedy places m balls into n bins in batches of size b, each ball
-// choosing the least loaded of d bins according to the batch-start
-// snapshot. It is a driver over protocol.Run. It panics if n <= 0,
-// m < 0, b < 1, or d < 1.
-func RunGreedy(n int, m int64, b int64, d int, r *rng.Rand) Outcome {
-	p := NewGreedy(b, d)
-	validate(n, m)
-	out := protocol.Run(p, n, m, r)
-	return Outcome{Vector: out.Vector, Samples: out.Samples, Batches: batches(m, b)}
-}
-
-// RunAdaptive places m balls in batches of size b using the adaptive
-// acceptance rule evaluated against the batch-start snapshot. It is a
-// driver over protocol.Run. It panics if n <= 0, m < 0, or b < 1;
-// b must be at most n.
-func RunAdaptive(n int, m int64, b int64, r *rng.Rand) Outcome {
-	p := NewAdaptive(b)
-	validate(n, m)
-	out := protocol.Run(p, n, m, r)
-	return Outcome{Vector: out.Vector, Samples: out.Samples, Batches: batches(m, b)}
-}
-
-// batches returns ⌈m/b⌉ — the number of snapshot refreshes a run of m
-// balls performs.
-func batches(m, b int64) int {
-	if m <= 0 {
-		return 0
-	}
-	return int(protocol.CeilDiv(m, b))
-}
-
-func validate(n int, m int64) {
-	if n <= 0 {
-		panic("batched: n must be positive")
-	}
-	if m < 0 {
-		panic("batched: m must be non-negative")
 	}
 }

@@ -12,7 +12,7 @@ func TestBatchSizeOneIsSequentialGreedy(t *testing.T) {
 	// exactly with the sequential greedy[d] on the same stream.
 	const n, m, d = 64, 640, 2
 	seq := protocol.Run(protocol.NewGreedy(d), n, m, rng.New(3))
-	bat := RunGreedy(n, m, 1, d, rng.New(3))
+	bat := protocol.Run(NewGreedy(1, d), n, m, rng.New(3))
 	if seq.Samples != bat.Samples {
 		t.Fatalf("samples differ: %d vs %d", seq.Samples, bat.Samples)
 	}
@@ -21,9 +21,6 @@ func TestBatchSizeOneIsSequentialGreedy(t *testing.T) {
 		if ls[i] != lb[i] {
 			t.Fatalf("loads differ at bin %d", i)
 		}
-	}
-	if bat.Batches != m {
-		t.Fatalf("batches = %d want %d", bat.Batches, m)
 	}
 }
 
@@ -37,9 +34,9 @@ func TestGreedyGapDegradesWithBatchSize(t *testing.T) {
 	var fresh, stale, blind float64
 	for rep := 0; rep < reps; rep++ {
 		seed := uint64(100 + rep)
-		fresh += float64(RunGreedy(n, m, 1, 2, rng.New(seed)).Vector.MaxLoad())
-		stale += float64(RunGreedy(n, m, int64(n), 2, rng.New(seed)).Vector.MaxLoad())
-		blind += float64(RunGreedy(n, m, m, 2, rng.New(seed)).Vector.MaxLoad())
+		fresh += float64(protocol.Run(NewGreedy(1, 2), n, m, rng.New(seed)).Vector.MaxLoad())
+		stale += float64(protocol.Run(NewGreedy(int64(n), 2), n, m, rng.New(seed)).Vector.MaxLoad())
+		blind += float64(protocol.Run(NewGreedy(m, 2), n, m, rng.New(seed)).Vector.MaxLoad())
 	}
 	if !(fresh < stale) {
 		t.Errorf("b=n max load %.1f not above b=1 %.1f", stale/reps, fresh/reps)
@@ -57,7 +54,7 @@ func TestBatchedAdaptiveGuaranteeDegradesGracefully(t *testing.T) {
 	const n = 256
 	const m = int64(32 * n)
 	for _, b := range []int64{1, 16, n} {
-		out := RunAdaptive(n, m, b, rng.New(7))
+		out := protocol.Run(NewAdaptive(b), n, m, rng.New(7))
 		if out.Vector.Balls() != m {
 			t.Fatalf("b=%d: placed %d", b, out.Vector.Balls())
 		}
@@ -75,7 +72,7 @@ func TestBatchedAdaptiveGuaranteeDegradesGracefully(t *testing.T) {
 func TestBatchedAdaptiveBatchOneIsAdaptive(t *testing.T) {
 	const n, m = 64, 640
 	seq := protocol.Run(protocol.NewAdaptive(), n, m, rng.New(5))
-	bat := RunAdaptive(n, m, 1, rng.New(5))
+	bat := protocol.Run(NewAdaptive(1), n, m, rng.New(5))
 	if seq.Samples != bat.Samples {
 		t.Fatalf("samples differ: %d vs %d", seq.Samples, bat.Samples)
 	}
@@ -93,30 +90,20 @@ func TestBatchedAdaptiveCostStaysLinear(t *testing.T) {
 	// StaleAdaptive equivalence).
 	const n = 1000
 	const m = int64(32 * n)
-	out := RunAdaptive(n, m, int64(n), rng.New(9))
+	out := protocol.Run(NewAdaptive(int64(n)), n, m, rng.New(9))
 	if perBall := float64(out.Samples) / float64(m); perBall > 3 {
 		t.Fatalf("samples/ball %.2f not O(1)", perBall)
 	}
 }
 
-func TestBatchCounting(t *testing.T) {
-	out := RunGreedy(16, 100, 30, 2, rng.New(1))
-	if out.Batches != 4 { // 30+30+30+10
-		t.Fatalf("batches = %d want 4", out.Batches)
-	}
-	out = RunAdaptive(16, 0, 5, rng.New(1))
-	if out.Batches != 0 || out.Samples != 0 {
-		t.Fatal("empty run should have no batches")
-	}
-}
-
 func TestPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"greedy n=0":   func() { RunGreedy(0, 1, 1, 2, rng.New(1)) },
-		"greedy m<0":   func() { RunGreedy(1, -1, 1, 2, rng.New(1)) },
-		"greedy b<1":   func() { RunGreedy(1, 1, 0, 2, rng.New(1)) },
-		"greedy d<1":   func() { RunGreedy(1, 1, 1, 0, rng.New(1)) },
-		"adaptive b>n": func() { RunAdaptive(4, 8, 5, rng.New(1)) },
+		"greedy n=0":   func() { protocol.Run(NewGreedy(1, 2), 0, 1, rng.New(1)) },
+		"greedy m<0":   func() { protocol.Run(NewGreedy(1, 2), 1, -1, rng.New(1)) },
+		"greedy b<1":   func() { NewGreedy(0, 2) },
+		"greedy d<1":   func() { NewGreedy(1, 0) },
+		"adaptive b<1": func() { NewAdaptive(0) },
+		"adaptive b>n": func() { protocol.Run(NewAdaptive(5), 4, 8, rng.New(1)) },
 	} {
 		func() {
 			defer func() {
@@ -132,6 +119,6 @@ func TestPanics(t *testing.T) {
 func BenchmarkBatchedGreedy(b *testing.B) {
 	const n = 4096
 	for i := 0; i < b.N; i++ {
-		RunGreedy(n, int64(8*n), int64(n), 2, rng.New(uint64(i)))
+		protocol.Run(NewGreedy(int64(n), 2), n, int64(8*n), rng.New(uint64(i)))
 	}
 }

@@ -3,51 +3,7 @@ package core
 import (
 	"math"
 	"testing"
-
-	"repro/internal/protocol"
-	"repro/internal/rng"
 )
-
-func TestMeasure(t *testing.T) {
-	out := protocol.Run(protocol.NewAdaptive(), 16, 160, rng.New(1))
-	m := Measure(out)
-	if m.N != 16 || m.M != 160 {
-		t.Fatalf("dimensions wrong: %+v", m)
-	}
-	if m.Samples != out.Samples {
-		t.Fatalf("samples wrong: %+v", m)
-	}
-	if m.SamplesPerBall != float64(out.Samples)/160 {
-		t.Fatalf("per-ball wrong: %+v", m)
-	}
-	if m.Gap != m.MaxLoad-m.MinLoad {
-		t.Fatalf("gap inconsistent: %+v", m)
-	}
-	if m.Psi < 0 || m.Phi <= 0 {
-		t.Fatalf("potentials wrong: %+v", m)
-	}
-}
-
-func TestMeasureEmptyRun(t *testing.T) {
-	out := protocol.Run(protocol.NewAdaptive(), 4, 0, rng.New(1))
-	m := Measure(out)
-	if m.SamplesPerBall != 0 {
-		t.Fatalf("SamplesPerBall should be 0 for empty run: %+v", m)
-	}
-}
-
-func TestRunOneDeterministic(t *testing.T) {
-	f := func() protocol.Protocol { return protocol.NewThreshold() }
-	a := RunOne(f, 32, 320, 99)
-	b := RunOne(f, 32, 320, 99)
-	if a != b {
-		t.Fatalf("same seed differs: %+v vs %+v", a, b)
-	}
-	c := RunOne(f, 32, 320, 100)
-	if a.Samples == c.Samples && a.Psi == c.Psi {
-		t.Log("different seeds produced identical metrics (possible but unlikely)")
-	}
-}
 
 func TestPhiD(t *testing.T) {
 	// Φ₂ is the golden ratio.

@@ -1,10 +1,9 @@
+// Package core evaluates the closed-form allocation-time and
+// maximum-load expressions from the paper's Table 1, so the benchmark
+// harness can print prediction columns next to measurements.
 package core
 
 import "math"
-
-// This file evaluates the closed-form allocation-time and maximum-load
-// expressions from the paper's Table 1, so the benchmark harness can
-// print prediction columns next to measurements.
 
 // PhiD returns Vöcking's generalized golden ratio Φ_d: the unique real
 // root in (1, 2) of x^d = x^{d-1} + x^{d-2} + ... + 1. Φ₂ is the

@@ -103,7 +103,7 @@ func (r *Rand) Stream(i uint64) *Rand {
 // StreamSeed returns the seed that Stream(i) of a Rand constructed
 // from master derives, without building any generator state. It lets
 // callers that only need the derived seed (for example the replicate
-// fan-out in internal/sim) skip the intermediate allocation.
+// fan-out in ballsbins.Replicates) skip the intermediate allocation.
 func StreamSeed(master, i uint64) uint64 {
 	return mix64(master + goldenGamma*(i+1))
 }

@@ -1,0 +1,5 @@
+//go:build !race
+
+package ballsbins
+
+const raceEnabled = false

@@ -438,15 +438,7 @@ func (sa *ShardedAllocator) ShardMetrics(i int) Result {
 	sh := sa.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return Result{
-		Samples:        sh.a.Samples(),
-		SamplesPerBall: safeDiv(sh.a.Samples(), sh.a.Placed()),
-		MaxLoad:        sh.a.MaxLoad(),
-		MinLoad:        sh.a.MinLoad(),
-		Gap:            sh.a.Gap(),
-		Psi:            sh.a.Psi(),
-		Phi:            sh.a.Phi(),
-	}
+	return sh.a.Metrics()
 }
 
 func safeDiv(num, den int64) float64 {

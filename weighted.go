@@ -147,30 +147,27 @@ type BatchedResult struct {
 // RunBatchedGreedy places m balls in batches of size batch; every ball
 // picks the least loaded of d bins according to the load vector as of
 // the batch start (stale within a batch). batch = 1 is exactly
-// Greedy(d).
+// Greedy(d). It is Run(BatchedGreedy(batch, d), n, m, opts...) with
+// the batch count ⌈m/batch⌉ added.
 func RunBatchedGreedy(n int, m, batch int64, d int, opts ...Option) BatchedResult {
-	o := buildOptions(opts)
-	out := batched.RunGreedy(n, m, batch, d, rng.New(o.seed))
-	return BatchedResult{
-		Samples: out.Samples,
-		Batches: out.Batches,
-		MaxLoad: out.Vector.MaxLoad(),
-		Gap:     out.Vector.Gap(),
-		Psi:     out.Vector.QuadraticPotential(),
-	}
+	return batchedResult(Run(BatchedGreedy(batch, d), n, m, opts...), m, batch)
 }
 
 // RunBatchedAdaptive places m balls in batches of size batch with the
 // adaptive acceptance rule frozen at each batch start. batch must be
-// at most n; batch = 1 is exactly Adaptive().
+// at most n; batch = 1 is exactly Adaptive(). It is
+// Run(BatchedAdaptive(batch), n, m, opts...) with the batch count
+// ⌈m/batch⌉ added.
 func RunBatchedAdaptive(n int, m, batch int64, opts ...Option) BatchedResult {
-	o := buildOptions(opts)
-	out := batched.RunAdaptive(n, m, batch, rng.New(o.seed))
+	return batchedResult(Run(BatchedAdaptive(batch), n, m, opts...), m, batch)
+}
+
+func batchedResult(r Result, m, batch int64) BatchedResult {
 	return BatchedResult{
-		Samples: out.Samples,
-		Batches: out.Batches,
-		MaxLoad: out.Vector.MaxLoad(),
-		Gap:     out.Vector.Gap(),
-		Psi:     out.Vector.QuadraticPotential(),
+		Samples: r.Samples,
+		Batches: int(protocol.CeilDiv(m, batch)),
+		MaxLoad: r.MaxLoad,
+		Gap:     r.Gap,
+		Psi:     r.Psi,
 	}
 }
