@@ -1,9 +1,6 @@
 package ballsbins
 
-import (
-	"repro/internal/loadvec"
-	"repro/internal/protocol"
-)
+import "repro/internal/protocol"
 
 // Allocator is a long-lived, stateful allocator: the online
 // counterpart of Run. Where Run places a fixed m balls and returns, an
@@ -111,10 +108,10 @@ func (a *Allocator) MaxLoad() int { return a.sess.MaxLoad() }
 func (a *Allocator) MinLoad() int { return a.sess.MinLoad() }
 
 // Gap returns MaxLoad − MinLoad, the smoothness measure.
-func (a *Allocator) Gap() int { return a.sess.Gap() }
+func (a *Allocator) Gap() int { return a.Snapshot().Gap }
 
 // Psi returns the quadratic potential Ψ of the current load vector.
-func (a *Allocator) Psi() float64 { return a.sess.Psi() }
+func (a *Allocator) Psi() float64 { return a.Snapshot().Psi }
 
 // SumSquares returns Σℓᵢ², the raw second moment of the load vector.
 // Together with Balls it lets several allocators' quadratic potentials
@@ -127,13 +124,13 @@ func (a *Allocator) SumSquares() int64 { return a.sess.SumSquares() }
 func (a *Allocator) LevelCount(l int) int64 { return a.sess.LevelCount(l) }
 
 // Phi returns the exponential potential Φ with the paper's ε = 1/200.
-func (a *Allocator) Phi() float64 { return a.sess.Phi(loadvec.DefaultEpsilon) }
+func (a *Allocator) Phi() float64 { return a.Metrics().Phi }
 
 // Metrics summarizes the session so far as a Result. SamplesPerBall
 // divides by the cumulative placements, so it remains the paper's
 // allocation-time-per-ball under churn.
-func (a *Allocator) Metrics() Result { return result(a.sess) }
+func (a *Allocator) Metrics() Result { return reading{a.sess}.result() }
 
 // Snapshot returns the mid-run observation Run's WithSnapshots would
 // deliver at this point: Ball is the cumulative number of placements.
-func (a *Allocator) Snapshot() Snapshot { return snapshot(a.sess) }
+func (a *Allocator) Snapshot() Snapshot { return reading{a.sess}.snapshot() }

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"repro/internal/dist"
+	"repro/internal/loadvec"
 )
 
 // allocSpecs enumerates every protocol Spec with parameters feasible
@@ -419,16 +420,16 @@ func TestShardedAllocatorSequential(t *testing.T) {
 	if sum != m {
 		t.Fatalf("loads sum to %d want %d", sum, m)
 	}
-	if sa.MaxLoad() != max || sa.MinLoad() != min || sa.Gap() != max-min {
-		t.Fatalf("aggregates disagree with Loads: max %d/%d min %d/%d",
-			sa.MaxLoad(), max, sa.MinLoad(), min)
+	res, snap := sa.Metrics(), sa.Snapshot()
+	if sa.MaxLoad() != max || res.MinLoad != min || snap.Gap != max-min {
+		t.Fatalf("aggregates disagree with Loads: max %d/%d min %d/%d gap %d",
+			sa.MaxLoad(), max, res.MinLoad, min, snap.Gap)
 	}
 	wantPsi := float64(sumSq) - float64(m)*float64(m)/float64(n)
-	if got := sa.Psi(); got != wantPsi {
-		t.Fatalf("Psi() = %v want %v", got, wantPsi)
+	if snap.Psi != wantPsi {
+		t.Fatalf("Snapshot().Psi = %v want %v", snap.Psi, wantPsi)
 	}
-	res := sa.Metrics()
-	if res.MaxLoad != max || res.Gap != max-min || res.Psi != wantPsi || res.Samples != sa.Samples() {
+	if res.MaxLoad != max || res.Gap != max-min || res.Psi != wantPsi || res.Samples != snap.Samples {
 		t.Fatalf("Metrics inconsistent: %+v", res)
 	}
 	if res.Phi <= 0 {
@@ -494,34 +495,30 @@ func TestShardedAllocatorThresholdHorizon(t *testing.T) {
 	}
 }
 
-// TestShardedAllocatorShardMetrics pins the shard-at-a-time monitoring
-// reads: per-shard results must equal the shard allocator's own
-// metrics, and at quiescence ApproxMetrics must agree with the
-// lock-all Metrics exactly (the consistency gap only opens under
-// concurrent writes).
+// TestShardedAllocatorShardMetrics pins the one-shard monitoring read:
+// each shard's result must equal the shard allocator's own metrics,
+// before and after removals, and an index out of range panics.
 func TestShardedAllocatorShardMetrics(t *testing.T) {
 	const n, shards, m = 60, 7, 600
 	sa := NewSharded(Adaptive(), n, shards, WithSeed(11))
 	sa.PlaceBatch(m)
-	for i := 0; i < shards; i++ {
-		got := sa.ShardMetrics(i)
-		want := sa.shards[i].a.Metrics()
-		if got != want {
-			t.Errorf("ShardMetrics(%d) = %+v, shard allocator says %+v", i, got, want)
+	check := func(when string) {
+		t.Helper()
+		for i := 0; i < shards; i++ {
+			got := sa.ShardMetrics(i)
+			want := sa.shards[i].a.Metrics()
+			if got != want {
+				t.Errorf("%s ShardMetrics(%d) = %+v, shard allocator says %+v", when, i, got, want)
+			}
 		}
 	}
-	if got, want := sa.ApproxMetrics(), sa.Metrics(); got != want {
-		t.Errorf("quiescent ApproxMetrics = %+v, Metrics = %+v", got, want)
-	}
-	// Removals keep the agreement.
+	check("quiescent")
 	for b := 0; b < n; b++ {
 		if sa.Load(b) > 0 {
 			sa.Remove(b)
 		}
 	}
-	if got, want := sa.ApproxMetrics(), sa.Metrics(); got != want {
-		t.Errorf("post-churn ApproxMetrics = %+v, Metrics = %+v", got, want)
-	}
+	check("post-churn")
 	for _, bad := range []int{-1, shards} {
 		func() {
 			defer func() {
@@ -531,6 +528,49 @@ func TestShardedAllocatorShardMetrics(t *testing.T) {
 			}()
 			sa.ShardMetrics(bad)
 		}()
+	}
+}
+
+// TestShardedMetricsMatchOneVector checks the one reader of the
+// shards' merged histogram against an independent reference: the
+// sharded Metrics must give exactly the max, min, gap, Ψ and Φ of a
+// single load vector built from Loads, on both engines, for every
+// shard count, before and after removals.
+func TestShardedMetricsMatchOneVector(t *testing.T) {
+	const n, m = 97, 20 * 97
+	for _, spec := range []Spec{Adaptive(), Threshold(), SingleChoice(), Greedy(2)} {
+		for _, engine := range []Engine{EngineFast, EngineNaive} {
+			for _, shards := range []int{1, 3, 7, 16} {
+				sa := NewSharded(spec, n, shards, WithSeed(4), WithEngine(engine), WithHorizon(m))
+				check := func(when string) {
+					t.Helper()
+					v := loadvec.New(n)
+					for bin, l := range sa.Loads() {
+						for range l {
+							v.Increment(bin)
+						}
+					}
+					got := sa.Metrics()
+					if got.MaxLoad != v.MaxLoad() || got.MinLoad != v.MinLoad() || got.Gap != v.Gap() ||
+						got.Psi != v.QuadraticPotential() || got.Phi != v.ExponentialPotential(loadvec.DefaultEpsilon) {
+						t.Errorf("%s engine=%v P=%d %s: Metrics %+v, one vector: max %d min %d gap %d psi %v phi %v",
+							spec.Name(), engine, shards, when, got, v.MaxLoad(), v.MinLoad(), v.Gap(),
+							v.QuadraticPotential(), v.ExponentialPotential(loadvec.DefaultEpsilon))
+					}
+				}
+				sa.PlaceBatch(m / 2)
+				check("after a batch")
+				var bins []int
+				for range m / 4 {
+					bin, _ := sa.Place()
+					bins = append(bins, bin)
+				}
+				for i := 0; i < len(bins); i += 3 {
+					sa.Remove(bins[i])
+				}
+				check("after removals")
+			}
+		}
 	}
 }
 
@@ -558,6 +598,7 @@ func TestShardedAllocatorConcurrent(t *testing.T) {
 				}
 				if i%64 == 0 {
 					_ = sa.Snapshot() // aggregate reads race against writes
+					_ = sa.Metrics()  // Φ's merged levels, read with all shards locked
 					_ = sa.MaxLoad()
 				}
 			}

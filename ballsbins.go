@@ -3,6 +3,7 @@ package ballsbins
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -246,34 +247,72 @@ func newSession(s Spec, n int, horizon int64, known bool, o options) *protocol.S
 	return protocol.NewSession(p, n, horizon, rng.New(o.seed), o.engine)
 }
 
-// result reads a session's Result without materializing its per-bin
-// vector. SamplesPerBall divides by the cumulative placements, so it
-// remains the paper's allocation time per ball under churn.
-func result(s *protocol.Session) Result {
-	res := Result{
-		Samples: s.Samples(),
-		MaxLoad: s.MaxLoad(),
-		MinLoad: s.MinLoad(),
-		Gap:     s.Gap(),
-		Psi:     s.Psi(),
-		Phi:     s.Phi(loadvec.DefaultEpsilon),
-	}
-	if placed := s.Placed(); placed > 0 {
-		res.SamplesPerBall = float64(res.Samples) / float64(placed)
-	}
-	return res
+// reading is the one reader of the load histogram: the sessions of
+// disjoint sets of bins, read as one system — one session for Run and
+// an Allocator, every shard's for a ShardedAllocator. Histograms of
+// disjoint bins merge exactly (counters add, min and max fold, level
+// counts add level by level), so max, min, gap, Ψ and Φ equal bit for
+// bit those of one load vector over the union. Nothing is
+// materialized. The caller holds every session's lock for the whole
+// read, Φ included.
+type reading []*protocol.Session
+
+// totals is a reading's Result but for Phi, with the counts behind it.
+type totals struct {
+	Result
+	n             int
+	balls, placed int64
 }
 
-// snapshot reads a session's Snapshot; Ball is the cumulative number
-// of placements.
-func snapshot(s *protocol.Session) Snapshot {
-	return Snapshot{
-		Ball:    s.Placed(),
-		Samples: s.Samples(),
-		MaxLoad: s.MaxLoad(),
-		Gap:     s.Gap(),
-		Psi:     s.Psi(),
+// totals sums the counters and folds the extremes. Ψ = Σℓ² − t²/n
+// comes from the summed integers, and SamplesPerBall divides by the
+// cumulative placements, so it remains the paper's allocation time per
+// ball under churn.
+func (r reading) totals() totals {
+	t := totals{Result: Result{MinLoad: math.MaxInt}}
+	var sumSq int64
+	for _, s := range r {
+		t.n += s.N()
+		t.balls += s.Balls()
+		t.placed += s.Placed()
+		t.Samples += s.Samples()
+		sumSq += s.SumSquares()
+		t.MinLoad = min(t.MinLoad, s.MinLoad())
+		t.MaxLoad = max(t.MaxLoad, s.MaxLoad())
 	}
+	b := float64(t.balls)
+	t.Gap = t.MaxLoad - t.MinLoad
+	t.Psi = float64(sumSq) - b*b/float64(t.n)
+	if t.placed > 0 {
+		t.SamplesPerBall = float64(t.Samples) / float64(t.placed)
+	}
+	return t
+}
+
+// result reads the Result. Φ, with the paper's ε, sums the merged
+// level counts in ascending level order by the formula of
+// loadvec.Vector.ExponentialPotential.
+func (r reading) result() Result {
+	t := r.totals()
+	avg := float64(t.balls) / float64(t.n)
+	log1pe := math.Log1p(loadvec.DefaultEpsilon)
+	for l := t.MinLoad; l <= t.MaxLoad; l++ {
+		var c int64
+		for _, s := range r {
+			c += s.LevelCount(l)
+		}
+		if c != 0 {
+			t.Phi += float64(c) * math.Exp((avg+2-float64(l))*log1pe)
+		}
+	}
+	return t.Result
+}
+
+// snapshot reads the Snapshot; Ball is the cumulative number of
+// placements.
+func (r reading) snapshot() Snapshot {
+	t := r.totals()
+	return Snapshot{Ball: t.placed, Samples: t.Samples, MaxLoad: t.MaxLoad, Gap: t.Gap, Psi: t.Psi}
 }
 
 // Run places m balls into n bins with the chosen protocol and returns
@@ -289,15 +328,15 @@ func Run(s Spec, n int, m int64, opts ...Option) Result {
 	sess := newSession(s, n, m, true, o)
 	if o.snapFn == nil {
 		sess.StepBatch(m)
-		return result(sess)
+		return reading{sess}.result()
 	}
 	for ball := int64(1); ball <= m; ball++ {
 		sess.Step()
 		if ball%o.snapEach == 0 || ball == 1 {
-			o.snapFn(snapshot(sess))
+			o.snapFn(reading{sess}.snapshot())
 		}
 	}
-	return result(sess)
+	return reading{sess}.result()
 }
 
 // Stat is a per-metric summary across replicates.

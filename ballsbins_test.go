@@ -335,21 +335,6 @@ func TestSelfBalanceFacade(t *testing.T) {
 	}
 }
 
-func TestCuckooFacade(t *testing.T) {
-	tab := NewCuckoo(CuckooConfig{Buckets: 128, BucketSize: 4, D: 2, Seed: 7})
-	for k := uint64(1); k <= 400; k++ {
-		if _, err := tab.Insert(k, k*2); err != nil {
-			t.Fatalf("insert %d: %v", k, err)
-		}
-	}
-	if v, ok := tab.Lookup(200); !ok || v != 400 {
-		t.Fatalf("lookup failed: %d %v", v, ok)
-	}
-	if tab.Len() != 400 {
-		t.Fatalf("len %d", tab.Len())
-	}
-}
-
 func TestSmoothnessHeadline(t *testing.T) {
 	// The package-level claim: adaptive is smoother than threshold at
 	// the same (n, m), at slightly higher allocation time.

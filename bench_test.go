@@ -7,7 +7,8 @@ package ballsbins_test
 //
 //	go test -bench=. -benchmem
 //
-// and see EXPERIMENTS.md for the paper-vs-measured record. Sizes are
+// and see the README's "The two engines › Measured" section and the
+// BENCH_<date>.json records for the paper-vs-measured record. Sizes are
 // chosen so the full suite completes in minutes on a laptop; the cmd/
 // tools run the same experiments at the paper's full scale.
 

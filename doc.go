@@ -64,11 +64,13 @@
 // caller's goroutine under its shard's lock via WithShardLocked — no
 // queue or hand-off, so concurrent requests on different shards never
 // contend.
-// Monitoring reads come in two consistency grades: Metrics/Snapshot
-// lock every shard for a linearizable view, while ShardMetrics and
-// ApproxMetrics lock one shard at a time (cheap, but shards are
-// observed at slightly different instants — see ApproxMetrics for the
-// exact contract). cmd/bbload generates open-loop Poisson churn (the
+// Monitoring reads come in two consistency grades: Metrics, Snapshot
+// and the other aggregate reads lock every shard at once and read
+// their merged load histogram, a linearizable view, while
+// ShardMetrics locks one shard and reads it alone. The lock-free view
+// is the dispatcher's: each shard publishes a stats row after every
+// operation, and its /v1/stats and watchdog read only those rows (see
+// internal/serve). cmd/bbload generates open-loop Poisson churn (the
 // continuous-time supermarket regime: every placed ball departs after
 // a random service time) and closed-loop saturation workloads against
 // either the HTTP API or the in-process dispatcher; see the README's
@@ -260,10 +262,10 @@
 // synchronous parallel allocation engine in the model of Adler et al.
 // and Lenzen–Wattenhofer (LenzenWattenhofer, AdlerCollision,
 // HeavyParallel), the self-balancing reallocation baseline of
-// Czumaj–Riley–Scheideler (SelfBalance), and a d-ary bucketed cuckoo
-// hash table (NewCuckoo) for the hashing application domain.
+// Czumaj–Riley–Scheideler (SelfBalance).
 //
 // Everything is deterministic under a seed, uses only the standard
 // library, and is exercised by the benchmark harness in bench_test.go,
-// one benchmark per table/figure of the paper (see EXPERIMENTS.md).
+// one benchmark per table/figure of the paper (see the README's "The
+// two engines › Measured" section and the BENCH_<date>.json records).
 package ballsbins

@@ -1,7 +1,6 @@
 package ballsbins
 
 import (
-	"repro/internal/cuckoo"
 	"repro/internal/dynamic"
 	"repro/internal/parallel"
 	"repro/internal/queueing"
@@ -87,22 +86,6 @@ func SelfBalance(n int, m int64, seed uint64) BalanceResult {
 		Samples:        res.InitialSamples,
 	}
 }
-
-// CuckooConfig configures a cuckoo hash table; see NewCuckoo.
-type CuckooConfig = cuckoo.Config
-
-// CuckooTable is a d-ary bucketed cuckoo hash table, the related-work
-// hashing scheme discussed in the paper's introduction. Displacement
-// counts expose the reallocation cost that the paper's protocols avoid.
-type CuckooTable = cuckoo.Table
-
-// ErrCuckooFull is returned by CuckooTable.Insert when an item cannot
-// be placed within the displacement budget and stash.
-var ErrCuckooFull = cuckoo.ErrTableFull
-
-// NewCuckoo returns an empty cuckoo hash table. It panics on invalid
-// configuration (see CuckooConfig field docs).
-func NewCuckoo(cfg CuckooConfig) *CuckooTable { return cuckoo.New(cfg) }
 
 // DynamicConfig parameterizes a fully dynamic load-balancing
 // simulation (arrivals, departures, optional pairwise balancing); see

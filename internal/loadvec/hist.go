@@ -10,11 +10,12 @@ import (
 
 // Hist is the histogram-mode counterpart of Vector: it tracks only the
 // level-count histogram (how many bins hold each load), not which bin
-// holds what. Every aggregate query of Vector — ball count, min/max,
-// gap, Σℓ², both potentials, CountBelow — is available with identical
-// semantics, but the working set is O(#levels) instead of O(n), so a
-// placement loop over a Hist runs entirely in L1 cache with no
-// random memory accesses.
+// holds what. Vector's aggregate queries — ball count, min/max, gap,
+// Σℓ², the quadratic potential, LevelCount, CountBelow, Holes — are
+// available with identical semantics (the exponential potential is a
+// sum over LevelCount), but the working set is O(#levels) instead of
+// O(n), so a placement loop over a Hist runs entirely in L1 cache with
+// no random memory accesses.
 //
 // The paper's rejection-sampling protocols are symmetric under bin
 // relabeling: their dynamics depend on the load vector only through
@@ -321,24 +322,6 @@ func (h *Hist) SumSquares() int64 { return h.sumSq }
 func (h *Hist) QuadraticPotential() float64 {
 	t := float64(h.balls)
 	return float64(h.sumSq) - t*t/float64(h.n)
-}
-
-// ExponentialPotential returns Φ with the given ε, exactly as Vector.
-func (h *Hist) ExponentialPotential(eps float64) float64 {
-	if eps <= 0 {
-		panic("loadvec: ExponentialPotential with eps <= 0")
-	}
-	avg := float64(h.balls) / float64(h.n)
-	log1pe := math.Log1p(eps)
-	var sum float64
-	for l := int(h.min); l <= int(h.max); l++ {
-		c := h.levels[l]
-		if c == 0 {
-			continue
-		}
-		sum += float64(c) * math.Exp((avg+2-float64(l))*log1pe)
-	}
-	return sum
 }
 
 // Holes returns Σ max(0, capacity − ℓᵢ), exactly as Vector.

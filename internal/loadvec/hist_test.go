@@ -26,9 +26,6 @@ func checkHistMirrorsVector(t *testing.T, h *Hist, v *Vector) {
 	if hp, vp := h.QuadraticPotential(), v.QuadraticPotential(); hp != vp {
 		t.Fatalf("Psi: %v vs %v", hp, vp)
 	}
-	if hp, vp := h.ExponentialPotential(DefaultEpsilon), v.ExponentialPotential(DefaultEpsilon); hp != vp {
-		t.Fatalf("Phi: %v vs %v", hp, vp)
-	}
 	for c := 0; c <= h.MaxLoad()+1; c++ {
 		if h.Holes(c) != v.Holes(c) {
 			t.Fatalf("Holes(%d): %d vs %d", c, h.Holes(c), v.Holes(c))

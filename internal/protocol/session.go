@@ -285,14 +285,6 @@ func (s *Session) MinLoad() int {
 	return s.v.MinLoad()
 }
 
-// Gap returns MaxLoad − MinLoad without materializing.
-func (s *Session) Gap() int {
-	if s.h != nil {
-		return s.h.Gap()
-	}
-	return s.v.Gap()
-}
-
 // SumSquares returns Σ loads² without materializing. Shard
 // aggregations use it to combine exact global potentials.
 func (s *Session) SumSquares() int64 {
@@ -309,23 +301,6 @@ func (s *Session) LevelCount(l int) int64 {
 		return s.h.LevelCount(l)
 	}
 	return s.v.LevelCount(l)
-}
-
-// Psi returns the quadratic potential Ψ without materializing.
-func (s *Session) Psi() float64 {
-	if s.h != nil {
-		return s.h.QuadraticPotential()
-	}
-	return s.v.QuadraticPotential()
-}
-
-// Phi returns the exponential potential Φ with the given ε without
-// materializing.
-func (s *Session) Phi(eps float64) float64 {
-	if s.h != nil {
-		return s.h.ExponentialPotential(eps)
-	}
-	return s.v.ExponentialPotential(eps)
 }
 
 // Name returns the protocol's identifier.

@@ -69,9 +69,9 @@ func TestDispatcherPlaceMany(t *testing.T) {
 		}
 	}
 	sa := d.Allocator()
-	if sa.Balls() != k || sa.Samples() != samples {
+	if got := sa.Metrics().Samples; sa.Balls() != k || got != samples {
 		t.Fatalf("allocator holds %d balls / %d samples, want %d / %d",
-			sa.Balls(), sa.Samples(), k, samples)
+			sa.Balls(), got, k, samples)
 	}
 	// Round-robin ticketing spreads a bulk arrival evenly: per-shard
 	// ball counts stay within one of each other.
@@ -201,9 +201,9 @@ func TestDispatcherHammer(t *testing.T) {
 	if v.Placed != placed.Load() || v.Balls != sa.Balls() || v.Removed != removed.Load() {
 		t.Fatalf("quiescent stats diverge: %+v", v)
 	}
-	if v.MaxLoad != sa.MaxLoad() || v.Psi != sa.Psi() {
+	if snap := sa.Snapshot(); v.MaxLoad != snap.MaxLoad || v.Psi != snap.Psi {
 		t.Fatalf("quiescent stats max/psi = %d/%v, allocator %d/%v",
-			v.MaxLoad, v.Psi, sa.MaxLoad(), sa.Psi())
+			v.MaxLoad, v.Psi, snap.MaxLoad, snap.Psi)
 	}
 }
 

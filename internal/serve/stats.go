@@ -12,10 +12,12 @@ import (
 // the shard lock — as one immutable row behind an atomic pointer, so
 // every row a monitor reads is an internally consistent post-op
 // observation, and reading costs zero locks and never blocks traffic.
-// Different shards' rows may still be a few operations apart in time
-// (the same shard-at-a-time tradeoff as ballsbins.ApproxMetrics, which
-// see; use Dispatcher.Allocator().Metrics() when a lock-all
-// linearizable snapshot is worth stalling the shards for).
+// Different shards' rows may still be a few operations apart in time,
+// so a view sums rows of slightly different instants: every row
+// balances its own books, and at quiescence the view equals the
+// lock-all reads of Dispatcher.Allocator() exactly. Use those when a
+// linearizable snapshot is worth stalling every shard for. The
+// watchdog reads only these rows (see watchSample).
 type Stats struct {
 	shards []shardCell
 }

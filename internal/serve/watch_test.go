@@ -38,10 +38,10 @@ func newWatchedDispatcher(t *testing.T, spec ballsbins.Spec, n, shards int, hori
 
 // TestWatchNoPhantomViolations is the consistency regression: hammer
 // place/remove traffic while the watchdog evaluates as fast as it can,
-// and assert that no invariant ever appears violated. The checks read
-// post-batch shard rows and the lock-all metrics path, so a mid-batch
-// read must be structurally impossible — any phantom here is a torn
-// snapshot. Every spec whose rule arms the max-load checks runs: the
+// and assert that no invariant ever appears violated and that every
+// series point balances its books. The checks read only post-op shard
+// rows, so a mid-op read must be structurally impossible — any phantom
+// here is a torn snapshot. Every spec whose rule arms the max-load checks runs: the
 // stale and lagged counters under removals, and threshold and fixed,
 // whose places are refused with ErrFull once the churn reaches
 // capacity.
@@ -112,9 +112,44 @@ func watchNoPhantomViolations(t *testing.T, spec ballsbins.Spec) {
 	if len(pts) == 0 {
 		t.Fatal("watchdog collected no points")
 	}
-	last := pts[len(pts)-1]
-	if last.Balls != last.Placed-last.Removed {
-		t.Fatalf("books don't balance in series point: %+v", last)
+	for i, p := range pts {
+		if p.Balls != p.Placed-p.Removed {
+			t.Fatalf("books don't balance in series point %d of %d: %+v", i, len(pts), p)
+		}
+	}
+}
+
+// TestWatchTakesNoShardLock: a watchdog sample reads only the shards'
+// published stats rows, so it completes while a shard's lock is held.
+// The lock is released on both paths, so a sample that does wait for
+// it fails the test instead of hanging it.
+func TestWatchTakesNoShardLock(t *testing.T) {
+	d := NewDispatcher(Config{
+		Spec: ballsbins.Adaptive(), N: 64, Shards: 4, Seed: 1,
+		Watch: watch.Options{Cadence: time.Hour}, // manual samples only
+	})
+	t.Cleanup(d.Close)
+	if _, _, err := d.PlaceMany(context.Background(), 300); err != nil {
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	go d.Allocator().WithShardLocked(1, func(*ballsbins.Allocator, int) {
+		close(held)
+		<-release
+	})
+	<-held
+	sampled := make(chan watch.Sample, 1)
+	go func() { sampled <- d.watchSample() }()
+	select {
+	case s := <-sampled:
+		close(release)
+		if s.Point.Balls != 300 || s.Point.Placed != 300 {
+			t.Fatalf("sample point = %+v, want 300 balls placed", s.Point)
+		}
+	case <-time.After(2 * time.Second):
+		close(release)
+		<-sampled
+		t.Fatal("watchSample still blocked after 2s on a held shard lock")
 	}
 }
 

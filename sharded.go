@@ -2,11 +2,9 @@ package ballsbins
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/loadvec"
 	"repro/internal/protocol"
 	"repro/internal/rng"
 )
@@ -27,8 +25,11 @@ import (
 // sequential ⌈m/n⌉ + 1 — and that small slack buys cross-shard
 // parallelism with no cross-shard coordination at placement time.
 //
-// Aggregate reads (Loads, MaxLoad, Gap, Psi, Metrics, Snapshot) lock
-// every shard, so they are linearizable snapshots of the whole system.
+// Aggregate reads (Loads, Balls, Placed, MaxLoad, Metrics,
+// MetricsWithBalls, Snapshot) lock every shard at once and read the
+// shards' merged load histogram, so they are linearizable snapshots of
+// the whole system, equal bit for bit to one Allocator's reads over
+// the same loads. ShardMetrics locks one shard and reads it alone.
 //
 // Two concurrent callers pay a tax over one Allocator's Place, in three
 // parts:
@@ -261,117 +262,58 @@ func (sa *ShardedAllocator) Load(bin int) int {
 }
 
 // lockAll acquires every shard mutex in index order (a fixed order, so
-// concurrent aggregate reads cannot deadlock) and returns the unlock
-// function.
-func (sa *ShardedAllocator) lockAll() func() {
-	for _, sh := range sa.shards {
+// concurrent aggregate reads cannot deadlock) and returns the shards'
+// sessions as one reading; unlockAll releases them.
+func (sa *ShardedAllocator) lockAll() reading {
+	r := make(reading, len(sa.shards))
+	for i, sh := range sa.shards {
 		sh.mu.Lock()
+		r[i] = sh.a.sess
 	}
-	return func() {
-		for _, sh := range sa.shards {
-			sh.mu.Unlock()
-		}
+	return r
+}
+
+func (sa *ShardedAllocator) unlockAll() {
+	for _, sh := range sa.shards {
+		sh.mu.Unlock()
 	}
 }
 
 // Loads returns a copy of the current global per-bin loads, read as
 // one consistent snapshot.
 func (sa *ShardedAllocator) Loads() []int {
-	defer sa.lockAll()()
+	r := sa.lockAll()
+	defer sa.unlockAll()
 	out := make([]int, 0, sa.n)
-	for _, sh := range sa.shards {
-		out = append(out, sh.a.Loads()...)
+	for _, s := range r {
+		out = append(out, s.Vector().Loads()...)
 	}
 	return out
 }
 
 // Balls returns the number of balls currently in the system.
 func (sa *ShardedAllocator) Balls() int64 {
-	defer sa.lockAll()()
-	var t int64
-	for _, sh := range sa.shards {
-		t += sh.a.Balls()
-	}
-	return t
+	r := sa.lockAll()
+	defer sa.unlockAll()
+	return r.totals().balls
 }
 
 // Placed returns the cumulative number of placements.
 func (sa *ShardedAllocator) Placed() int64 {
-	defer sa.lockAll()()
-	var t int64
-	for _, sh := range sa.shards {
-		t += sh.a.Placed()
-	}
-	return t
-}
-
-// Samples returns the cumulative number of random bin choices.
-func (sa *ShardedAllocator) Samples() int64 {
-	defer sa.lockAll()()
-	var t int64
-	for _, sh := range sa.shards {
-		t += sh.a.Samples()
-	}
-	return t
+	r := sa.lockAll()
+	defer sa.unlockAll()
+	return r.totals().placed
 }
 
 // MaxLoad returns the current global maximum load.
 func (sa *ShardedAllocator) MaxLoad() int {
-	defer sa.lockAll()()
-	return sa.maxLoadLocked()
+	r := sa.lockAll()
+	defer sa.unlockAll()
+	return r.totals().MaxLoad
 }
 
-func (sa *ShardedAllocator) maxLoadLocked() int {
-	max := 0
-	for _, sh := range sa.shards {
-		if l := sh.a.MaxLoad(); l > max {
-			max = l
-		}
-	}
-	return max
-}
-
-// MinLoad returns the current global minimum load.
-func (sa *ShardedAllocator) MinLoad() int {
-	defer sa.lockAll()()
-	return sa.minLoadLocked()
-}
-
-func (sa *ShardedAllocator) minLoadLocked() int {
-	min := math.MaxInt
-	for _, sh := range sa.shards {
-		if l := sh.a.MinLoad(); l < min {
-			min = l
-		}
-	}
-	return min
-}
-
-// Gap returns global MaxLoad − MinLoad.
-func (sa *ShardedAllocator) Gap() int {
-	defer sa.lockAll()()
-	return sa.maxLoadLocked() - sa.minLoadLocked()
-}
-
-// Psi returns the global quadratic potential Ψ = Σℓ² − t²/n, combined
-// exactly from the shards' integer sums.
-func (sa *ShardedAllocator) Psi() float64 {
-	defer sa.lockAll()()
-	return sa.psiLocked()
-}
-
-func (sa *ShardedAllocator) psiLocked() float64 {
-	var sumSq, balls int64
-	for _, sh := range sa.shards {
-		sumSq += sh.a.sess.SumSquares()
-		balls += sh.a.Balls()
-	}
-	t := float64(balls)
-	return float64(sumSq) - t*t/float64(sa.n)
-}
-
-// Metrics summarizes the whole system as a Result, combining the
-// shards under one consistent snapshot. Phi is evaluated against the
+// Metrics summarizes the whole system as a Result, read from the
+// merged load histogram of all shards. Phi is evaluated against the
 // global average load.
 func (sa *ShardedAllocator) Metrics() Result {
 	res, _ := sa.MetricsWithBalls()
@@ -384,46 +326,17 @@ func (sa *ShardedAllocator) Metrics() Result {
 // cannot carry the count, and a separate Balls() call would observe a
 // later state).
 func (sa *ShardedAllocator) MetricsWithBalls() (Result, int64) {
-	defer sa.lockAll()()
-	var samples, placed, balls int64
-	for _, sh := range sa.shards {
-		samples += sh.a.Samples()
-		placed += sh.a.Placed()
-		balls += sh.a.Balls()
-	}
-	res := Result{
-		Samples: samples,
-		MaxLoad: sa.maxLoadLocked(),
-		MinLoad: sa.minLoadLocked(),
-		Psi:     sa.psiLocked(),
-		Phi:     sa.phiLocked(balls),
-	}
-	res.Gap = res.MaxLoad - res.MinLoad
-	if placed > 0 {
-		res.SamplesPerBall = float64(samples) / float64(placed)
-	}
-	return res, balls
+	r := sa.lockAll()
+	defer sa.unlockAll()
+	return r.result(), r.totals().balls
 }
 
-// phiLocked merges the shards' level histograms and evaluates the
-// exponential potential against the global average, exactly as a
-// single Vector over all n bins would.
-func (sa *ShardedAllocator) phiLocked(balls int64) float64 {
-	maxL := sa.maxLoadLocked()
-	avg := float64(balls) / float64(sa.n)
-	log1pe := math.Log1p(loadvec.DefaultEpsilon)
-	var sum float64
-	for l := sa.minLoadLocked(); l <= maxL; l++ {
-		var c int64
-		for _, sh := range sa.shards {
-			c += sh.a.sess.LevelCount(l)
-		}
-		if c == 0 {
-			continue
-		}
-		sum += float64(c) * math.Exp((avg+2-float64(l))*log1pe)
-	}
-	return sum
+// Snapshot returns a consistent mid-run observation of the whole
+// system.
+func (sa *ShardedAllocator) Snapshot() Snapshot {
+	r := sa.lockAll()
+	defer sa.unlockAll()
+	return r.snapshot()
 }
 
 // ShardMetrics summarizes shard i alone as a Result, locking only that
@@ -439,92 +352,4 @@ func (sa *ShardedAllocator) ShardMetrics(i int) Result {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.a.Metrics()
-}
-
-func safeDiv(num, den int64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
-}
-
-// ApproxMetrics summarizes the whole system like Metrics but locks one
-// shard at a time instead of all P at once, so a monitoring read never
-// stalls more than 1/P of the traffic.
-//
-// Consistency tradeoff: each shard's contribution is internally
-// consistent (read under its own lock), but the shards are observed at
-// slightly different moments, so operations that land between the
-// per-shard reads may be counted on some shards and not others. The
-// combined figures can therefore differ transiently from any
-// lock-all Metrics snapshot — e.g. Psi mixes sums-of-squares and ball
-// counts from instants a few operations apart, and MaxLoad may miss a
-// ball placed on an already-visited shard. Under quiescence it equals
-// Metrics exactly. Use Metrics when a linearizable snapshot matters;
-// use ApproxMetrics on monitoring paths.
-func (sa *ShardedAllocator) ApproxMetrics() Result {
-	var samples, placed, balls, sumSq int64
-	maxL, minL := 0, math.MaxInt
-	// Level counts are merged across shards to evaluate Phi globally;
-	// the map stays tiny (levels span maxLoad−minLoad+1 values).
-	levels := make(map[int]int64)
-	for _, sh := range sa.shards {
-		sh.mu.Lock()
-		samples += sh.a.Samples()
-		placed += sh.a.Placed()
-		balls += sh.a.Balls()
-		sumSq += sh.a.SumSquares()
-		lo, hi := sh.a.MinLoad(), sh.a.MaxLoad()
-		if hi > maxL {
-			maxL = hi
-		}
-		if lo < minL {
-			minL = lo
-		}
-		for l := lo; l <= hi; l++ {
-			if c := sh.a.LevelCount(l); c > 0 {
-				levels[l] += c
-			}
-		}
-		sh.mu.Unlock()
-	}
-	t := float64(balls)
-	avg := t / float64(sa.n)
-	log1pe := math.Log1p(loadvec.DefaultEpsilon)
-	var phi float64
-	// Ascending level order, matching Metrics' summation order so the
-	// two agree bit-for-bit at quiescence.
-	for l := minL; l <= maxL; l++ {
-		if c := levels[l]; c > 0 {
-			phi += float64(c) * math.Exp((avg+2-float64(l))*log1pe)
-		}
-	}
-	res := Result{
-		Samples:        samples,
-		SamplesPerBall: safeDiv(samples, placed),
-		MaxLoad:        maxL,
-		MinLoad:        minL,
-		Psi:            float64(sumSq) - t*t/float64(sa.n),
-		Phi:            phi,
-	}
-	res.Gap = res.MaxLoad - res.MinLoad
-	return res
-}
-
-// Snapshot returns a consistent mid-run observation of the whole
-// system.
-func (sa *ShardedAllocator) Snapshot() Snapshot {
-	defer sa.lockAll()()
-	var samples, placed int64
-	for _, sh := range sa.shards {
-		samples += sh.a.Samples()
-		placed += sh.a.Placed()
-	}
-	return Snapshot{
-		Ball:    placed,
-		Samples: samples,
-		MaxLoad: sa.maxLoadLocked(),
-		Gap:     sa.maxLoadLocked() - sa.minLoadLocked(),
-		Psi:     sa.psiLocked(),
-	}
 }
